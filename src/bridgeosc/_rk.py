@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyTrajectoryError, InvalidParameterError
+from .io import write_csv
 
 REACHED_T_END = "reached_t_end"
 BLOWUP_DETECTED = "blowup_detected"
@@ -42,10 +43,16 @@ _SAFETY = 0.9
 class RawTrajectory:
     """Accepted samples plus per-step interpolation coefficients.
 
+    The ODE, system and modal solvers return subclasses of it that name
+    the state columns and add their own records.
+
     ts          (N,) strictly increasing accepted times
-    ys          (N, n) accepted states
+    ys, states  (N, n) accepted states
     termination one of reached_t_end / blowup_detected / step_underflow
+    columns     CSV names of the n state columns, set by each subclass
     """
+
+    columns: tuple = ()
 
     def __init__(self, ts, ys, rcont, termination, n_rejected=0):
         self.ts = ts
@@ -58,8 +65,16 @@ class RawTrajectory:
         return len(self.ts)
 
     @property
-    def t_end(self):
-        return self.ts[-1]
+    def states(self) -> np.ndarray:
+        return self.ys
+
+    @property
+    def t_end(self) -> float:
+        return float(self.ts[-1])
+
+    def to_csv(self, path) -> None:
+        """One row per accepted sample: t and the state columns."""
+        write_csv(path, ["t", *self.columns], np.column_stack([self.ts, self.ys]))
 
     def eval(self, t):
         """Dense evaluation of the full state at time(s) t within the span."""

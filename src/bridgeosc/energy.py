@@ -179,14 +179,20 @@ def elongation_mode(a_m: float, m: int, L: float, tol: float = 1e-10) -> float:
 
 
 def _field_eval(field, x1, x2, dx1=0, dx2=0):
-    """Evaluate a field object (with .eval) or a plain callable (values only)."""
+    """Evaluate a field object (with .eval) or a plain callable (values only)
+    on the broadcast shape of x1 and x2; a None field is zero."""
+    shape = np.broadcast(x1, x2).shape
+    if field is None:
+        return np.zeros(shape)
     if hasattr(field, "eval"):
-        return np.asarray(field.eval(x1, x2, dx1, dx2), dtype=float)
-    if dx1 or dx2:
+        vals = field.eval(x1, x2, dx1, dx2)
+    elif dx1 or dx2:
         raise InvalidParameterError(
             "plain callables provide no derivatives; pass an object with "
             "an eval(x1, x2, dx1, dx2) method")
-    return np.asarray(field(x1, x2), dtype=float)
+    else:
+        vals = field(x1, x2)
+    return np.broadcast_to(np.asarray(vals, dtype=float), shape)
 
 
 def local_energy(u_field, ut_field, F: Callable, sigma: float, region,
@@ -205,8 +211,7 @@ def local_energy(u_field, ut_field, F: Callable, sigma: float, region,
     lap = u11 + u22
     det = u11 * u22 - u12 ** 2
     uval = _field_eval(u_field, X1, X2)
-    ut = (np.zeros_like(X1) if ut_field is None
-          else np.broadcast_to(_field_eval(ut_field, X1, X2), X1.shape))
+    ut = _field_eval(ut_field, X1, X2)
     integrand = (0.5 * lap ** 2 + (sigma - 1.0) * det + 0.5 * ut ** 2
                  + np.asarray(F(uval), dtype=float))
     return float(np.sum(W * integrand))

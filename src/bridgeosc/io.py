@@ -1,7 +1,8 @@
 """CSV/SVG output helpers for the scenario runner.
 
-Plots are self-contained SVG polylines with fixed formatting so repeated
-runs produce byte-identical artifacts.
+Tables are written at full float precision and plots are self-contained SVG
+polylines with fixed formatting, so repeated runs produce byte-identical
+artifacts.
 """
 from __future__ import annotations
 
@@ -10,6 +11,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def write_csv(path, header: Sequence[str], table) -> None:
+    """Write a header line, then one row per table row with every value
+    formatted %.17g (integral values print without a decimal point)."""
+    rows = np.asarray(table, dtype=float).tolist()
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def _fmt(v: float) -> str:

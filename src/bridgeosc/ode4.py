@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._quad import simpson_uniform
 from ._rk import (BLOWUP_DETECTED, REACHED_T_END, STEP_UNDERFLOW,
                   RawTrajectory, integrate_adaptive)
 from .errors import EmptyTrajectoryError, InvalidParameterError, UnsupportedFamilyError
@@ -137,73 +138,49 @@ class IntegratorConfig:
             raise InvalidParameterError("max_step must be > 0")
 
 
-class Trajectory:
+class Trajectory(RawTrajectory):
     """Dense ODE solution with located zero crossings of w.
 
-    samples      list of State4 at the accepted steps
+    states       (N, 4) array of (w, w', w'', w''') at the accepted steps
+    samples      the same rows as a list of State4
     events       zero-crossing times of w, each bracketed by samples of
                  opposite sign
     termination  reached_t_end | blowup_detected | step_underflow
     """
 
     ZERO_TOL = 1e-9
+    columns = ("w", "w1", "w2", "w3")
 
     def __init__(self, raw: RawTrajectory, w_index: int = 0):
-        self._raw = raw
+        super().__init__(raw.ts, raw.ys, raw._rcont, raw.termination,
+                         raw.n_rejected)
         self.w_index = w_index
-        self.events: List[float] = raw.component_zeros(w_index, tol=self.ZERO_TOL)
+        self.events: List[float] = self.component_zeros(w_index, tol=self.ZERO_TOL)
 
     @property
-    def ts(self) -> np.ndarray:
-        return self._raw.ts
-
-    @property
-    def states(self) -> np.ndarray:
-        """(N, 4) array of (w, w', w'', w''') at the accepted steps."""
-        return self._raw.ys
+    def _raw(self) -> RawTrajectory:
+        """The stepper record (ts, ys, n_rejected, ...), which is self."""
+        return self
 
     @property
     def samples(self) -> List[State4]:
-        return [State4(t, *row) for t, row in zip(self._raw.ts, self._raw.ys)]
-
-    @property
-    def termination(self) -> str:
-        return self._raw.termination
-
-    @property
-    def t_end(self) -> float:
-        return float(self._raw.ts[-1])
-
-    def eval(self, t):
-        """Dense state at time(s) t."""
-        return self._raw.eval(t)
-
-    def to_csv(self, path) -> None:
-        write_state4_csv(path, self.ts, self.states)
+        return [State4(t, *row) for t, row in zip(self.ts, self.ys)]
 
 
-def write_state4_csv(path, ts, states) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,w,w1,w2,w3\n")
-        for t, row in zip(ts, states):
-            fh.write(f"{t:.17g},{row[0]:.17g},{row[1]:.17g},"
-                     f"{row[2]:.17g},{row[3]:.17g}\n")
-
-
-def _as_state_array(state0) -> np.ndarray:
-    if isinstance(state0, State4):
-        return state0.array
+def _initial_state(state0, record=State4) -> Tuple[float, np.ndarray]:
+    """(t0, y0) from a state record, or from 4 bare components at t0 = 0."""
+    if isinstance(state0, record):
+        return state0.t, state0.array
     arr = np.asarray(state0, dtype=float)
     if arr.shape != (4,):
-        raise InvalidParameterError("state0 must have 4 components")
-    return arr
+        raise InvalidParameterError("initial state must have 4 components")
+    return 0.0, arr
 
 
 def integrate(family: OdeFamily, state0, cfg: IntegratorConfig) -> Trajectory:
     """Adaptively integrate the family from state0 until cfg.t_end, the
     blow-up threshold, or step underflow."""
-    y0 = _as_state_array(state0)
-    t0 = state0.t if isinstance(state0, State4) else 0.0
+    t0, y0 = _initial_state(state0)
     raw = integrate_adaptive(family.rhs(), t0, y0, cfg.t_end,
                              rtol=cfg.rel_tol, atol=cfg.abs_tol,
                              max_step=cfg.max_step, stop_indices=(0,),
@@ -232,13 +209,6 @@ class BlowupReport:
                            "ratios": [list(r) for r in self.ratios]})
 
 
-def _simpson(values: np.ndarray, h: float) -> float:
-    n = len(values)
-    acc = values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) \
-        + 2.0 * np.sum(values[2:-1:2])
-    return float(h / 3.0 * acc)
-
-
 def _interval_ratios(traj: Trajectory, zeros: Sequence[float],
                      points_per_interval: int = 512) -> List[Tuple[float, float]]:
     out = []
@@ -247,9 +217,9 @@ def _interval_ratios(traj: Trajectory, zeros: Sequence[float],
         tt = np.linspace(z0, z1, npts)
         Y = traj.eval(tt)
         h = (z1 - z0) / (npts - 1)
-        i_w = _simpson(Y[:, 0] ** 2, h)
-        i_w1 = _simpson(Y[:, 1] ** 2, h)
-        i_w2 = _simpson(Y[:, 2] ** 2, h)
+        i_w = simpson_uniform(Y[:, 0] ** 2, h)
+        i_w1 = simpson_uniform(Y[:, 1] ** 2, h)
+        i_w2 = simpson_uniform(Y[:, 2] ** 2, h)
         if i_w2 == 0.0:
             out.append((0.0, 0.0))
         else:
@@ -313,27 +283,40 @@ def detect_blowup(traj: Trajectory, cfg: Optional[IntegratorConfig] = None,
     return BlowupReport(True, float(r_est), zeros, ratios)
 
 
-def hamiltonian(family: OdeFamily, state) -> float:
-    """First integral H = w' w''' - (w'')^2/2 + k (w')^2/2 + F(w).
+def _hamiltonian_terms(family: OdeFamily, states: np.ndarray):
+    """The four terms of H, whose sum is H, along an (N, 4) state array.
 
-    Only conservative families admit it: canonical, and general with no
+    Only conservative families admit H: canonical, and general with no
     odd-derivative terms (a = b = 0), whose restoring force integrates to
     c w^2/2 + |w|^(q+2)/(q+2).
     """
-    arr = state.array if isinstance(state, State4) else np.asarray(state, float)
-    w, w1, w2, w3 = arr
+    w, w1, w2, w3 = states.T
     if family.kind == "canonical":
         k = family.k_coef
-        Fw = family.nl.F(w)
+        Fw = np.asarray(family.nl.F(w))
     elif family.kind == "general" and family.a3 == 0.0 and family.b1 == 0.0:
         k = family.k2
         q = family.q_exp
-        Fw = family.c0 * w * w / 2.0 + abs(w) ** (q + 2.0) / (q + 2.0)
+        Fw = family.c0 * w * w / 2.0 + np.abs(w) ** (q + 2.0) / (q + 2.0)
     else:
         raise UnsupportedFamilyError(
             f"no first integral for family {family.kind!r} with odd-derivative "
             "or displacement-dependent stiffness terms")
-    return float(w1 * w3 - 0.5 * w2 * w2 + 0.5 * k * w1 * w1 + Fw)
+    return w1 * w3, -0.5 * w2 * w2, 0.5 * k * w1 * w1, Fw
+
+
+def hamiltonian(family: OdeFamily, state) -> float:
+    """First integral H = w' w''' - (w'')^2/2 + k (w')^2/2 + F(w)."""
+    arr = state.array if isinstance(state, State4) else np.asarray(state, float)
+    return float(sum(_hamiltonian_terms(family, arr[None, :]))[0])
+
+
+def _integral_drift(terms) -> Tuple[float, float]:
+    """(max |I - I0|, the same relative to 1 + the largest term magnitude)
+    for a first integral I given as the sum of its term arrays."""
+    values = sum(terms)
+    drift = float(np.max(np.abs(values - values[0])))
+    return drift, drift / (1.0 + float(np.max(sum(np.abs(t) for t in terms))))
 
 
 def hamiltonian_drift(family: OdeFamily, traj: Trajectory,
@@ -346,24 +329,11 @@ def hamiltonian_drift(family: OdeFamily, traj: Trajectory,
     so the relative figure uses 1 + max term magnitude as denominator.
     """
     states = traj.states
-    w_abs = np.abs(states[:, 0])
-    over = np.where(w_abs > w_cap)[0]
+    over = np.where(np.abs(states[:, 0]) > w_cap)[0]
     end = over[0] if len(over) else len(states)
     if end < 2:
         return 0.0, 0.0
-    win = states[:end]
-    H = np.array([hamiltonian(family, row) for row in win])
-    if family.kind == "canonical":
-        k = family.k_coef
-        Fv = np.asarray(family.nl.F(win[:, 0]))
-    else:
-        k = family.k2
-        q = family.q_exp
-        Fv = family.c0 * win[:, 0] ** 2 / 2.0 + np.abs(win[:, 0]) ** (q + 2.0) / (q + 2.0)
-    scale = (np.abs(win[:, 1] * win[:, 3]) + 0.5 * win[:, 2] ** 2
-             + 0.5 * abs(k) * win[:, 1] ** 2 + np.abs(Fv))
-    drift = float(np.max(np.abs(H - H[0])))
-    return drift, drift / (1.0 + float(np.max(scale)))
+    return _integral_drift(_hamiltonian_terms(family, states[:end]))
 
 
 def check_tech(k: float, state0) -> bool:

@@ -188,9 +188,10 @@ def _run_flutter(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
             gyration_r=2.0 * params.gyration_r, omega_B=params.omega_B,
             omega_T=params.omega_T, alpha_mass=params.alpha_mass)
         payload["V_c_doubled_width"] = energy.flutter_speed(doubled)
-        payload["ratio"] = payload["V_c_doubled_width"] / vc if vc else math.inf
+        # equal frequencies give V_c = 0 and no finite ratio
+        payload["ratio"] = payload["V_c_doubled_width"] / vc if vc else None
     with open(out["json"], "w") as fh:
-        json.dump(payload, fh)
+        json.dump(payload, fh, allow_nan=False)
         fh.write("\n")
     return ScenarioResult(sc.name, f"V_c={vc:.6g}", [out["json"]])
 

@@ -15,8 +15,10 @@ import numpy as np
 
 from ._rk import RawTrajectory, integrate_adaptive
 from .errors import InvalidParameterError
+from .io import write_csv
 from .nonlin import Nonlinearity
-from .ode4 import IntegratorConfig, Trajectory
+from .ode4 import (IntegratorConfig, Trajectory, _initial_state,
+                   _integral_drift)
 
 
 @dataclass(frozen=True)
@@ -78,54 +80,25 @@ class ScanlanParams:
                 "need inertia_I > 0, omega_n > 0, zeta >= 0")
 
 
-class SysTrajectory:
-    """Dense solution of one of the 2x2 systems; state order (x, xd, y, yd)."""
+class SysTrajectory(RawTrajectory):
+    """Dense solution of one of the 2x2 systems; state order (x, xd, y, yd).
+
+    samples holds the same rows as SysState records.
+    """
+
+    columns = ("x", "xd", "y", "yd")
 
     def __init__(self, raw: RawTrajectory):
-        self._raw = raw
-
-    @property
-    def ts(self) -> np.ndarray:
-        return self._raw.ts
-
-    @property
-    def states(self) -> np.ndarray:
-        return self._raw.ys
+        super().__init__(raw.ts, raw.ys, raw._rcont, raw.termination,
+                         raw.n_rejected)
 
     @property
     def samples(self) -> List[SysState]:
-        return [SysState(t, *row) for t, row in zip(self._raw.ts, self._raw.ys)]
-
-    @property
-    def termination(self) -> str:
-        return self._raw.termination
-
-    @property
-    def t_end(self) -> float:
-        return float(self._raw.ts[-1])
-
-    def eval(self, t):
-        return self._raw.eval(t)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,xd,y,yd\n")
-            for t, row in zip(self.ts, self.states):
-                fh.write(f"{t:.17g},{row[0]:.17g},{row[1]:.17g},"
-                         f"{row[2]:.17g},{row[3]:.17g}\n")
-
-
-def _as_sys_array(s0) -> Tuple[float, np.ndarray]:
-    if isinstance(s0, SysState):
-        return s0.t, s0.array
-    arr = np.asarray(s0, dtype=float)
-    if arr.shape != (4,):
-        raise InvalidParameterError("state must have components (x, xd, y, yd)")
-    return 0.0, arr
+        return [SysState(t, *row) for t, row in zip(self.ts, self.ys)]
 
 
 def _integrate_sys(rhs, s0, cfg: IntegratorConfig) -> SysTrajectory:
-    t0, y0 = _as_sys_array(s0)
+    t0, y0 = _initial_state(s0, SysState)
     raw = integrate_adaptive(rhs, t0, y0, cfg.t_end, rtol=cfg.rel_tol,
                              atol=cfg.abs_tol, max_step=cfg.max_step,
                              stop_indices=(0, 2),
@@ -205,7 +178,7 @@ def to_fourth_order(params: MiosystParams, nl: Nonlinearity,
     w'''' + (beta+delta) w'' + 2(delta-beta) f(w) = 0 with the given nl.
     """
     mat = reduction_matrix(params)
-    return Trajectory(sys_traj._raw.map_linear(mat))
+    return Trajectory(sys_traj.map_linear(mat))
 
 
 def reduction_residual(params: MiosystParams, nl: Nonlinearity,
@@ -216,27 +189,32 @@ def reduction_residual(params: MiosystParams, nl: Nonlinearity,
     the remaining terms from the to_fourth_order mapping; differencing of
     samples is never used.
     """
+    mat = reduction_matrix(params)  # raises for the degenerate delta == beta
     beta, delta = params.beta, params.delta
     d = delta - beta
-    if d == 0.0:
-        raise InvalidParameterError("reduction is degenerate for delta == beta")
     tt = sys_traj.ts if ts is None else np.asarray(ts, dtype=float)
     sys_states = sys_traj.eval(tt) if ts is not None else sys_traj.states
     x, y = sys_states[:, 0], sys_states[:, 2]
     z = y + x
     w4 = -d * (2.0 * np.asarray(nl.f(y - x)) - (beta + delta) * z)
-    mat = reduction_matrix(params)
     mapped = sys_states @ mat.T
     return w4 + (beta + delta) * mapped[:, 2] + 2.0 * d * np.asarray(nl.f(mapped[:, 0]))
+
+
+def _first_integral_terms(params: MiosystParams, nl: Nonlinearity,
+                          states: np.ndarray):
+    """The four terms of E, whose sum is E, along an (N, 4) array of
+    (w, w', w'', w''')."""
+    w, w1, w2, w3 = states.T
+    b, d = params.beta, params.delta
+    return ((b + d) / 2.0 * w1 * w1, w1 * w3,
+            2.0 * (d - b) * np.asarray(nl.F(w)), -0.5 * w2 * w2)
 
 
 def first_integral_E(params: MiosystParams, nl: Nonlinearity, state4) -> float:
     """E = (beta+delta)/2 (w')^2 + w' w''' + 2(delta-beta) F(w) - (w'')^2/2."""
     arr = state4.array if hasattr(state4, "array") else np.asarray(state4, float)
-    w, w1, w2, w3 = arr
-    b, d = params.beta, params.delta
-    return float((b + d) / 2.0 * w1 * w1 + w1 * w3
-                 + 2.0 * (d - b) * nl.F(w) - 0.5 * w2 * w2)
+    return float(sum(_first_integral_terms(params, nl, arr[None, :]))[0])
 
 
 def first_integral_drift(params: MiosystParams, nl: Nonlinearity,
@@ -249,20 +227,13 @@ def first_integral_drift(params: MiosystParams, nl: Nonlinearity,
     end = over[0] if len(over) else len(states)
     if end < 2:
         return 0.0, 0.0
-    win = states[:end]
-    b, d = params.beta, params.delta
-    E = np.array([first_integral_E(params, nl, row) for row in win])
-    scale = (abs(b + d) / 2.0 * win[:, 1] ** 2 + np.abs(win[:, 1] * win[:, 3])
-             + 2.0 * abs(d - b) * np.abs(np.asarray(nl.F(win[:, 0])))
-             + 0.5 * win[:, 2] ** 2)
-    drift = float(np.max(np.abs(E - E[0])))
-    return drift, drift / (1.0 + float(np.max(scale)))
+    return _integral_drift(_first_integral_terms(params, nl, states[:end]))
 
 
 def check_initial_oscill(params: MiosystParams, s0) -> bool:
     """Initial-data sign condition that triggers the oscillating blow-up:
     (3b-d) x0 y1 + (3d-b) x1 y0 > (b+d)(x0 x1 + y0 y1)."""
-    _, arr = _as_sys_array(s0)
+    _, arr = _initial_state(s0, SysState)
     x0, x1, y0, y1 = arr
     b, d = params.beta, params.delta
     return bool((3.0 * b - d) * x0 * y1 + (3.0 * d - b) * x1 * y0
@@ -307,10 +278,8 @@ class ScanlanSolution:
     growth_exponent: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,theta,theta_dot\n")
-            for t, th, thd in zip(self.ts, self.theta, self.theta_dot):
-                fh.write(f"{t:.17g},{th:.17g},{thd:.17g}\n")
+        write_csv(path, ["t", "theta", "theta_dot"],
+                  np.column_stack([self.ts, self.theta, self.theta_dot]))
 
 
 def solve_scanlan(params: ScanlanParams, theta0: float, thetad0: float,

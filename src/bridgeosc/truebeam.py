@@ -9,6 +9,7 @@ energy alone, so its flip times are located independently of the state.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -17,11 +18,12 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ._quad import gauss_nodes_1d
-from ._rk import REACHED_T_END, bisect, integrate_adaptive
-from .energy import gust_energy, switch_value
+from ._rk import REACHED_T_END, RawTrajectory, bisect, integrate_adaptive
+from .energy import _field_eval, gust_energy, switch_value
 from .errors import InvalidParameterError
+from .io import write_csv
 from .nonlin import Nonlinearity
-from .plate import PlateGeom
+from .plate import PlateGeom, _sin_deriv
 
 BLOWUP_MODAL_NORM = 1e6
 
@@ -71,11 +73,14 @@ class GustForcing:
             return self.amp(t) * self.profile_values(geom, x1, x2)
         return fun
 
+    def profile_norm2(self, geom: PlateGeom, quadrature_n: int = 32) -> float:
+        """|profile|^2 = int profile^2 over the plate."""
+        return gust_energy(lambda a, b, _t: self.profile_values(geom, a, b),
+                           geom, 0.0, quadrature_n)
+
     def energy(self, geom: PlateGeom, t, quadrature_n: int = 32):
         """Gust energy int phi^2; separability makes it amp(t)^2 * |profile|^2."""
-        norm2 = gust_energy(lambda a, b, _t: self.profile_values(geom, a, b),
-                            geom, 0.0, quadrature_n)
-        return np.asarray(self.amp(t)) ** 2 * norm2
+        return np.asarray(self.amp(t)) ** 2 * self.profile_norm2(geom, quadrature_n)
 
     def threshold_crossings(self, geom: PlateGeom, threshold: float,
                             t0: float, t1: float,
@@ -85,9 +90,7 @@ class GustForcing:
         # piecewise-linear amp: g(t) = amp(t)^2 * |profile|^2 - threshold is
         # piecewise quadratic; splitting pieces where amp changes sign makes
         # every part monotone, so one bisection per sign change suffices
-        prof_norm2 = gust_energy(
-            lambda a, b, _t: self.profile_values(geom, a, b), geom, 0.0,
-            quadrature_n)
+        prof_norm2 = self.profile_norm2(geom, quadrature_n)
 
         def g(t):
             return float(self.amp(t)) ** 2 * prof_norm2 - threshold
@@ -178,40 +181,42 @@ class ModalField:
         self.b = np.asarray(b, dtype=float)
 
     def eval(self, x1, x2, dx1: int = 0, dx2: int = 0):
-        x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
+        out = np.zeros(np.broadcast(x1, x2).shape)
         if dx2 >= 2:
-            return np.zeros(np.broadcast(x1, x2).shape)
-        L = self.geom.length_L
-        shape = np.broadcast(x1, x2).shape
-        out = np.zeros(shape)
+            return out
         for m in range(1, len(self.a) + 1):
-            k = m * math.pi / L
-            r = dx1 % 4
-            base = np.sin(k * x1) if r % 2 == 0 else np.cos(k * x1)
-            sign = -1.0 if r in (2, 3) else 1.0
-            smx = (k ** dx1 * sign) * base
-            if dx2 == 0:
-                out = out + (self.a[m - 1] + self.b[m - 1] * x2) * smx
-            else:
-                out = out + self.b[m - 1] * smx
+            smx = _sin_deriv(m * math.pi / self.geom.length_L, x1, dx1)
+            coef = self.b[m - 1] if dx2 else self.a[m - 1] + self.b[m - 1] * x2
+            out = out + coef * smx
         return out
 
 
-class ModalTrajectory:
-    """Stitched modal solution with per-sample switch values and flip events."""
+class ModalTrajectory(RawTrajectory):
+    """Stitched modal solution with per-sample switch values and flip events.
 
-    def __init__(self, cfg: TrueBeamConfig, segments, switch_per_sample,
+    The segments between flips join into one dense output, in which a flip
+    time belongs to the segment starting there; switch_of(t) gives the
+    switch at each sample, and samples holds the rows as ModalStates.
+    """
+
+    def __init__(self, cfg: TrueBeamConfig, segments, switch_of: Callable,
                  events: List[SwitchEvent], termination: str):
+        super().__init__(
+            np.concatenate([segments[0].ts] + [seg.ts[1:] for seg in segments[1:]]),
+            np.vstack([segments[0].ys] + [seg.ys[1:] for seg in segments[1:]]),
+            None, termination, sum(seg.n_rejected for seg in segments))
+        del self._rcont  # joined on first use, below
         self.cfg = cfg
         self._segments = segments  # list of RawTrajectory
-        self.ts = np.concatenate([seg.ts if i == 0 else seg.ts[1:]
-                                  for i, seg in enumerate(segments)])
-        self.ys = np.vstack([seg.ys if i == 0 else seg.ys[1:]
-                             for i, seg in enumerate(segments)])
-        self.switch = np.asarray(switch_per_sample, dtype=int)
+        self.switch = np.array([switch_of(float(t)) for t in self.ts], dtype=int)
         self.events = events
-        self.termination = termination
+
+    @functools.cached_property
+    def _rcont(self) -> np.ndarray:
+        """The segments' dense-output coefficients, joined on first use so
+        that a run never evaluated between samples holds one copy of them."""
+        return np.concatenate([seg._rcont for seg in self._segments])
 
     @property
     def M(self) -> int:
@@ -225,30 +230,20 @@ class ModalTrajectory:
                           int(self.switch[i]))
 
     @property
-    def states(self) -> List[ModalState]:
+    def samples(self) -> List[ModalState]:
         return [self.state_at(i) for i in range(len(self.ts))]
-
-    def eval(self, t: float) -> np.ndarray:
-        for seg in self._segments:
-            if t <= seg.ts[-1] or seg is self._segments[-1]:
-                return seg.eval(t)
-        return self._segments[-1].eval(t)
 
     def field_at(self, i: int) -> ModalField:
         st = self.state_at(i)
         return ModalField(self.cfg.geom, st.a, st.b)
 
     def to_csv(self, path) -> None:
+        """Columns t, switch, a1..aM, b1..bM; velocities are left out."""
         M = self.M
-        head = ",".join(["t", "switch"] + [f"a{m}" for m in range(1, M + 1)]
-                        + [f"b{m}" for m in range(1, M + 1)])
-        with open(path, "w", newline="") as fh:
-            fh.write(head + "\n")
-            for t, sw, row in zip(self.ts, self.switch, self.ys):
-                cols = [f"{t:.17g}", str(int(sw))]
-                cols += [f"{v:.17g}" for v in row[:M]]
-                cols += [f"{v:.17g}" for v in row[2 * M:3 * M]]
-                fh.write(",".join(cols) + "\n")
+        head = (["t", "switch"] + [f"a{m}" for m in range(1, M + 1)]
+                + [f"b{m}" for m in range(1, M + 1)])
+        write_csv(path, head, np.column_stack(
+            [self.ts, self.switch, self.ys[:, :M], self.ys[:, 2 * M:3 * M]]))
 
     def events_json(self) -> str:
         return json.dumps([{"t_switch": ev.t_switch, "direction": ev.direction}
@@ -258,12 +253,11 @@ class ModalTrajectory:
 class _Projector:
     """Gauss tensor grid, basis samples and projection weights."""
 
-    def __init__(self, cfg: TrueBeamConfig, nq1: int, nq2: int):
-        geom = cfg.geom
+    def __init__(self, geom: PlateGeom, M: int, nq1: int, nq2: int):
         L, ell = geom.length_L, geom.half_width_l
         self.x1, self.w1 = gauss_nodes_1d(0.0, L, nq1)
         self.x2, self.w2 = gauss_nodes_1d(-ell, ell, nq2)
-        m = np.arange(1, cfg.modes_M + 1)[:, None]
+        m = np.arange(1, M + 1)[:, None]
         self.SIN = np.sin(m * math.pi / L * self.x1[None, :])  # (M, nq1)
         self.norm_v = L * ell
         self.norm_t = L * ell ** 3 / 3.0
@@ -290,9 +284,9 @@ def _make_projector(cfg: TrueBeamConfig, y0: np.ndarray) -> _Projector:
     until the projected nonlinearity is grid-converged to 1e-8."""
     M = cfg.modes_M
     nq1, nq2 = max(16, 4 * M), 8
-    proj = _Projector(cfg, nq1, nq2)
+    proj = _Projector(cfg.geom, M, nq1, nq2)
     for _ in range(2):
-        finer = _Projector(cfg, 2 * nq1, 2 * nq2)
+        finer = _Projector(cfg.geom, M, 2 * nq1, 2 * nq2)
         a, b = y0[:M], y0[2 * M:3 * M]
         pv0, pt0 = proj.project(np.asarray(cfg.nl.f(proj.surface(a, b))))
         pv1, pt1 = finer.project(np.asarray(cfg.nl.f(finer.surface(a, b))))
@@ -311,24 +305,13 @@ def project_initial(u0_field, u1_field, geom: PlateGeom, M: int,
     quadrature against the mutually orthogonal basis families."""
     if M < 1:
         raise InvalidParameterError("M must be >= 1")
-    nq1 = quadrature_n or max(32, 4 * M)
-    x1, w1 = gauss_nodes_1d(0.0, geom.length_L, nq1)
-    x2, w2 = gauss_nodes_1d(-geom.half_width_l, geom.half_width_l, 8)
-    mm = np.arange(1, M + 1)[:, None]
-    SIN = np.sin(mm * math.pi / geom.length_L * x1[None, :])
-    norm_v = geom.length_L * geom.half_width_l
-    norm_t = geom.length_L * geom.half_width_l ** 3 / 3.0
+    proj = _Projector(geom, M, quadrature_n or max(32, 4 * M), 8)
+    X1, X2 = np.meshgrid(proj.x1, proj.x2, indexing="ij")
 
     def coeffs(fld):
         if fld is None:
             return np.zeros(M), np.zeros(M)
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        vals = (np.asarray(fld.eval(X1, X2), dtype=float) if hasattr(fld, "eval")
-                else np.asarray(fld(X1, X2), dtype=float))
-        vals = np.broadcast_to(vals, X1.shape)
-        g0 = vals @ w2
-        g1 = vals @ (w2 * x2)
-        return SIN @ (w1 * g0) / norm_v, SIN @ (w1 * g1) / norm_t
+        return proj.project(_field_eval(fld, X1, X2))
 
     a, b = coeffs(u0_field)
     ad, bd = coeffs(u1_field)
@@ -342,16 +325,8 @@ def check_compatibility(u0_field, u1_field, E0: int, geom: PlateGeom,
         raise InvalidParameterError("E0 must be +1 or -1")
     x1 = np.linspace(0.0, geom.length_L, grid_n)
     ell = geom.half_width_l
-
-    def fval(fld, x2):
-        if fld is None:
-            return np.zeros_like(x1)
-        if hasattr(fld, "eval"):
-            return np.broadcast_to(np.asarray(fld.eval(x1, x2), float), x1.shape)
-        return np.broadcast_to(np.asarray(fld(x1, x2), float), x1.shape)
-
-    lo = fval(u1_field, -ell) + fval(u0_field, -ell)
-    hi = fval(u1_field, ell) + fval(u0_field, ell)
+    lo = _field_eval(u1_field, x1, -ell) + _field_eval(u0_field, x1, -ell)
+    hi = _field_eval(u1_field, x1, ell) + _field_eval(u0_field, x1, ell)
     return float(np.max(np.abs(lo - E0 * hi)))
 
 
@@ -401,19 +376,15 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
         amp = lambda t: float(forcing.amp(t))
         pvp, ptp = proj.project(forcing.profile_values(
             cfg.geom, proj.x1[:, None], proj.x2[None, :]))
-        prof_norm2 = gust_energy(
-            lambda a, b, _t: forcing.profile_values(cfg.geom, a, b),
-            cfg.geom, 0.0)
-
-        def energy_at(t):
-            return amp(t) ** 2 * prof_norm2
+        prof_norm2 = forcing.profile_norm2(cfg.geom)
     else:
         amp = lambda t: 0.0
         pvp = np.zeros(M)
         ptp = np.zeros(M)
+        prof_norm2 = 0.0
 
-        def energy_at(t):
-            return 0.0
+    def energy_at(t):
+        return amp(t) ** 2 * prof_norm2
 
     if freeze_switch is not None:
         crossings: List[float] = []
@@ -430,7 +401,6 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
 
     bounds = [t0] + [c for c in crossings if t0 < c < t_end] + [t_end]
     segments = []
-    switch_samples: List[int] = []
     events: List[SwitchEvent] = []
     termination = REACHED_T_END
     y = y0
@@ -446,13 +416,11 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
             rtol=rel_tol, atol=abs_tol, stop_indices=tuple(range(4 * M)),
             stop_threshold=BLOWUP_MODAL_NORM)
         segments.append(raw)
-        new_ts = raw.ts if not switch_samples else raw.ts[1:]
-        switch_samples.extend(int(switch_of(float(t))) for t in new_ts)
         y = raw.ys[-1]
         if raw.termination != REACHED_T_END:
             termination = raw.termination
             break
-    return ModalTrajectory(cfg, segments, switch_samples, events, termination)
+    return ModalTrajectory(cfg, segments, switch_of, events, termination)
 
 
 def modal_energy(cfg: TrueBeamConfig, state: ModalState,
@@ -462,7 +430,7 @@ def modal_energy(cfg: TrueBeamConfig, state: ModalState,
     kinetic + bending (family-normalized) + int F(u), optionally plus the
     penalty stiffness of the currently constrained family."""
     lam = cfg.lambdas()
-    proj = _Projector(cfg, max(16, 4 * cfg.modes_M), 8)
+    proj = _Projector(cfg.geom, cfg.modes_M, max(16, 4 * cfg.modes_M), 8)
     nv, nt = proj.norm_v, proj.norm_t
     quad_F = proj.integral(np.asarray(cfg.nl.F(proj.surface(state.a, state.b))))
     e = 0.5 * nv * float(np.sum(state.ad ** 2 + lam * state.a ** 2)) \

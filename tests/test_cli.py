@@ -233,3 +233,21 @@ def test_builtin_figure12_byte_deterministic(tmp_path):
     report = json.loads((out1 / "figure12.json").read_text())
     assert report["blew_up"] is True
     assert report["R_est"] == pytest.approx(8.164, abs=0.1)
+
+
+def test_flutter_equal_frequencies_writes_standard_json(tmp_path):
+    # omega_T == omega_B puts V_c at 0, so the doubling ratio has no value
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({
+        "name": "flutter-flat", "model": "flutter",
+        "parameters": {"half_width_l": 6.0, "gyration_r": 4.0,
+                       "omega_B": 1.3, "omega_T": 1.3, "alpha_mass": 0.02,
+                       "doubling_check": True}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads((tmp_path / "flutter-flat.json").read_text(),
+                         parse_constant=reject)
+    assert payload == {"V_c": 0.0, "V_c_doubled_width": 0.0, "ratio": None}
