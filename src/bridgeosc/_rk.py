@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyTrajectoryError, InvalidParameterError
+from .errors import InvalidParameterError
 from .io import write_csv
 
 REACHED_T_END = "reached_t_end"
@@ -95,8 +95,7 @@ class RawTrajectory:
         """New trajectory whose state is mat @ y; exact for the interpolant."""
         mat = np.asarray(mat, dtype=float)
         ys = self.ys @ mat.T
-        rcont = np.einsum("skn,mn->skm", self._rcont, mat) if len(self._rcont) \
-            else self._rcont.reshape(0, 5, mat.shape[0])
+        rcont = np.einsum("skn,mn->skm", self._rcont, mat)
         return RawTrajectory(self.ts, ys, rcont, self.termination, self.n_rejected)
 
     def component_zeros(self, idx, tol=1e-9):
@@ -172,6 +171,8 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     n = y.size
     t = float(t0)
     t_end = float(t_end)
+    if not np.isfinite(t_end):
+        raise InvalidParameterError("t_end must be finite")
     if t_end <= t:
         raise InvalidParameterError("t_end must exceed t0")
 
@@ -241,6 +242,4 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     ys = np.asarray(ys)
     rcont = (np.asarray(rconts) if rconts
              else np.empty((0, 5, n)))
-    if len(ts) < 1:
-        raise EmptyTrajectoryError("no accepted samples")
     return RawTrajectory(ts, ys, rcont, termination, n_rejected)

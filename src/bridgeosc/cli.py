@@ -143,7 +143,9 @@ def _cmd_sweep(args) -> int:
         except (KeyError, TypeError):
             print(f"parameter path {name!r} not found in config", file=sys.stderr)
             return EXIT_PARSE
-        pt["name"] = f"{base_name}_{name.replace('.', '-')}={v:g}"
+        # %g names, at repr precision where %g would merge distinct points
+        label = f"{v:g}" if float(f"{v:g}") == v else repr(v)
+        pt["name"] = f"{base_name}_{name.replace('.', '-')}={label}"
         points.append((pt, out_dir))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -7,7 +7,7 @@ records; nothing holds mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -27,10 +27,9 @@ class FlutterParams:
     alpha_mass: float
 
     def __post_init__(self):
-        for name in ("half_width_l", "gyration_r", "omega_B", "omega_T",
-                     "alpha_mass"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidParameterError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0.0:
+                raise InvalidParameterError(f"{f.name} must be positive")
 
 
 def flutter_speed(params: FlutterParams) -> float:
@@ -68,10 +67,11 @@ def gust_energy(phi_field: Callable, geom, t: float,
     return float(np.sum(W * np.broadcast_to(vals, X1.shape) ** 2))
 
 
-def switch_value(total_E: float, threshold_Ebar: float) -> int:
+def switch_value(total_E, threshold_Ebar: float):
     """Switch law: +1 while the energy stays at or below the critical
-    threshold, -1 above it."""
-    return 1 if total_E <= threshold_Ebar else -1
+    threshold, -1 above it; elementwise, with an int for a scalar energy."""
+    s = np.where(np.asarray(total_E) <= threshold_Ebar, 1, -1)
+    return int(s) if s.ndim == 0 else s
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,9 @@ class NetInputParams:
     damp_C: float
 
     def __post_init__(self):
-        for name in ("weight_w", "H_w", "EA_stiff", "length_L", "damp_C"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidParameterError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0.0:
+                raise InvalidParameterError(f"{f.name} must be positive")
 
 
 def _trapezoid(values: np.ndarray, dx: float) -> float:

@@ -28,11 +28,11 @@ def _fmt(v: float) -> str:
 
 
 def svg_line_plot(path, xs, series: Sequence, labels: Optional[Sequence[str]] = None,
-                  title: str = "", width: int = 720, height: int = 400) -> None:
-    """Write a simple multi-series line plot; series share the x grid."""
+                  title: str = "") -> None:
+    """Write a simple 720 x 400 multi-series line plot; series share the x grid."""
     xs = np.asarray(xs, dtype=float)
     ys_list = [np.asarray(s, dtype=float) for s in series]
-    margin = 50
+    width, height, margin = 720, 400, 50
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
     y_lo = min(float(np.min(y)) for y in ys_list)
     y_hi = max(float(np.max(y)) for y in ys_list)

@@ -23,6 +23,7 @@ from .nonlin import Nonlinearity
 
 FAMILY_KINDS = ("canonical", "rocard_wave", "pedestrian_wave", "general")
 TERMINATIONS = (REACHED_T_END, BLOWUP_DETECTED, STEP_UNDERFLOW)
+_SIMPSON_POINTS = 513  # per sign interval in the energy-rate ratios; odd for Simpson
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,14 @@ class IntegratorConfig:
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        # written so that NaN fails every check
+        if not np.isfinite(self.t_end):
+            raise InvalidParameterError("t_end must be finite")
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise InvalidParameterError("tolerances must be > 0")
-        if self.blowup_threshold <= 1.0:
+        if not self.blowup_threshold > 1.0:
             raise InvalidParameterError("blowup_threshold must exceed 1")
-        if self.max_step <= 0.0:
+        if not self.max_step > 0.0:
             raise InvalidParameterError("max_step must be > 0")
 
 
@@ -151,11 +155,10 @@ class Trajectory(RawTrajectory):
     ZERO_TOL = 1e-9
     columns = ("w", "w1", "w2", "w3")
 
-    def __init__(self, raw: RawTrajectory, w_index: int = 0):
+    def __init__(self, raw: RawTrajectory):
         super().__init__(raw.ts, raw.ys, raw._rcont, raw.termination,
                          raw.n_rejected)
-        self.w_index = w_index
-        self.events: List[float] = self.component_zeros(w_index, tol=self.ZERO_TOL)
+        self.events: List[float] = self.component_zeros(0, tol=self.ZERO_TOL)
 
     @property
     def _raw(self) -> RawTrajectory:
@@ -209,14 +212,13 @@ class BlowupReport:
                            "ratios": [list(r) for r in self.ratios]})
 
 
-def _interval_ratios(traj: Trajectory, zeros: Sequence[float],
-                     points_per_interval: int = 512) -> List[Tuple[float, float]]:
+def _interval_ratios(traj: Trajectory,
+                     zeros: Sequence[float]) -> List[Tuple[float, float]]:
     out = []
-    npts = points_per_interval + 1  # even interval count for Simpson
     for z0, z1 in zip(zeros[:-1], zeros[1:]):
-        tt = np.linspace(z0, z1, npts)
+        tt = np.linspace(z0, z1, _SIMPSON_POINTS)
         Y = traj.eval(tt)
-        h = (z1 - z0) / (npts - 1)
+        h = (z1 - z0) / (_SIMPSON_POINTS - 1)
         i_w = simpson_uniform(Y[:, 0] ** 2, h)
         i_w1 = simpson_uniform(Y[:, 1] ** 2, h)
         i_w2 = simpson_uniform(Y[:, 2] ** 2, h)
@@ -246,7 +248,7 @@ def _estimate_blowup_time(traj: Trajectory, zeros: Sequence[float]) -> float:
     # reciprocal-amplitude secant on the post-last-zero growth stretch
     ts, states = traj.ts, traj.states
     start = np.searchsorted(ts, zeros[-1]) if zeros else 0
-    w_tail = np.abs(states[start:, traj.w_index])
+    w_tail = np.abs(states[start:, 0])
     t_tail = ts[start:]
     if len(w_tail) >= 2 and w_tail[-1] > w_tail[-2] > 0.0:
         u1, u2 = 1.0 / w_tail[-2], 1.0 / w_tail[-1]
@@ -255,8 +257,8 @@ def _estimate_blowup_time(traj: Trajectory, zeros: Sequence[float]) -> float:
     return float(t_last)
 
 
-def detect_blowup(traj: Trajectory, cfg: Optional[IntegratorConfig] = None,
-                  points_per_interval: int = 512) -> BlowupReport:
+def detect_blowup(traj: Trajectory,
+                  cfg: Optional[IntegratorConfig] = None) -> BlowupReport:
     """Classify a trajectory and extract the blow-up diagnostics.
 
     Blow-up means threshold termination, or step underflow with |w| still
@@ -265,9 +267,9 @@ def detect_blowup(traj: Trajectory, cfg: Optional[IntegratorConfig] = None,
     if len(traj.ts) < 2:
         raise EmptyTrajectoryError("trajectory holds no integration steps")
     zeros = list(traj.events)
-    ratios = _interval_ratios(traj, zeros, points_per_interval)
+    ratios = _interval_ratios(traj, zeros)
     term = traj.termination
-    w_abs = np.abs(traj.states[:, traj.w_index])
+    w_abs = np.abs(traj.states[:, 0])
     if term == BLOWUP_DETECTED:
         blew_up = True
     elif term == STEP_UNDERFLOW:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List
 
 import numpy as np
@@ -51,27 +51,40 @@ def parse_scenario(cfg: dict) -> Scenario:
     return Scenario(str(name), model, parameters, list(cfg.get("outputs", [])))
 
 
-def _integrator_config(p: dict) -> ode4.IntegratorConfig:
-    return ode4.IntegratorConfig(
-        t_end=float(p["t_end"]),
-        rel_tol=float(p.get("rel_tol", 1e-10)),
-        abs_tol=float(p.get("abs_tol", 1e-10)),
-        max_step=float(p.get("max_step", math.inf)),
-        blowup_threshold=float(p.get("blowup_threshold", 1e6)))
+_CASTS = {"float": float, "int": int, "str": str}
+
+
+def _record(cls, p: dict, **given):
+    """cls built from the entries of p named like its fields, each cast by
+    the field's annotated type; given entries pass as they are, and fields
+    absent from both keep the dataclass default."""
+    kw = {f.name: _CASTS[f.type](p[f.name]) for f in fields(cls)
+          if f.name in p and f.name not in given}
+    return cls(**kw, **given)
 
 
 def _out_paths(sc: Scenario, out_dir: str) -> Dict[str, str]:
-    base = os.path.join(out_dir, sc.name)
-    paths = {"csv": base + ".csv", "svg": base + ".svg", "json": base + ".json"}
-    if sc.outputs:
-        first = sc.outputs[0]
-        if first.get("csv_path"):
-            paths["csv"] = os.path.join(out_dir, first["csv_path"])
-        if first.get("svg_path"):
-            paths["svg"] = os.path.join(out_dir, first["svg_path"])
-        if first.get("json_path"):
-            paths["json"] = os.path.join(out_dir, first["json_path"])
+    """Artifact paths: <name>.<ext>, or the first outputs entry's
+    <ext>_path, each required to resolve inside out_dir."""
+    first = sc.outputs[0] if sc.outputs else {}
+    root = os.path.realpath(out_dir)
+    paths = {}
+    for ext in ("csv", "svg", "json"):
+        path = os.path.join(out_dir, first.get(f"{ext}_path") or f"{sc.name}.{ext}")
+        if os.path.commonpath([root, os.path.realpath(path)]) != root:
+            raise ValueError(f"output path {path!r} leaves the output directory")
+        paths[ext] = path
     return paths
+
+
+def _write_line(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def _blowup_summary(report: ode4.BlowupReport, traj: ode4.Trajectory) -> str:
+    r_txt = "none" if report.R_est is None else f"{report.R_est:.6g}"
+    return f"R_est={r_txt} events={len(traj.events)}"
 
 
 def _family_from_config(p: dict) -> ode4.OdeFamily:
@@ -85,50 +98,41 @@ def _family_from_config(p: dict) -> ode4.OdeFamily:
 def _run_ode4(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     p = sc.parameters
     family = _family_from_config(p)
-    cfg = _integrator_config(p)
+    cfg = _record(ode4.IntegratorConfig, p)
     traj = ode4.integrate(family, [float(v) for v in p["state0"]], cfg)
     report = ode4.detect_blowup(traj, cfg)
     traj.to_csv(out["csv"])
-    with open(out["json"], "w") as fh:
-        fh.write(report.to_json() + "\n")
+    _write_line(out["json"], report.to_json())
     svg_line_plot(out["svg"], traj.ts, [traj.states[:, 0]], ["w"],
                   title=sc.name)
-    r_txt = "none" if report.R_est is None else f"{report.R_est:.6g}"
-    return ScenarioResult(sc.name,
-                          f"termination={traj.termination} R_est={r_txt} "
-                          f"events={len(traj.events)}",
+    return ScenarioResult(sc.name, f"termination={traj.termination} "
+                          f"{_blowup_summary(report, traj)}",
                           [out["csv"], out["json"], out["svg"]])
 
 
 def _run_system(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     p = sc.parameters
     nl = nonlinearity_from_config(p["nl"])
-    cfg = _integrator_config(p)
+    cfg = _record(ode4.IntegratorConfig, p)
     s0 = [float(v) for v in p["state0"]]
     artifacts = [out["csv"], out["svg"]]
+    extra = ""
     if sc.model == "coupled":
-        params = systems.McKennaParams(
-            mass_m=float(p.get("mass_m", 1.0)),
-            half_width_l=float(p.get("half_width_l", 1.0)))
-        traj = systems.integrate_coupled(params, nl, s0, cfg)
-        extra = ""
+        traj = systems.integrate_coupled(_record(systems.McKennaParams, p),
+                                         nl, s0, cfg)
     elif sc.model == "truesystem":
         traj = systems.integrate_truesystem(float(p.get("omega2", 3.0)), nl,
                                             s0, cfg)
-        extra = ""
     else:
-        params = systems.MiosystParams(beta=float(p["beta"]),
-                                       delta=float(p["delta"]))
+        params = _record(systems.MiosystParams, p)
         traj = systems.integrate_miosyst(params, nl, s0, cfg)
         reduced = systems.to_fourth_order(params, nl, traj)
         report = ode4.detect_blowup(reduced, cfg)
-        red_csv = out["csv"].replace(".csv", "_reduced.csv")
+        red_csv = os.path.splitext(out["csv"])[0] + "_reduced.csv"
         reduced.to_csv(red_csv)
-        with open(out["json"], "w") as fh:
-            fh.write(report.to_json() + "\n")
+        _write_line(out["json"], report.to_json())
         artifacts += [red_csv, out["json"]]
-        r_txt = "none" if report.R_est is None else f"{report.R_est:.6g}"
-        extra = f" R_est={r_txt} events={len(reduced.events)}"
+        extra = " " + _blowup_summary(report, reduced)
     traj.to_csv(out["csv"])
     svg_line_plot(out["svg"], traj.ts,
                   [traj.states[:, 0], traj.states[:, 2]], ["x", "y"],
@@ -139,19 +143,15 @@ def _run_system(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
 
 def _run_scanlan(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     p = sc.parameters
-    params = systems.ScanlanParams(
-        inertia_I=float(p["inertia_I"]), zeta=float(p["zeta"]),
-        omega_n=float(p["omega_n"]), A_lift=float(p["A_lift"]),
-        B_lift=float(p["B_lift"]))
-    sol = systems.solve_scanlan(params, float(p.get("theta0", 1.0)),
+    sol = systems.solve_scanlan(_record(systems.ScanlanParams, p),
+                                float(p.get("theta0", 1.0)),
                                 float(p.get("thetad0", 0.0)),
                                 float(p["t_end"]),
                                 int(p.get("n_samples", 2001)))
     sol.to_csv(out["csv"])
-    with open(out["json"], "w") as fh:
-        json.dump({"growth_exponent": sol.growth_exponent,
-                   "roots": [[r.real, r.imag] for r in sol.roots]}, fh)
-        fh.write("\n")
+    _write_line(out["json"], json.dumps(
+        {"growth_exponent": sol.growth_exponent,
+         "roots": [[r.real, r.imag] for r in sol.roots]}))
     svg_line_plot(out["svg"], sol.ts, [sol.theta], ["theta"], title=sc.name)
     return ScenarioResult(sc.name,
                           f"growth_exponent={sol.growth_exponent:.6g}",
@@ -176,23 +176,16 @@ def _run_modes(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
 
 def _run_flutter(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     p = sc.parameters
-    params = energy.FlutterParams(
-        half_width_l=float(p["half_width_l"]),
-        gyration_r=float(p["gyration_r"]), omega_B=float(p["omega_B"]),
-        omega_T=float(p["omega_T"]), alpha_mass=float(p["alpha_mass"]))
+    params = _record(energy.FlutterParams, p)
     vc = energy.flutter_speed(params)
     payload = {"V_c": vc}
     if p.get("doubling_check"):
-        doubled = energy.FlutterParams(
-            half_width_l=2.0 * params.half_width_l,
-            gyration_r=2.0 * params.gyration_r, omega_B=params.omega_B,
-            omega_T=params.omega_T, alpha_mass=params.alpha_mass)
+        doubled = replace(params, half_width_l=2.0 * params.half_width_l,
+                          gyration_r=2.0 * params.gyration_r)
         payload["V_c_doubled_width"] = energy.flutter_speed(doubled)
         # equal frequencies give V_c = 0 and no finite ratio
         payload["ratio"] = payload["V_c_doubled_width"] / vc if vc else None
-    with open(out["json"], "w") as fh:
-        json.dump(payload, fh, allow_nan=False)
-        fh.write("\n")
+    _write_line(out["json"], json.dumps(payload, allow_nan=False))
     return ScenarioResult(sc.name, f"V_c={vc:.6g}", [out["json"]])
 
 
@@ -201,9 +194,7 @@ def _run_energy(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     ledger = energy.make_ledger(float(p["total_E"]),
                                 [float(v) for v in p["schedule"]])
     payload = energy.ledger_report(ledger)
-    with open(out["json"], "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    _write_line(out["json"], json.dumps(payload))
     return ScenarioResult(sc.name,
                           f"switch={payload['switch']} "
                           f"active_modes={payload['active_modes']}",
@@ -217,16 +208,9 @@ def _run_truebeam(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     forcing = None
     if p.get("forcing"):
         fc = p["forcing"]
-        forcing = truebeam.GustForcing(
-            breakpoints=tuple((float(t), float(a))
-                              for t, a in fc["breakpoints"]),
-            profile=fc.get("profile", "uniform"),
-            profile_m=int(fc.get("profile_m", 1)))
-    cfg = truebeam.TrueBeamConfig(
-        geom=geom, nl=nl, threshold_Ebar=float(p["threshold_Ebar"]),
-        damping_delta=float(p.get("damping_delta", 0.0)), forcing=forcing,
-        modes_M=int(p.get("modes_M", 1)),
-        bc_penalty_kappa=float(p.get("bc_penalty_kappa", 100.0)))
+        forcing = _record(truebeam.GustForcing, fc, breakpoints=tuple(
+            (float(t), float(a)) for t, a in fc["breakpoints"]))
+    cfg = _record(truebeam.TrueBeamConfig, p, geom=geom, nl=nl, forcing=forcing)
     M = cfg.modes_M
 
     def arr(key):
@@ -237,13 +221,10 @@ def _run_truebeam(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
 
     state0 = truebeam.ModalState(0.0, arr("a"), arr("ad"), arr("b"), arr("bd"))
     traj = truebeam.integrate_truebeam(
-        cfg, state0, float(p["t_end"]),
-        rel_tol=float(p.get("rel_tol", 1e-9)),
-        abs_tol=float(p.get("abs_tol", 1e-9)),
-        freeze_switch=p.get("freeze_switch"))
+        cfg, state0, float(p["t_end"]), freeze_switch=p.get("freeze_switch"),
+        **{k: float(p[k]) for k in ("rel_tol", "abs_tol") if k in p})
     traj.to_csv(out["csv"])
-    with open(out["json"], "w") as fh:
-        fh.write(traj.events_json() + "\n")
+    _write_line(out["json"], traj.events_json())
     svg_line_plot(out["svg"], traj.ts, [traj.ys[:, 0], traj.ys[:, 2 * M]],
                   ["a1", "b1"], title=sc.name)
     return ScenarioResult(sc.name,
@@ -268,8 +249,8 @@ _RUNNERS = {
 def run_scenario(config: dict, out_dir: str) -> ScenarioResult:
     """Validate and execute one scenario; artifacts land in out_dir."""
     sc = parse_scenario(config)
-    os.makedirs(out_dir, exist_ok=True)
     out = _out_paths(sc, out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     return _RUNNERS[sc.model](sc, out)
 
 

@@ -42,11 +42,10 @@ class SysState:
 
 @dataclass(frozen=True)
 class McKennaParams:
-    """Cross-section model: mass, half roadway width, torsional stiffness scale."""
+    """Cross-section model: mass and half roadway width."""
 
     mass_m: float = 1.0
     half_width_l: float = 1.0
-    omega2: float = 3.0
 
     def __post_init__(self):
         if self.mass_m <= 0.0 or self.half_width_l <= 0.0:

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ._quad import gauss_nodes_1d
-from ._rk import REACHED_T_END, RawTrajectory, bisect, integrate_adaptive
+from ._rk import REACHED_T_END, RawTrajectory, integrate_adaptive
 from .energy import _field_eval, gust_energy, switch_value
 from .errors import InvalidParameterError
 from .io import write_csv
@@ -52,10 +52,13 @@ class GustForcing:
         if self.profile_m < 1:
             raise InvalidParameterError("profile_m must be >= 1")
 
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """(2, K) breakpoint times and values, built on first use."""
+        return np.array(self.breakpoints, dtype=float).T.copy()
+
     def amp(self, t):
-        tp = np.array([p[0] for p in self.breakpoints])
-        vp = np.array([p[1] for p in self.breakpoints])
-        return np.interp(t, tp, vp)
+        return np.interp(t, *self._table)
 
     def profile_values(self, geom: PlateGeom, x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -73,43 +76,30 @@ class GustForcing:
             return self.amp(t) * self.profile_values(geom, x1, x2)
         return fun
 
-    def profile_norm2(self, geom: PlateGeom, quadrature_n: int = 32) -> float:
+    def profile_norm2(self, geom: PlateGeom) -> float:
         """|profile|^2 = int profile^2 over the plate."""
         return gust_energy(lambda a, b, _t: self.profile_values(geom, a, b),
-                           geom, 0.0, quadrature_n)
+                           geom, 0.0)
 
-    def energy(self, geom: PlateGeom, t, quadrature_n: int = 32):
+    def energy(self, geom: PlateGeom, t):
         """Gust energy int phi^2; separability makes it amp(t)^2 * |profile|^2."""
-        return np.asarray(self.amp(t)) ** 2 * self.profile_norm2(geom, quadrature_n)
+        return np.asarray(self.amp(t)) ** 2 * self.profile_norm2(geom)
 
     def threshold_crossings(self, geom: PlateGeom, threshold: float,
-                            t0: float, t1: float,
-                            quadrature_n: int = 32) -> List[float]:
-        """Times in (t0, t1) where the gust energy crosses the threshold,
-        bisection-located on each monotone piece of the envelope."""
-        # piecewise-linear amp: g(t) = amp(t)^2 * |profile|^2 - threshold is
-        # piecewise quadratic; splitting pieces where amp changes sign makes
-        # every part monotone, so one bisection per sign change suffices
-        prof_norm2 = self.profile_norm2(geom, quadrature_n)
-
-        def g(t):
-            return float(self.amp(t)) ** 2 * prof_norm2 - threshold
-
-        knots = [t0] + [t for t, _ in self.breakpoints if t0 < t < t1] + [t1]
-        refined = []
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            a_lo, a_hi = float(self.amp(lo)), float(self.amp(hi))
-            refined.append(lo)
-            if a_lo * a_hi < 0.0:  # amp crosses zero inside the piece
-                refined.append(lo + (hi - lo) * a_lo / (a_lo - a_hi))
-        refined.append(t1)
+                            t0: float, t1: float) -> List[float]:
+        """Times in (t0, t1) where the gust energy amp(t)^2 |profile|^2
+        crosses the threshold: where a linear piece of amp passes
+        +-level = +-sqrt(threshold / |profile|^2), solved in closed form."""
+        level = math.sqrt(threshold / self.profile_norm2(geom))
         out = []
-        for lo, hi in zip(refined[:-1], refined[1:]):
-            if hi - lo <= 0.0:
-                continue
-            if g(lo) * g(hi) < 0.0:
-                out.append(bisect(g, lo, hi, tol=1e-12))
-        return out
+        for (ta, va), (tb, vb) in zip(self.breakpoints, self.breakpoints[1:]):
+            for sign in (1.0, -1.0):
+                # the switch law gives -1 exactly while sign * amp > level
+                if (sign * va > level) != (sign * vb > level):
+                    t = ta + (sign * level - va) / (vb - va) * (tb - ta)
+                    if t0 < t < t1:
+                        out.append(t)
+        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -196,8 +186,8 @@ class ModalTrajectory(RawTrajectory):
     """Stitched modal solution with per-sample switch values and flip events.
 
     The segments between flips join into one dense output, in which a flip
-    time belongs to the segment starting there; switch_of(t) gives the
-    switch at each sample, and samples holds the rows as ModalStates.
+    time belongs to the segment starting there; switch_of(ts) gives the
+    switch at the samples, and samples holds the rows as ModalStates.
     """
 
     def __init__(self, cfg: TrueBeamConfig, segments, switch_of: Callable,
@@ -209,7 +199,7 @@ class ModalTrajectory(RawTrajectory):
         del self._rcont  # joined on first use, below
         self.cfg = cfg
         self._segments = segments  # list of RawTrajectory
-        self.switch = np.array([switch_of(float(t)) for t in self.ts], dtype=int)
+        self.switch = np.broadcast_to(switch_of(self.ts), self.ts.shape).astype(int)
         self.events = events
 
     @functools.cached_property
@@ -299,13 +289,12 @@ def _make_projector(cfg: TrueBeamConfig, y0: np.ndarray) -> _Projector:
     return proj
 
 
-def project_initial(u0_field, u1_field, geom: PlateGeom, M: int,
-                    quadrature_n: Optional[int] = None) -> ModalState:
+def project_initial(u0_field, u1_field, geom: PlateGeom, M: int) -> ModalState:
     """Least-squares modal coefficients of the initial fields, computed by
     quadrature against the mutually orthogonal basis families."""
     if M < 1:
         raise InvalidParameterError("M must be >= 1")
-    proj = _Projector(geom, M, quadrature_n or max(32, 4 * M), 8)
+    proj = _Projector(geom, M, max(32, 4 * M), 8)
     X1, X2 = np.meshgrid(proj.x1, proj.x2, indexing="ij")
 
     def coeffs(fld):
@@ -318,12 +307,11 @@ def project_initial(u0_field, u1_field, geom: PlateGeom, M: int,
     return ModalState(0.0, a, ad, b, bd, switch=1)
 
 
-def check_compatibility(u0_field, u1_field, E0: int, geom: PlateGeom,
-                        grid_n: int = 201) -> float:
-    """Max violation of (u1+u0)(x1,-l) = E0 (u1+u0)(x1,l) over an x1-grid."""
+def check_compatibility(u0_field, u1_field, E0: int, geom: PlateGeom) -> float:
+    """Max violation of (u1+u0)(x1,-l) = E0 (u1+u0)(x1,l) over 201 x1 points."""
     if E0 not in (1, -1):
         raise InvalidParameterError("E0 must be +1 or -1")
-    x1 = np.linspace(0.0, geom.length_L, grid_n)
+    x1 = np.linspace(0.0, geom.length_L, 201)
     ell = geom.half_width_l
     lo = _field_eval(u1_field, x1, -ell) + _field_eval(u0_field, x1, -ell)
     hi = _field_eval(u1_field, x1, ell) + _field_eval(u0_field, x1, ell)
@@ -358,10 +346,12 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
     """Integrate the truncated modal system up to t_end.
 
     The switch is a pure function of the configured gust, so its flip times
-    are located up front (bisection on the energy envelope); integration
-    restarts at each flip with the penalty moved to the newly constrained
-    family. freeze_switch pins the switch for diagnostic runs.
+    are located up front, in closed form; integration restarts at each flip
+    with the penalty moved to the newly constrained family. freeze_switch
+    (+1 or -1) pins the switch for diagnostic runs.
     """
+    if freeze_switch not in (None, 1, -1):
+        raise InvalidParameterError("freeze_switch must be None, +1 or -1")
     M = cfg.modes_M
     if state0.a.size != M:
         raise InvalidParameterError("state0 truncation disagrees with modes_M")
@@ -371,35 +361,31 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
         raise InvalidParameterError("t_end must exceed the initial time")
     proj = _make_projector(cfg, y0)
 
-    if cfg.forcing is not None:
-        forcing = cfg.forcing
+    forcing = cfg.forcing
+    crossings: List[float] = []
+    if forcing is not None:
         amp = lambda t: float(forcing.amp(t))
         pvp, ptp = proj.project(forcing.profile_values(
             cfg.geom, proj.x1[:, None], proj.x2[None, :]))
         prof_norm2 = forcing.profile_norm2(cfg.geom)
+        if freeze_switch is None:
+            crossings = forcing.threshold_crossings(
+                cfg.geom, cfg.threshold_Ebar, t0, t_end)
     else:
         amp = lambda t: 0.0
         pvp = np.zeros(M)
         ptp = np.zeros(M)
-        prof_norm2 = 0.0
 
-    def energy_at(t):
-        return amp(t) ** 2 * prof_norm2
-
-    if freeze_switch is not None:
-        crossings: List[float] = []
-
-        def switch_of(t):
+    def switch_of(t):
+        """Switch value(s) at time(s) t: pinned, or the law on the gust energy."""
+        if freeze_switch is not None:
             return int(freeze_switch)
-    else:
-        crossings = (cfg.forcing.threshold_crossings(
-            cfg.geom, cfg.threshold_Ebar, t0, t_end)
-            if cfg.forcing is not None else [])
+        if forcing is None:
+            return switch_value(0.0, cfg.threshold_Ebar)
+        return switch_value(np.square(forcing.amp(t)) * prof_norm2,
+                            cfg.threshold_Ebar)
 
-        def switch_of(t):
-            return switch_value(energy_at(t), cfg.threshold_Ebar)
-
-    bounds = [t0] + [c for c in crossings if t0 < c < t_end] + [t_end]
+    bounds = [t0] + crossings + [t_end]
     segments = []
     events: List[SwitchEvent] = []
     termination = REACHED_T_END

@@ -251,3 +251,58 @@ def test_flutter_equal_frequencies_writes_standard_json(tmp_path):
     payload = json.loads((tmp_path / "flutter-flat.json").read_text(),
                          parse_constant=reject)
     assert payload == {"V_c": 0.0, "V_c_doubled_width": 0.0, "ratio": None}
+
+
+def test_sweep_names_stay_distinct_below_g_precision(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(_tiny_ode4_config("fine")))
+    out = tmp_path / "fine"
+    assert main(["sweep", str(cfg), "--param", "k_coef=3:3.000005:0.000001",
+                 "--out", str(out)]) == 0
+    for ext in ("csv", "json", "svg"):
+        assert len(list(out.glob(f"fine_*.{ext}"))) == 6
+    assert (out / "fine_k_coef=3.csv").exists()
+    assert (out / "fine_k_coef=3.000001.csv").exists()
+
+
+@pytest.mark.parametrize("name, outputs", [
+    ("../x", lambda tmp: []),
+    ("ok", lambda tmp: [{"csv_path": "../x.csv"}]),
+    ("ok", lambda tmp: [{"json_path": str(tmp / "abs.json")}]),
+], ids=["name", "relative-path", "absolute-path"])
+def test_outputs_must_stay_inside_out_dir(tmp_path, name, outputs):
+    cfg_dict = _tiny_ode4_config(name)
+    cfg_dict["outputs"] = outputs(tmp_path)
+    cfg = tmp_path / "esc.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    out = tmp_path / "o"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_end", math.nan), ("t_end", math.inf), ("rel_tol", math.nan),
+    ("max_step", math.nan), ("blowup_threshold", math.nan)])
+def test_non_finite_integrator_inputs_exit_3(tmp_path, key, value):
+    cfg_dict = _tiny_ode4_config("nf")
+    cfg_dict["parameters"][key] = value
+    cfg = tmp_path / "nf.json"
+    cfg.write_text(json.dumps(cfg_dict))  # NaN / Infinity literals
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("freeze", [0, 2])
+def test_truebeam_freeze_switch_outside_plus_minus_one_exits_3(tmp_path, freeze):
+    cfg = tmp_path / "fz.json"
+    cfg.write_text(json.dumps({
+        "name": "fz", "model": "truebeam",
+        "parameters": {
+            "geom": {"length_L": math.pi, "half_width_l": math.pi / 2},
+            "nl": {"kind": "linear", "params": {}},
+            "threshold_Ebar": 1.0, "t_end": 1.0, "state0": {"b": [1.0]},
+            "freeze_switch": freeze}}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert not any(out.iterdir())

@@ -286,3 +286,18 @@ def test_blowup_report_json(fig12):
     assert payload["blew_up"] is True
     assert payload["R_est"] == report.R_est
     assert len(payload["ratios"][0]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_end", math.nan), ("t_end", math.inf), ("t_end", -math.inf),
+    ("rel_tol", math.nan), ("abs_tol", math.nan), ("max_step", math.nan),
+    ("blowup_threshold", math.nan)])
+def test_integrator_config_rejects_non_finite_inputs(field, value):
+    with pytest.raises(InvalidParameterError):
+        bo.IntegratorConfig(**{"t_end": 1.0, field: value})
+
+
+def test_integrator_config_keeps_unbounded_step_and_threshold():
+    cfg = bo.IntegratorConfig(t_end=1.0, max_step=math.inf,
+                              blowup_threshold=math.inf)
+    assert cfg.max_step == math.inf and cfg.blowup_threshold == math.inf

@@ -87,3 +87,9 @@ def test_tolerance_scaling():
     b = integrate_adaptive(rhs_oscillator, 0.0, [1.0, 0.0], 20.0,
                            rtol=1e-10, atol=1e-10)
     assert abs(a.ys[-1, 0] - b.ys[-1, 0]) < 1e-6
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf])
+def test_non_finite_t_end_rejected(t_end):
+    with pytest.raises(InvalidParameterError):
+        integrate_adaptive(rhs_oscillator, 0.0, [1.0, 0.0], t_end)

@@ -265,3 +265,108 @@ def test_modal_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and first[1] == "1"
     assert float(first[2]) == 1.0 and float(first[5]) == 0.5
+
+
+# |profile|^2 in closed form: 2 L l (uniform), L l (vertical), L l^3 / 3
+# (torsional), for the sine profiles of any index
+_PROFILE_NORM2 = {
+    "uniform": lambda g: 2.0 * g.length_L * g.half_width_l,
+    "vertical": lambda g: g.length_L * g.half_width_l,
+    "torsional": lambda g: g.length_L * g.half_width_l ** 3 / 3.0,
+}
+_RAMPS = (((0.0, 0.0), (1.0, 10.0), (2.0, 0.0)),
+          ((0.0, -3.0), (1.0, 4.0), (2.5, -5.0), (4.0, 0.5)))
+
+
+def _analytic_flips(ramp, level, t0, t1):
+    """Times in (t0, t1) where the linear pieces of amp reach +-level."""
+    out = []
+    for (ta, va), (tb, vb) in zip(ramp, ramp[1:]):
+        for target in (level, -level):
+            s = (target - va) / (vb - va) if vb != va else -1.0
+            if 0.0 < s < 1.0 and t0 < ta + s * (tb - ta) < t1:
+                out.append(ta + s * (tb - ta))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("profile", ["uniform", "vertical", "torsional"])
+@pytest.mark.parametrize("ramp", _RAMPS)
+def test_threshold_crossings_match_closed_form(profile, ramp):
+    geom = NARROW
+    forcing = truebeam.GustForcing(breakpoints=ramp, profile=profile,
+                                   profile_m=2)
+    norm2 = _PROFILE_NORM2[profile](geom)
+    peak = max(abs(v) for _, v in ramp)
+    for ebar in (0.3 * peak ** 2 * norm2, 0.01 * peak ** 2 * norm2):
+        for t0, t1 in ((0.0, 4.0), (0.6, 3.0)):
+            got = forcing.threshold_crossings(geom, ebar, t0, t1)
+            want = _analytic_flips(ramp, math.sqrt(ebar / norm2), t0, t1)
+            assert len(got) == len(want) > 0
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+            # the gust energy sits at the threshold there and changes side
+            E = forcing.energy(geom, np.array(got))
+            assert np.allclose(E, ebar, rtol=1e-12)
+            ts = np.linspace(t0, t1, 20001)[1:-1]
+            side = forcing.energy(geom, ts) > ebar
+            assert np.count_nonzero(side[1:] != side[:-1]) == len(got)
+
+
+def test_threshold_crossings_outside_the_breakpoint_span():
+    forcing = truebeam.GustForcing(breakpoints=((1.0, 5.0), (2.0, 5.0)))
+    assert forcing.threshold_crossings(NARROW, 1e-3, 0.0, 3.0) == []
+
+
+def test_threshold_crossing_at_a_breakpoint():
+    # amp reaches the level exactly at t = 1 and passes it: the energy is at
+    # the threshold (+1) there and above it (-1) just after, so t = 1 flips;
+    # touching the level and turning back flips nothing
+    through = truebeam.GustForcing(breakpoints=((0.0, 0.0), (1.0, 1.0),
+                                                (2.0, 2.0), (3.0, -2.0)))
+    ebar = through.profile_norm2(NARROW)  # level sqrt(ebar / |profile|^2) = 1
+    assert through.threshold_crossings(NARROW, ebar, 0.0, 4.0) == [
+        1.0, 2.25, 2.75]
+    touch = truebeam.GustForcing(breakpoints=((0.0, 0.0), (1.0, 1.0),
+                                              (2.0, 0.0)))
+    assert touch.threshold_crossings(NARROW, ebar, 0.0, 4.0) == []
+
+
+def test_per_sample_switch_follows_the_scalar_law():
+    from bridgeosc.energy import switch_value
+    gust = truebeam.GustForcing(breakpoints=((0.0, 0.0), (1.0, 10.0),
+                                             (2.0, 0.0)))
+    nl = bo.make_nonlinearity("cubic", epsilon=1.0)
+    forced = _cfg(nl=nl, Ebar=1.25, delta=0.5, forcing=gust)
+    st0 = truebeam.ModalState(0.0, np.array([1.0]), np.zeros(1),
+                              np.array([1.0]), np.zeros(1))
+    traj = truebeam.integrate_truebeam(forced, st0, 3.0)
+    assert len(traj.events) == 2
+    # the scalar law, sample by sample (energy() is elementwise in t)
+    law = [switch_value(float(e), 1.25)
+           for e in gust.energy(forced.geom, traj.ts)]
+    assert traj.switch.tolist() == law and set(law) == {1, -1}
+
+    frozen = truebeam.integrate_truebeam(forced, st0, 0.5, freeze_switch=-1)
+    assert np.all(frozen.switch == -1)
+    unforced = _cfg(nl=nl)
+    calm = truebeam.integrate_truebeam(unforced, st0, 0.5)
+    assert np.all(calm.switch == switch_value(0.0, unforced.threshold_Ebar))
+
+
+@pytest.mark.parametrize("freeze", [0, 2, 0.5])
+def test_freeze_switch_only_plus_or_minus_one(freeze):
+    with pytest.raises(InvalidParameterError):
+        truebeam.integrate_truebeam(_cfg(), truebeam.zero_modal_state(1), 1.0,
+                                    freeze_switch=freeze)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf])
+def test_truebeam_rejects_non_finite_t_end(t_end):
+    with pytest.raises(InvalidParameterError):
+        truebeam.integrate_truebeam(_cfg(), truebeam.zero_modal_state(1), t_end)
+
+
+def test_switch_value_is_elementwise_with_int_scalars():
+    from bridgeosc.energy import switch_value
+    assert type(switch_value(0.5, 1.0)) is int
+    assert np.array_equal(switch_value(np.array([0.5, 1.0, 1.5]), 1.0),
+                          [1, 1, -1])
