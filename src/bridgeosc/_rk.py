@@ -8,6 +8,8 @@ accepted step underflows.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -154,6 +156,31 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     return min(100.0 * h0, h1, max_step, t_end - t0)
 
 
+def _doubled(buf):
+    """A copy of buf with room for as many rows again."""
+    out = np.empty((2 * len(buf),) + buf.shape[1:])
+    out[:len(buf)] = buf
+    return out
+
+
+def _dense_coefficients(ys, fs, hs, dks):
+    """(N-1, 5, n) contd5 coefficients of every accepted step, from the
+    accepted states ys, their rhs values fs, the step sizes hs and the
+    per-step K.T @ _D; elementwise the same operations as one step at a time."""
+    rcont = np.empty((len(hs), 5, ys.shape[1]))
+    h = hs[:, None]
+    y0, ydiff, bspl, c3, c4 = (rcont[:, j] for j in range(5))
+    y0[...] = ys[:-1]
+    np.subtract(ys[1:], ys[:-1], out=ydiff)
+    np.multiply(h, fs[:-1], out=bspl)
+    bspl -= ydiff                      # h*f0 - ydiff
+    np.multiply(h, fs[1:], out=c3)
+    np.subtract(ydiff, c3, out=c3)
+    c3 -= bspl                         # ydiff - h*f1 - bspl
+    np.multiply(h, dks, out=c4)        # h*dk
+    return rcont
+
+
 def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
                        max_step=np.inf, stop_indices=(), stop_threshold=np.inf):
     """Integrate y' = rhs(t, y) from t0 to t_end with adaptive steps.
@@ -179,13 +206,25 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     f = np.asarray(rhs(t, y), dtype=float)
     h = _initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
     ts = [t]
-    ys = [y.copy()]
-    rconts = []
+    hs = []  # accepted step sizes
+    # row j: accepted state j, the rhs there (the FSAL stage) and K.T @ _D
+    # of step j; grown by doubling, so a run holds no per-step arrays
+    Y, F, DK = np.empty((3, 256, n))
+    Y[0], F[0] = y, f
     K = np.empty((7, n))
+    KT = K.T
+    K_flat = K.reshape(-1)  # a view: it follows K
+    # x * 0.0 is 0.0 for finite x and NaN for inf or NaN, so a dot product
+    # with zeros is 0.0 exactly when every entry is finite (and is several
+    # times cheaper than isfinite().all() on a handful of entries)
+    zeros, zeros_K = np.zeros(n), np.zeros(7 * n)
+    # stage i: (c_i, view of the earlier stages, tableau row), in order
+    stages = [(float(_C[i]), K[:i].T, _A[i - 1]) for i in range(1, 7)]
     termination = REACHED_T_END
     n_rejected = 0
 
-    stop_indices = tuple(stop_indices)
+    stop_idx = np.array(stop_indices, dtype=np.intp)
+    abs_y = np.abs(y)
     while t < t_end:
         h = min(h, t_end - t)
         if h <= 1e-14 * max(1.0, abs(t)):
@@ -198,37 +237,40 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 
         K[0] = f
         failed = False
-        for i in range(1, 7):
-            yi = y + h * (K[:i].T @ _A[i - 1])
-            if not np.all(np.isfinite(yi)):
+        for i, (c, k_prev, a) in enumerate(stages, 1):
+            yi = y + h * (k_prev @ a)
+            if yi.dot(zeros) != 0.0:
                 failed = True
                 break
-            K[i] = rhs(t + _C[i] * h, yi)
-        if failed or not np.all(np.isfinite(K)):
+            K[i] = rhs(t + c * h, yi)
+        if failed or K_flat.dot(zeros_K) != 0.0:
             n_rejected += 1
             h *= 0.5
             continue
 
-        y_new = y + h * (K.T @ _B)
-        err = h * (K.T @ _E)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = np.sqrt(np.mean((err / sc) ** 2))
-        if not np.isfinite(err_norm):
+        y_new = y + h * (KT @ _B)
+        abs_new = np.abs(y_new)
+        q = h * (KT @ _E)
+        q /= atol + rtol * np.maximum(abs_y, abs_new)
+        # == np.sqrt(np.mean(q ** 2)) bitwise: the same pairwise sum over n
+        err_norm = math.sqrt(float(np.add.reduce(q * q)) / n)
+        if not math.isfinite(err_norm):
             n_rejected += 1
             h *= 0.5
             continue
 
         if err_norm <= 1.0:
-            ydiff = y_new - y
-            bspl = h * K[0] - ydiff
-            rconts.append(np.stack([y.copy(), ydiff, bspl,
-                                    ydiff - h * K[6] - bspl, h * (K.T @ _D)]))
+            j = len(ts)
+            if j == len(Y):
+                Y, F, DK = (_doubled(b) for b in (Y, F, DK))
+            DK[j - 1] = KT @ _D
+            Y[j] = y_new
+            F[j] = K[6]
+            hs.append(h)
             t += h
-            y = y_new
-            f = K[6].copy()  # FSAL
+            y, abs_y, f = y_new, abs_new, F[j]  # f: FSAL
             ts.append(t)
-            ys.append(y.copy())
-            if stop_indices and max(abs(y[i]) for i in stop_indices) >= stop_threshold:
+            if stop_idx.size and abs_y[stop_idx].max() >= stop_threshold:
                 termination = BLOWUP_DETECTED
                 break
         else:
@@ -238,8 +280,7 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         h = min(h, max_step)
 
-    ts = np.asarray(ts)
-    ys = np.asarray(ys)
-    rcont = (np.asarray(rconts) if rconts
-             else np.empty((0, 5, n)))
-    return RawTrajectory(ts, ys, rcont, termination, n_rejected)
+    N = len(ts)
+    rcont = _dense_coefficients(Y[:N], F[:N], np.asarray(hs), DK[:N - 1])
+    return RawTrajectory(np.asarray(ts), Y[:N].copy(), rcont, termination,
+                         n_rejected)

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .errors import InvalidParameterError
 from .scenarios import BUILTINS, list_builtins, run_scenario
@@ -34,20 +34,25 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _execute(config: dict, out_dir: str) -> int:
+def _run(config: dict, out_dir: str) -> Tuple[int, str]:
+    """(exit code, summary line or error message) of one scenario run;
+    printing is left to the caller."""
     try:
         result = run_scenario(config, out_dir)
     except (ValueError, KeyError, TypeError) as exc:
         if isinstance(exc, InvalidParameterError):
-            print(f"precondition violation: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+            return EXIT_PRECONDITION, f"precondition violation: {exc}"
+        return EXIT_PARSE, f"config error: {exc}"
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    print(f"{result.name}: {result.summary}")
-    return EXIT_OK
+        return EXIT_RUNTIME, f"runtime failure: {exc}"
+    return EXIT_OK, f"{result.name}: {result.summary}"
+
+
+def _report(outcome: Tuple[int, str]) -> int:
+    """Print a run's line (errors to stderr) and return its exit code."""
+    code, message = outcome
+    print(message, file=sys.stdout if code == EXIT_OK else sys.stderr)
+    return code
 
 
 def _cmd_run(args) -> int:
@@ -57,7 +62,7 @@ def _cmd_run(args) -> int:
             print(f"unknown builtin {args.builtin!r}; see `bridge list`",
                   file=sys.stderr)
             return EXIT_PARSE
-        return _execute(copy.deepcopy(BUILTINS[args.builtin]), out_dir)
+        return _report(_run(copy.deepcopy(BUILTINS[args.builtin]), out_dir))
     if not args.config:
         print("run needs a config path or --builtin NAME", file=sys.stderr)
         return EXIT_PARSE
@@ -66,7 +71,7 @@ def _cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    return _execute(config, out_dir)
+    return _report(_run(config, out_dir))
 
 
 def _cmd_list(_args) -> int:
@@ -121,11 +126,6 @@ def _set_param(config: dict, dotted: str, value: float) -> None:
     node[keys[-1]] = value
 
 
-def _sweep_point(payload):
-    config, out_dir = payload
-    return _execute(config, out_dir)
-
-
 def _cmd_sweep(args) -> int:
     out_dir = _default_out_dir(args.out)
     try:
@@ -146,12 +146,15 @@ def _cmd_sweep(args) -> int:
         # %g names, at repr precision where %g would merge distinct points
         label = f"{v:g}" if float(f"{v:g}") == v else repr(v)
         pt["name"] = f"{base_name}_{name.replace('.', '-')}={label}"
-        points.append((pt, out_dir))
+        points.append(pt)
+    # workers only return their outcome; this process prints the lines, in
+    # point order, so parallel points cannot interleave on stdout
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(_sweep_point, points))
+            outcomes = pool.map(_run, points, [out_dir] * len(points))
+            codes = [_report(o) for o in outcomes]
     else:
-        codes = [_sweep_point(pt) for pt in points]
+        codes = [_report(_run(pt, out_dir)) for pt in points]
     return max(codes) if codes else EXIT_OK
 
 

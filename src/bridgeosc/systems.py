@@ -288,8 +288,8 @@ def solve_scanlan(params: ScanlanParams, theta0: float, thetad0: float,
     Characteristic roots of the quadratic give the trajectory in closed form;
     growth_exponent is the largest real part.
     """
-    if t_end <= 0.0 or n_samples < 2:
-        raise InvalidParameterError("need t_end > 0 and n_samples >= 2")
+    if not (0.0 < t_end < np.inf) or n_samples < 2:
+        raise InvalidParameterError("need a finite t_end > 0 and n_samples >= 2")
     I = params.inertia_I
     c1 = 2.0 * params.zeta * params.omega_n * I - params.A_lift
     c0 = params.omega_n ** 2 * I - params.B_lift

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import bridgeosc
 from bridgeosc.cli import main
 from bridgeosc.scenarios import BUILTINS, list_builtins
 
@@ -306,3 +311,37 @@ def test_truebeam_freeze_switch_outside_plus_minus_one_exits_3(tmp_path, freeze)
     out = tmp_path / "o"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf])
+def test_scanlan_non_finite_t_end_exits_3(tmp_path, t_end):
+    cfg = tmp_path / "sc.json"
+    cfg.write_text(json.dumps({
+        "name": "sc", "model": "scanlan",
+        "parameters": {"inertia_I": 1.0, "zeta": 0.05, "omega_n": 1.0,
+                       "A_lift": 0.5, "B_lift": 0.0, "t_end": t_end},
+    }))  # NaN / Infinity literals
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert not (out / "sc.csv").exists()
+
+
+def test_parallel_sweep_prints_one_line_per_point_in_order(tmp_path):
+    # worker processes must not write to the shared stdout themselves
+    cfg = tmp_path / "pl.json"
+    cfg.write_text(json.dumps(_tiny_ode4_config("pl")))
+    src = os.path.dirname(os.path.dirname(bridgeosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bridgeosc.cli", "sweep", str(cfg),
+         "--param", "family.k_coef=2:3:0.25", "--jobs", "2",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    parsed = [re.fullmatch(r"(\S+): termination=(\w+) .*", ln) for ln in lines]
+    assert all(parsed), lines
+    assert [m.group(1) for m in parsed] == [
+        f"pl_family-k_coef={k}" for k in ("2", "2.25", "2.5", "2.75", "3")]
+    assert {m.group(2) for m in parsed} == {"reached_t_end"}

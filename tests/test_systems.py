@@ -281,3 +281,11 @@ def test_sys_csv_and_samples(tmp_path, fig16):
     first = traj.samples[0]
     assert (first.t, first.x, first.xd, first.y, first.yd) == \
         (0.0, 1.0, 1.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, 0.0])
+def test_scanlan_rejects_non_finite_or_non_positive_t_end(t_end):
+    p = systems.ScanlanParams(inertia_I=1.0, zeta=0.05, omega_n=1.0,
+                              A_lift=0.5, B_lift=0.0)
+    with pytest.raises(InvalidParameterError):
+        systems.solve_scanlan(p, 1.0, 0.0, t_end, 5)
