@@ -1,14 +1,21 @@
-"""Adaptive Dormand-Prince 5(4) stepper with dense output.
+"""Adaptive Dormand-Prince 5(4) stepper with dense output, and an adaptive
+exponential Runge-Kutta stepper for semilinear systems.
 
 Fifth-order propagation with an embedded fourth-order error estimate and the
 classic quartic continuous extension. Built for stiff amplitude growth near
 finite-time blow-up: steps are rejected on non-finite stage values and the
 run terminates cleanly when a monitored component crosses a threshold or the
 accepted step underflows.
+
+Given the linear part of y' = L y + N(t, y) as damped 2x2 oscillator blocks,
+the same controller drives the five-stage exponential method of Hochbruck
+and Ostermann (stiff order 4), which solves the linear flow exactly, so the
+step size follows N alone and not the stiffness of L.
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +47,31 @@ _D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
+
+# Taylor terms of the phi functions at a spectral radius below 1: the first
+# term left out is below 1 / 19! < 1e-17
+_PHI_TERMS = 16
+_INV_FACT = [1.0 / math.factorial(i) for i in range(_PHI_TERMS + 4)]
+# dense-output points evaluated at once, which bounds their temporaries
+_EVAL_CHUNK = 256
+# exponential steps per octave of step size
+_RUNGS = 8
+_LADDER = [2.0 ** (j / _RUNGS) for j in range(_RUNGS)]
+
+
+class LinearBlocks(NamedTuple):
+    """Linear part L of y' = L y + N(t, y) for the exponential stepper.
+
+    L is block-diagonal in damped oscillators p' = v, v' = -k p - c v with k
+    from stiffness, of shape (G, M), and c from damping, which broadcasts to
+    it: the state, reshaped to (G, 2, M), holds in each row the positions of
+    that row's blocks and then their velocities. kinks are the times at which N
+    is not smooth in t; no step crosses one.
+    """
+
+    stiffness: np.ndarray
+    damping: np.ndarray
+    kinks: tuple = ()
 
 
 class RawTrajectory:
@@ -81,17 +113,21 @@ class RawTrajectory:
     def eval(self, t):
         """Dense evaluation of the full state at time(s) t within the span."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if self._rcont.shape[0] == 0:
+        if len(self.ts) == 1:
             out = np.broadcast_to(self.ys[0], (t_arr.size, self.ys.shape[1])).copy()
         else:
             idx = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1,
-                          0, self._rcont.shape[0] - 1)
+                          0, len(self.ts) - 2)
             h = self.ts[idx + 1] - self.ts[idx]
-            th = ((t_arr - self.ts[idx]) / h)[:, None]
-            rc = self._rcont[idx]
-            out = rc[:, 0] + th * (rc[:, 1] + (1.0 - th)
-                                   * (rc[:, 2] + th * (rc[:, 3] + (1.0 - th) * rc[:, 4])))
+            out = self._interpolate(idx, (t_arr - self.ts[idx]) / h)
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+
+    def _interpolate(self, idx, theta):
+        """States at fractions theta of the steps idx."""
+        th = theta[:, None]
+        rc = self._rcont[idx]
+        return rc[:, 0] + th * (rc[:, 1] + (1.0 - th)
+                                * (rc[:, 2] + th * (rc[:, 3] + (1.0 - th) * rc[:, 4])))
 
     def map_linear(self, mat):
         """New trajectory whose state is mat @ y; exact for the interpolant."""
@@ -115,6 +151,37 @@ class RawTrajectory:
             elif b == 0.0 and (i + 2 == len(w) or a * w[i + 2] < 0.0):
                 zs.append(self.ts[i + 1])
         return zs
+
+
+class ExpTrajectory(RawTrajectory):
+    """Accepted steps of the exponential stepper; eval is its interpolant,
+    exact for the linear flow and third order in the variation of N."""
+
+    def __init__(self, ts, ys, hs, stages, blocks, termination, n_rejected):
+        super().__init__(ts, ys, None, termination, n_rejected)
+        self._hs = hs  # (N-1,) the sizes the steps were taken with
+        self._stages = stages  # (N-1, 3, n): N at the step start, D1, D2
+        self.blocks = blocks
+        self._swap = _swap(blocks)
+
+    def map_linear(self, mat):
+        # the blocks act on the state before mat would, so mat @ y has no
+        # interpolant of this form
+        raise NotImplementedError("map_linear needs a Dormand-Prince trajectory")
+
+    def _interpolate(self, idx, theta, out=None):
+        if out is None:
+            out = np.empty((len(idx), self.ys.shape[1]))
+        for lo in range(0, len(idx), _EVAL_CHUNK):
+            sl = slice(lo, lo + _EVAL_CHUNK)
+            i = idx[sl]
+            h = self._hs[i]
+            # steps of one size share their sample fractions: phi once per tau
+            tau, where = np.unique(theta[sl] * h, return_inverse=True)
+            phis = _phi_matrices(self.blocks, tau[:, None, None])[:, :, where]
+            out[sl] = _exp_step_end(phis, self.ys[i], self._stages[i],
+                                    h[:, None], theta[sl, None], self._swap)
+        return out
 
 
 def bisect(fun, a, b, tol=1e-9):
@@ -182,13 +249,17 @@ def _dense_coefficients(ys, fs, hs, dks):
 
 
 def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
-                       max_step=np.inf, stop_indices=(), stop_threshold=np.inf):
+                       max_step=np.inf, stop_indices=(), stop_threshold=np.inf,
+                       linear=None):
     """Integrate y' = rhs(t, y) from t0 to t_end with adaptive steps.
 
     Terminates early with blowup_detected once max over stop_indices of |y_i|
     reaches stop_threshold, or with step_underflow when the step size can no
     longer advance t. Underflow before any accepted step raises
     InvalidParameterError (inconsistent tolerances).
+
+    With linear (a LinearBlocks), the system is y' = L y + rhs(t, y) and the
+    exponential stepper integrates it, returning an ExpTrajectory.
     """
     if not (rtol > 0.0 and atol > 0.0):
         raise InvalidParameterError("tolerances must be positive")
@@ -202,6 +273,10 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         raise InvalidParameterError("t_end must be finite")
     if t_end <= t:
         raise InvalidParameterError("t_end must exceed t0")
+
+    if linear is not None:
+        return _integrate_exponential(rhs, t, y, t_end, rtol, atol, max_step,
+                                      stop_indices, stop_threshold, linear)
 
     f = np.asarray(rhs(t, y), dtype=float)
     h = _initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
@@ -284,3 +359,248 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     rcont = _dense_coefficients(Y[:N], F[:N], np.asarray(hs), DK[:N - 1])
     return RawTrajectory(np.asarray(ts), Y[:N].copy(), rcont, termination,
                          n_rejected)
+
+
+# --- exponential Runge-Kutta -----------------------------------------------
+# Every function of one 2x2 block Z = tau A, A = [[0, 1], [-k, -c]], is
+# alpha I + beta Z (Cayley-Hamilton, Z^2 = tr Z - det I), so the phi
+# functions are carried as such pairs of arrays: elementwise arithmetic with
+# no eigenvectors, which needs no special case at critical damping.
+
+def _phi_matrices(blocks, tau):
+    """phi_0 .. phi_3 of tau A for each block, as (4, 2, ..., n) arrays: for
+    each phi, its diagonal entries and its off-diagonal entries laid out like
+    the state (see _apply), tau broadcasting against the blocks' shape.
+
+    Scaling and squaring: a Taylor series at Z / 2^s, whose spectral radius
+    is below 1, then s doublings of each entry's own s, so an entry does
+    not depend on the others in the batch.
+    """
+    k, c = blocks.stiffness, blocks.damping
+    tr = -tau * c
+    det = tau * tau * k
+    # a bound on the spectral radius of Z
+    radius = 0.5 * np.abs(tr) + np.sqrt(0.25 * tr * tr + np.abs(det))
+    s = np.maximum(np.frexp(radius)[1], 0)
+    tr, det = np.ldexp(tr, -s), np.ldexp(det, -2 * s)
+    # Horner: phi_3 = sum_i Z^i / (i + 3)!, then phi_j = Z phi_(j+1) + I / j!,
+    # with (a I + b Z) Z = -b det I + (a + b tr) Z
+    a, b = np.full(tr.shape, _INV_FACT[_PHI_TERMS + 3]), np.zeros(tr.shape)
+    A, B = [], []
+    for i in range(_PHI_TERMS + 2, -1, -1):
+        a, b = _INV_FACT[i] - b * det, a + b * tr
+        if i <= 3:
+            A.insert(0, a)
+            B.insert(0, b)
+    A, B = np.array(A), np.array(B)
+    halving = np.array([1.0, 0.5, 0.25, 0.125]).reshape((4,) + (1,) * tr.ndim)
+    for step in range(int(s.max(initial=0))):
+        # phi_j(2 Z) from the top row of the squared augmented exponential:
+        # e^2, (e phi_1 + phi_1) / 2, (e phi_2 + phi_1 + phi_2) / 4 and
+        # (e phi_3 + phi_1 / 2 + phi_2 + phi_3) / 8
+        ea, eb = A[0], B[0]
+        ebd, ebt = eb * det, eb * tr
+        new_a = ea * A - ebd * B
+        new_b = ea * B + eb * A + ebt * B
+        for X, new in ((A, new_a), (B, new_b)):
+            new[1:] += X[1]
+            new[2:] += X[2]
+            new[3] += X[3] - 0.5 * X[1]
+        more = step < s
+        A = np.where(more, halving * new_a, A)
+        B = np.where(more, 0.5 * halving * new_b, B)  # beta of 2 Z is half
+        tr, det = np.where(more, 2.0 * tr, tr), np.where(more, 4.0 * det, det)
+    Bt = B * tau
+    mats = np.stack([np.stack([A, A - Bt * c], axis=-2),
+                     np.stack([Bt, -Bt * k], axis=-2)], axis=1)
+    return mats.reshape(mats.shape[:-3] + (-1,))
+
+
+def _swap(blocks):
+    """Index array exchanging positions and velocities in the state."""
+    G, M = blocks.stiffness.shape
+    return np.arange(2 * G * M).reshape(G, 2, M)[:, ::-1].reshape(-1)
+
+
+def _apply(mat, x, swap):
+    """The blockwise matrix mat (2, ..., n) applied to states x (..., n)."""
+    return mat[0] * x + mat[1] * x[..., swap]
+
+
+def _exp_step_end(phis, y, stages, h, theta, swap):
+    """The state at fraction theta of a step of size h from y:
+    e^(theta h A) y + theta h (phi_1 N0 + theta phi_2 D1 + theta^2 phi_3 D2),
+    with phi_j at theta h A. At theta = 1 it is the step's own result."""
+    e, p1, p2, p3 = phis
+    n0, d1, d2 = stages[..., 0, :], stages[..., 1, :], stages[..., 2, :]
+    return _apply(e, y, swap) + theta * h * (
+        _apply(p1, n0, swap) + theta * _apply(p2, d1, swap)
+        + (theta * theta) * _apply(p3, d2, swap))
+
+
+def _rung(r):
+    """Step size r of the ladder 2^(r / _RUNGS); rung r - _RUNGS is half
+    of it, exactly."""
+    return math.ldexp(_LADDER[r % _RUNGS], r // _RUNGS)
+
+
+def _ho5_matrices(half, whole):
+    """The matrices of one Hochbruck-Ostermann step of size h, from the phi
+    matrices at h/2 and at h."""
+    e_h, p1_h, p2_h, p3_h = half
+    e, p1, p2, p3 = whole
+    a52 = 0.5 * p2_h - p3 + 0.25 * p2 - 0.5 * p3_h
+    return e_h, p1_h, p2_h, e, p1, p2, p3, a52, 0.25 * p2_h - a52
+
+
+def _ho5_step(stage, mats, t, y, f, h, t_new, swap):
+    """One step of Hochbruck and Ostermann's five-stage exponential method
+    (stiff order 4) from (t, y), f = N(t, y), to t_new = t + h, with mats
+    from _ho5_matrices and stage(t, u) the value of N, or None where u or
+    N is not finite. Returns the new state and the step's interpolation
+    data (f, D1, D2), or None on a non-finite stage."""
+    e_h, p1_h, p2_h, e, p1, p2, p3, a52, a54 = mats
+    ey_h = _apply(e_h, y, swap)
+    p1f_h = _apply(p1_h, f, swap)
+    t_mid = t + 0.5 * h
+    n2 = stage(t_mid, ey_h + (0.5 * h) * p1f_h)
+    if n2 is None:
+        return None
+    n3 = stage(t_mid, ey_h + h * (
+        0.5 * p1f_h + _apply(p2_h, n2 - f, swap)))
+    if n3 is None:
+        return None
+    n23 = n2 + n3
+    n4 = stage(t_new, _apply(e, y, swap) + h * (
+        _apply(p1, f, swap) + _apply(p2, n23 - 2.0 * f, swap)))
+    if n4 is None:
+        return None
+    n5 = stage(t_mid, ey_h + h * (
+        0.5 * p1f_h + _apply(a52, n23 - 2.0 * f, swap)
+        + _apply(a54, n4 - f, swap)))
+    if n5 is None:
+        return None
+    # weights phi_1 - 3 phi_2 + 4 phi_3, -phi_2 + 4 phi_3 and 4 phi_2 - 8 phi_3
+    # on f, n4 and n5, regrouped by powers of theta for the interpolant
+    step = np.array([f, 4.0 * n5 - 3.0 * f - n4, 4.0 * (f - 2.0 * n5 + n4)])
+    return _exp_step_end((e, p1, p2, p3), y, step, h, 1.0, swap), step
+
+
+def _integrate_exponential(rhs, t, y, t_end, rtol, atol, max_step,
+                           stop_indices, stop_threshold, blocks):
+    """Hochbruck and Ostermann's exponential method with step doubling: each
+    attempt takes one step of size h and two of size h/2, and on acceptance
+    keeps the two half steps, whose error is the difference over 2^4 - 1.
+    The controller, the finiteness rejections, the stop test and the
+    underflow test are those of the Dormand-Prince loop. The proposed h is
+    rounded down to a ladder of _RUNGS sizes per octave, so that the phi
+    functions of a run's few distinct step sizes are computed once; a step
+    cut short at a kink or at t_end leaves the ladder."""
+    k = np.asarray(blocks.stiffness, dtype=float)
+    if k.ndim != 2 or 2 * k.size != y.size:
+        raise InvalidParameterError("linear blocks do not match the state")
+    blocks = LinearBlocks(k, np.broadcast_to(np.asarray(blocks.damping, dtype=float),
+                                             k.shape),
+                          tuple(sorted(blocks.kinks)))
+    n = y.size
+    stops = [tk for tk in blocks.kinks if t < tk < t_end] + [t_end]
+    stop_idx = np.array(stop_indices, dtype=np.intp)
+    f = np.asarray(rhs(t, y), dtype=float)
+    h = _initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
+    ts, ys, hs, stages = [t], [y], [], []
+    termination = REACHED_T_END
+    n_rejected = 0
+    abs_y = np.abs(y)
+    swap = _swap(blocks)
+    zeros = np.zeros(n)
+    phi_of_rung, mats_of_rung = {}, {}
+
+    def stage(ti, ui):
+        # u.dot(zeros) is 0.0 exactly when every entry of u is finite
+        if ui.dot(zeros) != 0.0:
+            return None
+        out = np.asarray(rhs(ti, ui), dtype=float)
+        return out if out.dot(zeros) == 0.0 else None
+
+    while t < t_end:
+        while t >= stops[0]:
+            stops.pop(0)
+        rung = math.floor(_RUNGS * math.log2(h))
+        if _rung(rung) > h:  # log2 rounded up
+            rung -= 1
+        if _rung(rung) < stops[0] - t:
+            h = _rung(rung)
+            t_new = t + h
+        else:
+            t_new, rung = stops[0], None
+            h = t_new - t
+        if h <= 1e-14 * max(1.0, abs(t)):
+            if len(ts) == 1:
+                raise InvalidParameterError(
+                    "step size underflow before any progress; tolerances "
+                    "are inconsistent with the problem scale")
+            termination = STEP_UNDERFLOW
+            break
+
+        # the step matrices at h/2 and h: once per rung, or for a step cut
+        # short at a stop
+        if rung is None:
+            quarter, half, whole = np.moveaxis(_phi_matrices(
+                blocks, h * np.array([0.25, 0.5, 1.0])[:, None, None]), 2, 0)
+            halves, mats = _ho5_matrices(quarter, half), _ho5_matrices(half, whole)
+        else:
+            need = [r for r in (rung - 2 * _RUNGS, rung - _RUNGS, rung)
+                    if r not in phi_of_rung]
+            if need:
+                taus = np.array([_rung(r) for r in need])[:, None, None]
+                phi_of_rung.update(zip(need, np.moveaxis(
+                    _phi_matrices(blocks, taus), 2, 0)))
+            for r in (rung - _RUNGS, rung):
+                if r not in mats_of_rung:
+                    mats_of_rung[r] = _ho5_matrices(phi_of_rung[r - _RUNGS],
+                                                    phi_of_rung[r])
+            halves, mats = mats_of_rung[rung - _RUNGS], mats_of_rung[rung]
+        t_mid = t + 0.5 * h
+        full = _ho5_step(stage, mats, t, y, f, h, t_new, swap)
+        first = full and _ho5_step(stage, halves, t, y, f, 0.5 * h, t_mid, swap)
+        f_mid = first and stage(t_mid, first[0])
+        second = None if f_mid is None else _ho5_step(
+            stage, halves, t_mid, first[0], f_mid, 0.5 * h, t_new, swap)
+        if second is None:
+            n_rejected += 1
+            h *= 0.5
+            continue
+
+        y_new = second[0]
+        abs_new = np.abs(y_new)
+        q = (y_new - full[0]) / (15.0 * (atol + rtol * np.maximum(abs_y, abs_new)))
+        err_norm = math.sqrt(float(np.add.reduce(q * q)) / n)
+        if not math.isfinite(err_norm):
+            n_rejected += 1
+            h *= 0.5
+            continue
+
+        if err_norm <= 1.0:
+            for t_i, (y_i, stage_i) in ((t_mid, first), (t_new, second)):
+                ts.append(t_i)
+                ys.append(y_i)
+                hs.append(0.5 * h)
+                stages.append(stage_i)
+                if stop_idx.size and np.abs(y_i[stop_idx]).max() >= stop_threshold:
+                    termination = BLOWUP_DETECTED
+                    break
+            if termination == BLOWUP_DETECTED:
+                break
+            t, y, abs_y = t_new, y_new, abs_new
+            if t < t_end:
+                f = np.asarray(rhs(t, y), dtype=float)
+        else:
+            n_rejected += 1
+
+        factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** -0.2
+        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        h = min(h, max_step)
+
+    stages = np.array(stages) if stages else np.empty((0, 3, n))
+    return ExpTrajectory(np.asarray(ts), np.array(ys), np.asarray(hs), stages,
+                         blocks, termination, n_rejected)

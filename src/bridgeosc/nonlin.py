@@ -40,6 +40,8 @@ class Nonlinearity:
     d_cub: float = 1.0
 
     def f(self, s):
+        if isinstance(s, float) and self.kind in _SCALAR_F:
+            return _SCALAR_F[self.kind](self, s)
         s = np.asarray(s, dtype=float)
         k = self.kind
         if k == "linear":
@@ -105,6 +107,21 @@ class Nonlinearity:
             "mckenna_cubic": ("sigma_f", "c_quad", "d_cub"),
         }[self.kind]
         return {"kind": self.kind, "params": {k: getattr(self, k) for k in relevant}}
+
+
+# f at one float (a Python float or a numpy float64), with the arithmetic of
+# the array path: +, - and * are exact IEEE operations either way, and the
+# powers and expm1 go through the same numpy loops. The power kind is left
+# out: its np.abs(s) ** e on a 0-d array and np.power(abs(s), e) round
+# differently.
+_SCALAR_F = {
+    "linear": lambda nl, s: float(s),
+    "cubic": lambda nl, s: float(s + nl.epsilon * np.power(s, 3.0)),
+    "piecewise": lambda nl, s: float(max(s + 1.0, 0.0) - 1.0),
+    "exponential": lambda nl, s: float(nl.a_coef * np.expm1(nl.b_coef * s)),
+    "mckenna_cubic": lambda nl, s: float(nl.sigma_f * s + nl.c_quad * (s * s)
+                                         + nl.d_cub * np.power(s, 3.0)),
+}
 
 
 def make_nonlinearity(kind: str, params: Optional[dict] = None, **kw) -> Nonlinearity:

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ._quad import gauss_nodes_1d
-from ._rk import REACHED_T_END, RawTrajectory, integrate_adaptive
+from ._rk import REACHED_T_END, LinearBlocks, RawTrajectory, integrate_adaptive
 from .energy import _field_eval, gust_energy, switch_value
 from .errors import InvalidParameterError
 from .io import write_csv
@@ -185,28 +185,39 @@ class ModalField:
 class ModalTrajectory(RawTrajectory):
     """Stitched modal solution with per-sample switch values and flip events.
 
-    The segments between flips join into one dense output, in which a flip
-    time belongs to the segment starting there; switch_of(ts) gives the
-    switch at the samples, and samples holds the rows as ModalStates.
+    The samples are each segment's accepted steps plus dense-output points
+    between them, at most 1/16 of the segment's shortest linear period
+    apart, so that the rows resolve every mode's oscillation. eval uses the
+    interpolant of the segment holding t, in which a flip time belongs to
+    the segment starting there. switch_of(ts) gives the switch at the
+    samples, and samples holds the rows as ModalStates.
+
+    projection_grid is the (x1, x2) Gauss grid of the projected
+    nonlinearity and projection_error its last grid-convergence error.
     """
 
     def __init__(self, cfg: TrueBeamConfig, segments, switch_of: Callable,
-                 events: List[SwitchEvent], termination: str):
-        super().__init__(
-            np.concatenate([segments[0].ts] + [seg.ts[1:] for seg in segments[1:]]),
-            np.vstack([segments[0].ys] + [seg.ys[1:] for seg in segments[1:]]),
-            None, termination, sum(seg.n_rejected for seg in segments))
-        del self._rcont  # joined on first use, below
+                 events: List[SwitchEvent], termination: str,
+                 projection_grid: Tuple[int, int], projection_error: float):
+        ts, ys = _sample(segments)
+        super().__init__(ts, ys, None, termination,
+                         sum(seg.n_rejected for seg in segments))
         self.cfg = cfg
-        self._segments = segments  # list of RawTrajectory
+        self._segments = segments  # one ExpTrajectory per switch interval
+        self._starts = np.array([seg.ts[0] for seg in segments[1:]])
         self.switch = np.broadcast_to(switch_of(self.ts), self.ts.shape).astype(int)
         self.events = events
+        self.projection_grid = projection_grid
+        self.projection_error = projection_error
 
-    @functools.cached_property
-    def _rcont(self) -> np.ndarray:
-        """The segments' dense-output coefficients, joined on first use so
-        that a run never evaluated between samples holds one copy of them."""
-        return np.concatenate([seg._rcont for seg in self._segments])
+    def eval(self, t):
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        which = np.searchsorted(self._starts, t_arr, side="right")
+        out = np.empty((t_arr.size, self.ys.shape[1]))
+        for k in np.unique(which):
+            sel = which == k
+            out[sel] = self._segments[k].eval(t_arr[sel])
+        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
     @property
     def M(self) -> int:
@@ -240,6 +251,30 @@ class ModalTrajectory(RawTrajectory):
                            for ev in self.events])
 
 
+def _sample(segments):
+    """Sample times and states of the stitched run: every accepted step
+    split into equal parts no longer than 1/16 of the shortest linear period
+    of its segment's blocks, evaluated on the segment's interpolant."""
+    grids = []
+    for seg in segments:
+        spacing = 0.125 * math.pi / math.sqrt(float(np.max(seg.blocks.stiffness)))
+        h = np.diff(seg.ts)
+        parts = np.maximum(np.ceil(h / spacing), 1.0).astype(np.intp)
+        idx = np.repeat(np.arange(len(h)), parts)
+        first = np.cumsum(parts) - parts
+        grids.append((idx, (np.arange(idx.size) - first[idx]) / parts[idx], h[idx]))
+    size = sum(len(idx) for idx, _, _ in grids) + 1
+    ts, ys = np.empty(size), np.empty((size, segments[0].ys.shape[1]))
+    lo = 0
+    for seg, (idx, theta, h) in zip(segments, grids):
+        sl = slice(lo, lo + len(idx))
+        ts[sl] = seg.ts[idx] + theta * h
+        seg._interpolate(idx, theta, out=ys[sl])
+        lo += len(idx)
+    ts[-1], ys[-1] = segments[-1].ts[-1], segments[-1].ys[-1]
+    return ts, ys
+
+
 class _Projector:
     """Gauss tensor grid, basis samples and projection weights."""
 
@@ -251,42 +286,46 @@ class _Projector:
         self.SIN = np.sin(m * math.pi / L * self.x1[None, :])  # (M, nq1)
         self.norm_v = L * ell
         self.norm_t = L * ell ** 3 / 3.0
+        self._lift = np.array([np.ones(nq2), self.x2])       # (2, nq2)
+        self._weigh = np.array([self.w2, self.w2 * self.x2]).T  # (nq2, 2)
+        self._SINW = self.SIN * self.w1                      # (M, nq1)
+        self._norms = np.array([[self.norm_v], [self.norm_t]])
 
-    def surface(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sa = a @ self.SIN
-        sb = b @ self.SIN
-        return sa[:, None] + sb[:, None] * self.x2[None, :]
+    def surface(self, ab: np.ndarray) -> np.ndarray:
+        """The surface sum_m (a_m + b_m x2) sin(m pi x1 / L) on the grid,
+        from ab = (a, b) stacked as (2, M)."""
+        return (ab @ self.SIN).T @ self._lift
 
-    def project(self, G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vertical/torsional projections of a surface sampled on the grid."""
-        g0 = G @ self.w2
-        g1 = G @ (self.w2 * self.x2)
-        pv = self.SIN @ (self.w1 * g0) / self.norm_v
-        pt = self.SIN @ (self.w1 * g1) / self.norm_t
-        return pv, pt
+    def project(self, G: np.ndarray) -> np.ndarray:
+        """Vertical/torsional projections (2, M) of a surface sampled on the
+        grid."""
+        return (self._SINW @ (G @ self._weigh)).T / self._norms
 
     def integral(self, G: np.ndarray) -> float:
         return float(self.w1 @ G @ self.w2)
 
 
-def _make_projector(cfg: TrueBeamConfig, y0: np.ndarray) -> _Projector:
+def _make_projector(cfg: TrueBeamConfig, y0: np.ndarray) -> Tuple[_Projector, float]:
     """Projection grid of (4M) x 8 Gauss points, doubled (at most twice)
-    until the projected nonlinearity is grid-converged to 1e-8."""
+    until the projected nonlinearity is grid-converged to 1e-8; returns the
+    grid and its last convergence error, which stays above 1e-8 when two
+    doublings were not enough."""
     M = cfg.modes_M
     nq1, nq2 = max(16, 4 * M), 8
     proj = _Projector(cfg.geom, M, nq1, nq2)
+    err = 0.0
     for _ in range(2):
         finer = _Projector(cfg.geom, M, 2 * nq1, 2 * nq2)
-        a, b = y0[:M], y0[2 * M:3 * M]
-        pv0, pt0 = proj.project(np.asarray(cfg.nl.f(proj.surface(a, b))))
-        pv1, pt1 = finer.project(np.asarray(cfg.nl.f(finer.surface(a, b))))
+        ab = y0.reshape(2, 2, M)[:, 0]
+        pv0, pt0 = proj.project(np.asarray(cfg.nl.f(proj.surface(ab))))
+        pv1, pt1 = finer.project(np.asarray(cfg.nl.f(finer.surface(ab))))
         err = max(np.max(np.abs(pv0 - pv1), initial=0.0),
                   np.max(np.abs(pt0 - pt1), initial=0.0))
         if err <= 1e-8:
             break
         nq1, nq2 = 2 * nq1, 2 * nq2
         proj = finer
-    return proj
+    return proj, err
 
 
 def project_initial(u0_field, u1_field, geom: PlateGeom, M: int) -> ModalState:
@@ -318,24 +357,28 @@ def check_compatibility(u0_field, u1_field, E0: int, geom: PlateGeom) -> float:
     return float(np.max(np.abs(lo - E0 * hi)))
 
 
-def _make_rhs(cfg: TrueBeamConfig, proj: _Projector, switch: int,
-              amp: Callable, pv_profile: np.ndarray, pt_profile: np.ndarray):
+def _linear_blocks(cfg: TrueBeamConfig, switch: int, kinks) -> LinearBlocks:
+    """Bending, damping and the boundary penalty of the family the switch
+    constrains, as one oscillator block per (family, mode)."""
+    pen = np.array([[cfg.bc_penalty_kappa if switch == -1 else 0.0],
+                    [cfg.bc_penalty_kappa if switch == +1 else 0.0]])
+    return LinearBlocks(cfg.lambdas() + pen, cfg.damping_delta + pen,
+                        tuple(kinks))
+
+
+def _make_rhs(cfg: TrueBeamConfig, proj: _Projector, amp: Callable,
+              profile: np.ndarray):
+    """The nonlinear part N of the modal system: the projected f(u) and the
+    gust (profile holds its projections, (2, M)), on the velocity rows; the
+    linear part is _linear_blocks."""
     M = cfg.modes_M
-    lam = cfg.lambdas()
-    delta = cfg.damping_delta
-    kappa = cfg.bc_penalty_kappa
-    pen_a = kappa if switch == -1 else 0.0
-    pen_b = kappa if switch == +1 else 0.0
     f = cfg.nl.f
 
     def rhs(t, y):
-        a, ad = y[:M], y[M:2 * M]
-        b, bd = y[2 * M:3 * M], y[3 * M:]
-        pv, pt = proj.project(np.asarray(f(proj.surface(a, b))))
-        g = amp(t)
-        add = -lam * a - delta * ad - pv + g * pv_profile - pen_a * (ad + a)
-        bdd = -lam * b - delta * bd - pt + g * pt_profile - pen_b * (bd + b)
-        return np.concatenate([ad, add, bd, bdd])
+        out = np.zeros((2, 2, M))
+        out[:, 1] = amp(t) * profile - proj.project(
+            np.asarray(f(proj.surface(y.reshape(2, 2, M)[:, 0]))))
+        return out.reshape(-1)
 
     return rhs
 
@@ -359,13 +402,14 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
     t0 = state0.t
     if t_end <= t0:
         raise InvalidParameterError("t_end must exceed the initial time")
-    proj = _make_projector(cfg, y0)
+    proj, proj_err = _make_projector(cfg, y0)
 
     forcing = cfg.forcing
     crossings: List[float] = []
+    kinks = [] if forcing is None else [tb for tb, _ in forcing.breakpoints]
     if forcing is not None:
         amp = lambda t: float(forcing.amp(t))
-        pvp, ptp = proj.project(forcing.profile_values(
+        profile = proj.project(forcing.profile_values(
             cfg.geom, proj.x1[:, None], proj.x2[None, :]))
         prof_norm2 = forcing.profile_norm2(cfg.geom)
         if freeze_switch is None:
@@ -373,8 +417,7 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
                 cfg.geom, cfg.threshold_Ebar, t0, t_end)
     else:
         amp = lambda t: 0.0
-        pvp = np.zeros(M)
-        ptp = np.zeros(M)
+        profile = np.zeros((2, M))
 
     def switch_of(t):
         """Switch value(s) at time(s) t: pinned, or the law on the gust energy."""
@@ -385,6 +428,7 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
         return switch_value(np.square(forcing.amp(t)) * prof_norm2,
                             cfg.threshold_Ebar)
 
+    rhs = _make_rhs(cfg, proj, amp, profile)
     bounds = [t0] + crossings + [t_end]
     segments = []
     events: List[SwitchEvent] = []
@@ -398,15 +442,16 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
         if k > 0:
             events.append(SwitchEvent(float(lo), int(seg_switch)))
         raw = integrate_adaptive(
-            _make_rhs(cfg, proj, seg_switch, amp, pvp, ptp), lo, y, hi,
-            rtol=rel_tol, atol=abs_tol, stop_indices=tuple(range(4 * M)),
-            stop_threshold=BLOWUP_MODAL_NORM)
+            rhs, lo, y, hi, rtol=rel_tol, atol=abs_tol,
+            stop_indices=tuple(range(4 * M)), stop_threshold=BLOWUP_MODAL_NORM,
+            linear=_linear_blocks(cfg, seg_switch, kinks))
         segments.append(raw)
         y = raw.ys[-1]
         if raw.termination != REACHED_T_END:
             termination = raw.termination
             break
-    return ModalTrajectory(cfg, segments, switch_of, events, termination)
+    return ModalTrajectory(cfg, segments, switch_of, events, termination,
+                           (len(proj.x1), len(proj.x2)), proj_err)
 
 
 def modal_energy(cfg: TrueBeamConfig, state: ModalState,
@@ -418,7 +463,8 @@ def modal_energy(cfg: TrueBeamConfig, state: ModalState,
     lam = cfg.lambdas()
     proj = _Projector(cfg.geom, cfg.modes_M, max(16, 4 * cfg.modes_M), 8)
     nv, nt = proj.norm_v, proj.norm_t
-    quad_F = proj.integral(np.asarray(cfg.nl.F(proj.surface(state.a, state.b))))
+    quad_F = proj.integral(np.asarray(cfg.nl.F(proj.surface(
+        np.array([state.a, state.b])))))
     e = 0.5 * nv * float(np.sum(state.ad ** 2 + lam * state.a ** 2)) \
         + 0.5 * nt * float(np.sum(state.bd ** 2 + lam * state.b ** 2)) + quad_F
     if include_penalty:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -263,8 +265,26 @@ def test_step_loop_matches_reference_on_non_finite_stages():
     assert raw.termination == REACHED_T_END and raw.n_rejected >= 2
 
 
-def test_step_loop_matches_reference_on_truebeam_segment(monkeypatch):
-    calls = _captured_stepper_calls(monkeypatch, truebeam)
+def _modal_system(cfg, y0, switch):
+    """One switch segment of the unforced modal system: its nonlinear part
+    N, its linear blocks and the whole rhs L y + N."""
+    M = cfg.modes_M
+    proj, _err = truebeam._make_projector(cfg, y0)
+    nonlinear = truebeam._make_rhs(cfg, proj, lambda t: 0.0, np.zeros((2, M)))
+    blocks = truebeam._linear_blocks(cfg, switch, ())
+    k = blocks.stiffness
+    c = np.broadcast_to(blocks.damping, k.shape)
+
+    def full(t, y):
+        p, v = y.reshape(2, 2, M)[:, 0], y.reshape(2, 2, M)[:, 1]
+        return np.stack([v, -k * p - c * v], axis=1).reshape(-1) + nonlinear(t, y)
+
+    return nonlinear, blocks, full
+
+
+def test_step_loop_matches_reference_on_truebeam_segment():
+    # the stiff 16-state modal system of a switch segment as one rhs
+    # (truebeam itself takes the exponential path)
     M = 4
     cfg = truebeam.TrueBeamConfig(
         geom=plate.PlateGeom(0.5, 0.05, 0.2),
@@ -272,10 +292,12 @@ def test_step_loop_matches_reference_on_truebeam_segment(monkeypatch):
         damping_delta=0.5, forcing=None, modes_M=M)
     st0 = truebeam.ModalState(0.0, np.linspace(0.4, 0.1, M), np.zeros(M),
                               np.linspace(0.3, -0.1, M), np.zeros(M))
-    truebeam.integrate_truebeam(cfg, st0, 0.2, freeze_switch=1)
-    assert len(calls) == 1
-    assert calls[0][2]["stop_indices"] == tuple(range(4 * M))
-    _assert_matches_reference(calls)
+    _, _, full = _modal_system(cfg, st0.packed, 1)
+    raw = _assert_matches_reference_run(
+        full, 0.0, st0.packed, 0.2, rtol=1e-9, atol=1e-9,
+        stop_indices=tuple(range(4 * M)),
+        stop_threshold=truebeam.BLOWUP_MODAL_NORM)
+    assert raw.termination == REACHED_T_END and len(raw.ts) > 500
 
 
 # --- oracles independent of the stepper -----------------------------------
@@ -330,3 +352,169 @@ def test_component_zeros_finds_every_fine_sampling_sign_change(fig12):
     assert len(zs) == len(flips) > 5
     # each fine-grid sign change brackets exactly the zero found for it
     assert np.all((tt[flips] <= zs) & (zs <= tt[flips + 1]))
+
+
+# --- the exponential path -------------------------------------------------
+
+def _phis(k, c, tau):
+    """phi_0 .. phi_3 of tau [[0, 1], [-k, -c]] as (4, 2, 2) matrices."""
+    blocks = _rk.LinearBlocks(np.array([[k]]), np.array([[c]]))
+    (d0, d1), (o0, o1) = np.moveaxis(_rk._phi_matrices(blocks, np.array(tau)),
+                                     1, 0).transpose(0, 2, 1)
+    return np.array([[d0, o0], [o1, d1]]).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("k, c, tau", [
+    (1.0, 0.5, 1e-9), (1.0, 0.5, 0.01), (4.0, 4.0, 1e-3), (4.0, 4.0, 2.0),
+    (1558.5, 0.5, 0.05), (101.0, 100.0, 0.3), (1.0, 100.5, 10.0),
+    (6.4e6, 100.5, 0.1), (2500.0, 100.0, 0.7)])
+def test_phi_matrices_against_closed_forms(k, c, tau):
+    A = np.array([[0.0, 1.0], [-k, -c]])
+    Z = tau * A
+    phi = _phis(k, c, tau)
+    # e^Z in closed form: under-, over- and exactly critically damped
+    s, d2 = -0.5 * c * tau, (0.25 * c * c - k) * tau * tau
+    B = Z - s * np.eye(2)
+    if d2 < 0.0:
+        w = np.sqrt(-d2)
+        expZ = np.exp(s) * (np.cos(w) * np.eye(2) + np.sin(w) / w * B)
+    elif d2 > 0.0:
+        d = np.sqrt(d2)
+        expZ = np.exp(s) * (np.cosh(d) * np.eye(2) + np.sinh(d) / d * B)
+    else:
+        expZ = np.exp(s) * (np.eye(2) + B)
+    scale = np.abs(expZ).max()
+    assert np.abs(phi[0] - expZ).max() <= 1e-12 * scale
+    # Z phi_(j+1) = phi_j - I / j!, checked in the scale of its terms
+    for j in range(3):
+        lhs = Z @ phi[j + 1]
+        rhs = phi[j] - np.eye(2) / math.factorial(j)
+        size = np.abs(Z).max() * np.abs(phi[j + 1]).max() + np.abs(phi[j]).max()
+        assert np.abs(lhs - rhs).max() <= 1e-13 * size
+    # small Z: the leading Taylor terms I / j! + Z / (j + 1)!
+    if np.abs(Z).max() < 1e-6:
+        for j in range(4):
+            taylor = np.eye(2) / math.factorial(j) + Z / math.factorial(j + 1)
+            assert np.abs(phi[j] - taylor).max() <= 1e-15
+
+
+def test_phi_matrices_at_exact_critical_damping():
+    # c^2 = 4 k: A = -c/2 I + N with N nilpotent, so e^(tau A) =
+    # e^(-c tau/2) (I + tau N) and phi_1(Z) = phi_1(z) I + phi_1'(z) tau N
+    k, c, tau = 100.0, 20.0, 0.3
+    N = np.array([[0.0, 1.0], [-k, -c]]) + 0.5 * c * np.eye(2)
+    assert np.all(N @ N == 0.0)
+    z = -0.5 * c * tau
+    phi1 = (math.exp(z) - 1.0) / z
+    dphi1 = (math.exp(z) - phi1) / z
+    phi = _phis(k, c, tau)
+    assert np.allclose(phi[0], math.exp(z) * (np.eye(2) + tau * N),
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(phi[1], phi1 * np.eye(2) + dphi1 * tau * N,
+                       rtol=0.0, atol=1e-15)
+
+
+def test_phi_matrices_do_not_depend_on_the_batch():
+    blocks = _rk.LinearBlocks(np.array([[1.0, 4.0e4], [101.0, 4.01e4]]),
+                              np.array([[0.5], [100.5]]))
+    taus = np.array([1e-7, 0.003, 0.05, 0.4])
+    batch = _rk._phi_matrices(blocks, taus[:, None, None])
+    for i, tau in enumerate(taus):
+        one = _rk._phi_matrices(blocks, np.array([[[tau]]]))
+        assert one[:, :, 0].tobytes() == batch[:, :, i].tobytes()
+
+
+def _critical_cfg():
+    # the square plate has lambda_1 = 1 exactly; kappa = 3 and delta = 1
+    # give the constrained (torsional) block (delta + kappa)^2 = 4 (1 + kappa)
+    geom = plate.PlateGeom(np.pi, np.pi / 2.0, 0.2)
+    cfg = truebeam.TrueBeamConfig(
+        geom=geom, nl=bo.make_nonlinearity("cubic", epsilon=0.5),
+        threshold_Ebar=1.0, damping_delta=1.0, modes_M=1, bc_penalty_kappa=3.0)
+    lam = cfg.lambdas()[0]
+    assert lam == 1.0 and (1.0 + 3.0) ** 2 == 4.0 * (lam + 3.0)
+    return cfg
+
+
+def test_exponential_path_at_critical_damping_matches_dormand_prince():
+    cfg = _critical_cfg()
+    y0 = np.array([0.8, 0.0, 0.6, -0.5])
+    nonlinear, blocks, full = _modal_system(cfg, y0, 1)
+    ref = integrate_adaptive(full, 0.0, y0, 4.0, rtol=1e-12, atol=1e-12)
+    raw = integrate_adaptive(nonlinear, 0.0, y0, 4.0, rtol=1e-10, atol=1e-10,
+                             linear=blocks)
+    assert raw.termination == REACHED_T_END and raw.ts[-1] == 4.0
+    assert np.abs(raw.eval(ref.ts) - ref.ys).max() <= 1e-8
+    # the interpolant meets every accepted step, and ends the last one on
+    # the step's own result
+    assert raw.eval(raw.ts[:-1]).tobytes() == raw.ys[:-1].tobytes()
+    assert raw.eval(raw.ts[-1]).tobytes() == raw.ys[-1].tobytes()
+
+
+def test_exponential_step_is_fourth_order_at_fixed_steps():
+    # p'' = -p - 0.3 p' - p^3 + sin 3t; the error falls 16-fold per halving
+    blocks = _rk.LinearBlocks(np.array([[1.0]]), np.array([[0.3]]))
+    swap = _rk._swap(blocks)
+
+    def nonlinear(t, y):
+        return np.array([0.0, -y[0] ** 3 + np.sin(3.0 * t)])
+
+    def full(t, y):
+        return np.array([y[1], -y[0] - 0.3 * y[1]]) + nonlinear(t, y)
+
+    exact = integrate_adaptive(full, 0.0, [0.8, 0.0], 2.0, rtol=1e-13,
+                               atol=1e-13).ys[-1]
+    errors = []
+    for n in (20, 40, 80, 160):
+        h, t, y = 2.0 / n, 0.0, np.array([0.8, 0.0])
+        mats = _rk._ho5_matrices(*np.moveaxis(_rk._phi_matrices(
+            blocks, h * np.array([0.5, 1.0])[:, None, None]), 2, 0))
+        for _ in range(n):
+            y, _stages = _rk._ho5_step(nonlinear, mats, t, y, nonlinear(t, y),
+                                       h, t + h, swap)
+            t += h
+        errors.append(np.abs(y - exact).max())
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((3.9 <= orders) & (orders <= 4.1)), errors
+
+
+def test_exponential_path_observed_order_on_a_smooth_cubic_run():
+    M = 2
+    cfg = truebeam.TrueBeamConfig(
+        geom=plate.PlateGeom(np.pi, np.pi / 2.0, 0.2),
+        nl=bo.make_nonlinearity("cubic", epsilon=1.0), threshold_Ebar=1.0,
+        damping_delta=0.5, modes_M=M)
+    y0 = np.array([0.8, 0.1, 0.0, 0.0, 0.6, -0.05, 0.0, 0.0])
+    nonlinear, blocks, full = _modal_system(cfg, y0, 1)
+    exact = integrate_adaptive(full, 0.0, y0, 8.0, rtol=1e-13, atol=1e-13).ys[-1]
+    steps, errors = [], []
+    for tol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        raw = integrate_adaptive(nonlinear, 0.0, y0, 8.0, rtol=tol, atol=tol,
+                                 linear=blocks)
+        steps.append(len(raw.ts) - 1)
+        errors.append(np.abs(raw.ys[-1] - exact).max())
+    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+    assert -slope >= 4.0, (steps, errors)
+
+
+def test_exponential_path_stops_on_blowup_and_underflow():
+    # p'' = -p + p^3 from p = 2 blows up in finite time
+    blocks = _rk.LinearBlocks(np.array([[1.0]]), np.array([[0.0]]))
+
+    def cube(t, y):
+        return np.array([0.0, y[0] ** 3])
+
+    raw = integrate_adaptive(cube, 0.0, [2.0, 0.0], 5.0, linear=blocks,
+                             stop_indices=(0,), stop_threshold=1e6)
+    assert raw.termination == BLOWUP_DETECTED and raw.ts[-1] < 5.0
+    assert np.abs(raw.ys[-1, 0]) >= 1e6 > np.abs(raw.ys[-2, 0])
+    raw = integrate_adaptive(cube, 0.0, [2.0, 0.0], 5.0, linear=blocks)
+    assert raw.termination == STEP_UNDERFLOW
+    assert np.all(np.isfinite(raw.ys)) and np.abs(raw.ys[-1, 0]) > 1e6
+
+
+def test_exponential_path_rejects_blocks_that_do_not_fit_the_state():
+    blocks = _rk.LinearBlocks(np.ones((1, 2)), np.zeros((1, 2)))
+    with pytest.raises(InvalidParameterError):
+        integrate_adaptive(lambda t, y: 0.0 * y, 0.0, np.zeros(6), 1.0,
+                           linear=blocks)

@@ -370,3 +370,98 @@ def test_switch_value_is_elementwise_with_int_scalars():
     assert type(switch_value(0.5, 1.0)) is int
     assert np.array_equal(switch_value(np.array([0.5, 1.0, 1.5]), 1.0),
                           [1, 1, -1])
+
+
+def _forced_linear_mode(x0, v0, K, c, P, ramp, t):
+    """a'' + c a' + K a = P amp(t) for the piecewise-linear amp of ramp (and
+    constant beyond it), from (x0, v0) at t = 0, by variation of constants
+    on each linear piece: a linear particular solution plus the damped
+    homogeneous one."""
+    knots = [tk for tk, _ in ramp if tk > 0.0]
+    wd = math.sqrt(K - 0.25 * c * c)
+    out = np.empty_like(t)
+    t0 = 0.0
+    for t1 in knots + [np.inf]:
+        g0 = float(np.interp(t0, *np.array(ramp).T))
+        slope = (float(np.interp(t1, *np.array(ramp).T)) - g0) / (t1 - t0) \
+            if np.isfinite(t1) else 0.0
+        alpha, beta = P * g0, P * slope
+        B = beta / K
+        A = (alpha - c * B) / K
+        C1 = x0 - A
+        C2 = (v0 - B + 0.5 * c * C1) / wd
+
+        def x(tau):
+            return A + B * tau + np.exp(-0.5 * c * tau) * (
+                C1 * np.cos(wd * tau) + C2 * np.sin(wd * tau))
+
+        sel = (t >= t0) & (t <= t1)
+        out[sel] = x(t[sel] - t0)
+        if np.isfinite(t1):
+            tau = t1 - t0
+            e = np.exp(-0.5 * c * tau)
+            x0 = x(tau)
+            v0 = B + e * ((-0.5 * c * C1 + wd * C2) * np.cos(wd * tau)
+                          + (-0.5 * c * C2 - wd * C1) * np.sin(wd * tau))
+        t0 = t1
+    return out
+
+
+def test_forced_linear_mode_matches_variation_of_constants():
+    # one stiff mode, f(u) = u, under a ramp gust whose kinks at t = 1 and
+    # t = 2 fall inside the single switch segment (the threshold is never
+    # reached): a'' + delta a' + (lambda_1 + 1) a = (4/pi) amp(t), since the
+    # uniform profile projects to 4/pi on the first vertical mode
+    ramp = ((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))
+    forcing = truebeam.GustForcing(breakpoints=ramp, profile="uniform")
+    cfg = _cfg(M=1, delta=0.5, forcing=forcing, Ebar=1e20)
+    st0 = truebeam.ModalState(0.0, np.array([0.3]), np.array([2.0]),
+                              np.zeros(1), np.zeros(1))
+    traj = truebeam.integrate_truebeam(cfg, st0, 3.0)
+    assert traj.events == [] and len(traj._segments) == 1
+    lam = cfg.lambdas()[0]
+    want = _forced_linear_mode(0.3, 2.0, lam + 1.0, 0.5, 4.0 / math.pi, ramp,
+                               traj.ts)
+    assert np.abs(traj.ys[:, 0] - want).max() <= 1e-7
+    assert np.abs(traj.ys[:, 2]).max() <= 1e-12
+    # the kinks are step boundaries, and the samples resolve the fastest
+    # block (the penalised torsional one) at 16 per period
+    assert {1.0, 2.0} <= set(traj._segments[0].ts)
+    period = 2.0 * math.pi / math.sqrt(lam + cfg.bc_penalty_kappa)
+    assert np.diff(traj.ts).max() <= period / 16.0 * (1.0 + 1e-12)
+
+
+def test_steps_do_not_grow_with_the_mode_count():
+    # the benchmark's switching run: narrow plate, cubic f, a ramp gust that
+    # flips the switch twice
+    ramp = ((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))
+    steps = {}
+    for M in (1, 8):
+        cfg = _cfg(nl=bo.make_nonlinearity("cubic", epsilon=1.0), Ebar=1.25,
+                   M=M, delta=0.5, forcing=truebeam.GustForcing(breakpoints=ramp))
+        a, b = np.zeros(M), np.zeros(M)
+        a[0], b[0] = 1.0, 1.0
+        if M > 1:
+            a[1], b[1] = 0.08, -0.08
+        traj = truebeam.integrate_truebeam(
+            cfg, truebeam.ModalState(0.0, a, np.zeros(M), b, np.zeros(M)), 3.0)
+        assert traj.termination == "reached_t_end" and len(traj.events) == 2
+        assert len(traj._segments) == 3
+        steps[M] = sum(len(seg.ts) - 1 for seg in traj._segments)
+    assert steps[8] <= 2 * steps[1], steps
+
+
+def test_projection_grid_and_its_convergence_error_are_recorded():
+    smooth = _cfg(geom=SQUARE, nl=bo.make_nonlinearity("cubic", epsilon=0.5),
+                  M=2)
+    st0 = truebeam.ModalState(0.0, np.array([0.5, 0.15]), np.zeros(2),
+                              np.array([0.5, -0.1]), np.zeros(2))
+    traj = truebeam.integrate_truebeam(smooth, st0, 0.05)
+    assert traj.projection_grid == (16, 8) and traj.projection_error <= 1e-8
+    # the kink of the piecewise f at u = -1 inside the plate keeps the
+    # projection from converging within two doublings
+    kinked = _cfg(geom=SQUARE, nl=bo.make_nonlinearity("piecewise"), M=2)
+    st1 = truebeam.ModalState(0.0, np.array([3.0, 0.9]), np.zeros(2),
+                              np.array([3.0, -0.6]), np.zeros(2))
+    traj = truebeam.integrate_truebeam(kinked, st1, 0.05)
+    assert traj.projection_grid == (64, 32) and traj.projection_error > 1e-8
