@@ -1,11 +1,11 @@
-"""Adaptive Dormand-Prince 5(4) stepper with dense output, and an adaptive
+"""Adaptive Dormand-Prince 8(5,3) stepper with dense output, and an adaptive
 exponential Runge-Kutta stepper for semilinear systems.
 
-Fifth-order propagation with an embedded fourth-order error estimate and the
-classic quartic continuous extension. Built for stiff amplitude growth near
-finite-time blow-up: steps are rejected on non-finite stage values and the
-run terminates cleanly when a monitored component crosses a threshold or the
-accepted step underflows.
+Eighth-order propagation whose error estimate blends the embedded 5th- and
+3rd-order estimators (Hairer's DOP853), with the degree-7 continuous
+extension. Built for stiff amplitude growth near finite-time blow-up: steps
+are rejected on non-finite stage values and the run terminates cleanly when
+a monitored component crosses a threshold or the accepted step underflows.
 
 Given the linear part of y' = L y + N(t, y) as damped 2x2 oscillator blocks,
 the same controller drives the five-stage exponential method of Hochbruck
@@ -26,23 +26,71 @@ REACHED_T_END = "reached_t_end"
 BLOWUP_DETECTED = "blowup_detected"
 STEP_UNDERFLOW = "step_underflow"
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-               22 / 525, -1 / 40])
-# dense-output weights (Hairer's contd5)
-_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-               -10690763975 / 1880347072, 701980252875 / 199316789632,
-               -1453857185 / 822651844, 69997945 / 29380423])
+# Dormand-Prince 8(5,3), Hairer's DOP853. Stages 0-11 make the step; _A[12]
+# is _B, so stage 12 is the rhs at the new state (the next step's stage 0);
+# stages 13-15 serve only the degree-7 dense output (contd8). _A[i] weighs
+# stages 0 .. i-1 in the input of stage i.
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+               0.7777777777777778])
+_A = [None] + [np.array(row) for row in (
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636],
+    [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259],
+    [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+     0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987])]
+_B = _A[12]
+# the 5th- and 3rd-order error estimators
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+# contd8: the last four dense-output coefficients of a step are h * _D @ K
+_D = np.array([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564]])
+
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -91,7 +139,7 @@ class RawTrajectory:
     def __init__(self, ts, ys, rcont, termination, n_rejected=0):
         self.ts = ts
         self.ys = ys
-        self._rcont = rcont  # (N-1, 5, n)
+        self._rcont = rcont  # (N-1, 8, n)
         self.termination = termination
         self.n_rejected = n_rejected
 
@@ -124,10 +172,7 @@ class RawTrajectory:
 
     def _interpolate(self, idx, theta):
         """States at fractions theta of the steps idx."""
-        th = theta[:, None]
-        rc = self._rcont[idx]
-        return rc[:, 0] + th * (rc[:, 1] + (1.0 - th)
-                                * (rc[:, 2] + th * (rc[:, 3] + (1.0 - th) * rc[:, 4])))
+        return _contd8(np.moveaxis(self._rcont[idx], 1, 0), theta[:, None])
 
     def map_linear(self, mat):
         """New trajectory whose state is mat @ y; exact for the interpolant."""
@@ -137,8 +182,8 @@ class RawTrajectory:
         return RawTrajectory(self.ts, ys, rcont, self.termination, self.n_rejected)
 
     def component_zeros(self, idx, tol=1e-9):
-        """Times where component idx crosses zero, by bisection on the dense
-        output between accepted samples of opposite sign."""
+        """Times where component idx crosses zero, by bisection on the
+        interpolant of each step between accepted samples of opposite sign."""
         w = self.ys[:, idx]
         zs = []
         for i in range(len(w) - 1):
@@ -146,8 +191,10 @@ class RawTrajectory:
             if a == 0.0:
                 continue
             if a * b < 0.0:
-                zs.append(bisect(lambda t: self.eval(t)[idx],
-                                 self.ts[i], self.ts[i + 1], tol))
+                t0, t1 = self.ts[i:i + 2].tolist()
+                coef = self._rcont[i, :, idx].tolist()
+                zs.append(bisect(lambda t: _contd8(coef, (t - t0) / (t1 - t0)),
+                                 t0, t1, tol, fa=a, fb=b))
             elif b == 0.0 and (i + 2 == len(w) or a * w[i + 2] < 0.0):
                 zs.append(self.ts[i + 1])
         return zs
@@ -184,9 +231,20 @@ class ExpTrajectory(RawTrajectory):
         return out
 
 
-def bisect(fun, a, b, tol=1e-9):
-    """Root of a sign-changing scalar function on [a, b] to absolute tol in t."""
-    fa, fb = fun(a), fun(b)
+def _contd8(c, th):
+    """Hairer's contd8 polynomial at fractions th of a step, from its eight
+    coefficients c[0] .. c[7]; c[0] is the state at the step start."""
+    s = 1.0 - th
+    return c[0] + th * (c[1] + s * (c[2] + th * (c[3] + s * (
+        c[4] + th * (c[5] + s * (c[6] + th * c[7]))))))
+
+
+def bisect(fun, a, b, tol=1e-9, fa=None, fb=None):
+    """Root of a sign-changing scalar function on [a, b] to absolute tol in t,
+    or to adjacent floats where tol is below their spacing; fa and fb, when
+    given, stand for fun(a) and fun(b)."""
+    fa = fun(a) if fa is None else fa
+    fb = fun(b) if fb is None else fb
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -195,6 +253,8 @@ def bisect(fun, a, b, tol=1e-9):
         raise ValueError("bisect needs a sign change")
     while b - a > tol:
         m = 0.5 * (a + b)
+        if not a < m < b:
+            break
         fm = fun(m)
         if fm == 0.0:
             return m
@@ -231,20 +291,20 @@ def _doubled(buf):
 
 
 def _dense_coefficients(ys, fs, hs, dks):
-    """(N-1, 5, n) contd5 coefficients of every accepted step, from the
+    """(N-1, 8, n) contd8 coefficients of every accepted step, from the
     accepted states ys, their rhs values fs, the step sizes hs and the
-    per-step K.T @ _D; elementwise the same operations as one step at a time."""
-    rcont = np.empty((len(hs), 5, ys.shape[1]))
+    per-step _D @ K; elementwise the same operations as one step at a time."""
+    rcont = np.empty((len(hs), 8, ys.shape[1]))
     h = hs[:, None]
-    y0, ydiff, bspl, c3, c4 = (rcont[:, j] for j in range(5))
+    y0, ydiff, c2, c3 = (rcont[:, j] for j in range(4))
     y0[...] = ys[:-1]
     np.subtract(ys[1:], ys[:-1], out=ydiff)
-    np.multiply(h, fs[:-1], out=bspl)
-    bspl -= ydiff                      # h*f0 - ydiff
-    np.multiply(h, fs[1:], out=c3)
-    np.subtract(ydiff, c3, out=c3)
-    c3 -= bspl                         # ydiff - h*f1 - bspl
-    np.multiply(h, dks, out=c4)        # h*dk
+    np.multiply(h, fs[:-1], out=c2)
+    c2 -= ydiff                        # h*f0 - ydiff
+    np.add(fs[1:], fs[:-1], out=c3)
+    c3 *= h
+    np.subtract(ydiff + ydiff, c3, out=c3)  # 2*ydiff - h*(f1 + f0)
+    np.multiply(h[:, None], dks, out=rcont[:, 4:])
     return rcont
 
 
@@ -282,21 +342,36 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     h = _initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
     ts = [t]
     hs = []  # accepted step sizes
-    # row j: accepted state j, the rhs there (the FSAL stage) and K.T @ _D
-    # of step j; grown by doubling, so a run holds no per-step arrays
-    Y, F, DK = np.empty((3, 256, n))
+    # row j: accepted state j, the rhs there (the FSAL stage) and _D @ K of
+    # step j; grown by doubling, so a run holds no per-step arrays
+    Y, F = np.empty((2, 256, n))
+    DK = np.empty((256, 4, n))
     Y[0], F[0] = y, f
-    K = np.empty((7, n))
-    KT = K.T
-    K_flat = K.reshape(-1)  # a view: it follows K
+    K = np.empty((16, n))
+    K_flat, K_err = K.reshape(-1), K[:12]  # views
     # x * 0.0 is 0.0 for finite x and NaN for inf or NaN, so a dot product
     # with zeros is 0.0 exactly when every entry is finite (and is several
     # times cheaper than isfinite().all() on a handful of entries)
-    zeros, zeros_K = np.zeros(n), np.zeros(7 * n)
-    # stage i: (c_i, view of the earlier stages, tableau row), in order
-    stages = [(float(_C[i]), K[:i].T, _A[i - 1]) for i in range(1, 7)]
+    zeros, zeros_K = np.zeros(n), np.zeros(16 * n)
+    # stage i: (i, c_i, the earlier stages, tableau row), in order;
+    # row.dot(stages) is the cheapest numpy call for these small products.
+    # A step's stages end on stage 12, whose input is the new state; the
+    # three of its dense output follow once the step passes.
+    step, dense = ([(i, float(_C[i]), K[:i], _A[i]) for i in stages]
+                   for stages in (range(1, 13), range(13, 16)))
     termination = REACHED_T_END
     n_rejected = 0
+
+    def fill(stages):
+        """Evaluate the stages into K; their last input, or None when an
+        input or a stage so far is not finite."""
+        for i, c, k_prev, a in stages:
+            yi = y + h * a.dot(k_prev)
+            if yi.dot(zeros) != 0.0:
+                return None
+            K[i] = rhs(t + c * h, yi)
+        size = (i + 1) * n
+        return yi if K_flat[:size].dot(zeros_K[:size]) == 0.0 else None
 
     stop_idx = np.array(stop_indices, dtype=np.intp)
     abs_y = np.abs(y)
@@ -311,25 +386,17 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
             break
 
         K[0] = f
-        failed = False
-        for i, (c, k_prev, a) in enumerate(stages, 1):
-            yi = y + h * (k_prev @ a)
-            if yi.dot(zeros) != 0.0:
-                failed = True
-                break
-            K[i] = rhs(t + c * h, yi)
-        if failed or K_flat.dot(zeros_K) != 0.0:
-            n_rejected += 1
-            h *= 0.5
-            continue
-
-        y_new = y + h * (KT @ _B)
-        abs_new = np.abs(y_new)
-        q = h * (KT @ _E)
-        q /= atol + rtol * np.maximum(abs_y, abs_new)
-        # == np.sqrt(np.mean(q ** 2)) bitwise: the same pairwise sum over n
-        err_norm = math.sqrt(float(np.add.reduce(q * q)) / n)
-        if not math.isfinite(err_norm):
+        y_new = fill(step)
+        if y_new is not None:
+            abs_new = np.abs(y_new)
+            sc = atol + rtol * np.maximum(abs_y, abs_new)
+            e5, e3 = _E5.dot(K_err) / sc, _E3.dot(K_err) / sc
+            # == np.sum(e ** 2) bitwise: the same pairwise sum over n
+            s5, s3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
+            den = s5 + 0.01 * s3
+            err_norm = h * s5 / math.sqrt(den * n) if den else 0.0
+        if (y_new is None or not math.isfinite(err_norm)
+                or err_norm <= 1.0 and fill(dense) is None):
             n_rejected += 1
             h *= 0.5
             continue
@@ -338,9 +405,9 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
             j = len(ts)
             if j == len(Y):
                 Y, F, DK = (_doubled(b) for b in (Y, F, DK))
-            DK[j - 1] = KT @ _D
+            np.dot(_D, K, out=DK[j - 1])
             Y[j] = y_new
-            F[j] = K[6]
+            F[j] = K[12]
             hs.append(h)
             t += h
             y, abs_y, f = y_new, abs_new, F[j]  # f: FSAL
@@ -351,7 +418,7 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         else:
             n_rejected += 1
 
-        factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** -0.2
+        factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** -0.125
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         h = min(h, max_step)
 
@@ -491,8 +558,9 @@ def _integrate_exponential(rhs, t, y, t_end, rtol, atol, max_step,
     """Hochbruck and Ostermann's exponential method with step doubling: each
     attempt takes one step of size h and two of size h/2, and on acceptance
     keeps the two half steps, whose error is the difference over 2^4 - 1.
-    The controller, the finiteness rejections, the stop test and the
-    underflow test are those of the Dormand-Prince loop. The proposed h is
+    The finiteness rejections, the stop test and the underflow test are
+    those of the Dormand-Prince loop, and so is the controller but for its
+    exponent, -1/5 for this fourth-order estimate. The proposed h is
     rounded down to a ladder of _RUNGS sizes per octave, so that the phi
     functions of a run's few distinct step sizes are computed once; a step
     cut short at a kink or at t_end leaves the ladder."""

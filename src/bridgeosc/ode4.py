@@ -1,11 +1,11 @@
 """Fourth-order ODE families with finite-time blow-up diagnostics.
 
 Families are integrated as first-order systems in (w, w', w'', w''') with the
-adaptive Dormand-Prince pair. Blow-up runs terminate on a displacement
-threshold (or step underflow when the threshold is effectively infinite);
-the report extracts the zero sequence of w, estimates the blow-up time from
-the geometric accumulation of those zeros, and computes the energy-rate
-ratios between consecutive sign intervals.
+adaptive Dormand-Prince 8(5,3) stepper (DOP853). Blow-up runs terminate on a
+displacement threshold (or step underflow when the threshold is effectively
+infinite); the report extracts the zero sequence of w, estimates the blow-up
+time from the geometric accumulation of those zeros, and computes the
+energy-rate ratios between consecutive sign intervals.
 """
 from __future__ import annotations
 
@@ -152,7 +152,7 @@ class Trajectory(RawTrajectory):
     termination  reached_t_end | blowup_detected | step_underflow
     """
 
-    ZERO_TOL = 1e-9
+    ZERO_TOL = 1e-12
     columns = ("w", "w1", "w2", "w3")
 
     def __init__(self, raw: RawTrajectory):

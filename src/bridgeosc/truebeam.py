@@ -234,10 +234,6 @@ class ModalTrajectory(RawTrajectory):
     def samples(self) -> List[ModalState]:
         return [self.state_at(i) for i in range(len(self.ts))]
 
-    def field_at(self, i: int) -> ModalField:
-        st = self.state_at(i)
-        return ModalField(self.cfg.geom, st.a, st.b)
-
     def to_csv(self, path) -> None:
         """Columns t, switch, a1..aM, b1..bM; velocities are left out."""
         M = self.M

@@ -345,3 +345,16 @@ def test_parallel_sweep_prints_one_line_per_point_in_order(tmp_path):
     assert [m.group(1) for m in parsed] == [
         f"pl_family-k_coef={k}" for k in ("2", "2.25", "2.5", "2.75", "3")]
     assert {m.group(2) for m in parsed} == {"reached_t_end"}
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only oracle; the package and its CLI must not load it
+    src = os.path.dirname(os.path.dirname(bridgeosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bridgeosc, bridgeosc.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
