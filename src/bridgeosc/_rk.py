@@ -1,16 +1,17 @@
-"""Adaptive Dormand-Prince 8(5,3) stepper with dense output, and an adaptive
-exponential Runge-Kutta stepper for semilinear systems.
+"""One adaptive step controller with two step methods: Dormand-Prince
+8(5,3) with dense output, and an exponential Runge-Kutta method for
+semilinear systems.
 
-Eighth-order propagation whose error estimate blends the embedded 5th- and
-3rd-order estimators (Hairer's DOP853), with the degree-7 continuous
-extension. Built for stiff amplitude growth near finite-time blow-up: steps
-are rejected on non-finite stage values and the run terminates cleanly when
-a monitored component crosses a threshold or the accepted step underflows.
-
-Given the linear part of y' = L y + N(t, y) as damped 2x2 oscillator blocks,
-the same controller drives the five-stage exponential method of Hochbruck
-and Ostermann (stiff order 4), which solves the linear flow exactly, so the
-step size follows N alone and not the stiffness of L.
+The controller, integrate_adaptive, owns the step size and its acceptance,
+rejects steps with non-finite values, and ends a run cleanly when a
+monitored component crosses a threshold or the step size underflows. The
+Dormand-Prince method (Hairer's DOP853) propagates at eighth order, blends
+its embedded 5th- and 3rd-order error estimators and has a degree-7
+continuous extension: built for stiff amplitude growth near finite-time
+blow-up. Given the linear part of y' = L y + N(t, y) as damped 2x2
+oscillator blocks, the five-stage exponential method of Hochbruck and
+Ostermann (stiff order 4) solves the linear flow exactly, so the step size
+follows N alone and not the stiffness of L.
 """
 from __future__ import annotations
 
@@ -211,11 +212,6 @@ class ExpTrajectory(RawTrajectory):
         self.blocks = blocks
         self._swap = _swap(blocks)
 
-    def map_linear(self, mat):
-        # the blocks act on the state before mat would, so mat @ y has no
-        # interpolant of this form
-        raise NotImplementedError("map_linear needs a Dormand-Prince trajectory")
-
     def _interpolate(self, idx, theta, out=None):
         if out is None:
             out = np.empty((len(idx), self.ys.shape[1]))
@@ -283,28 +279,22 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     return min(100.0 * h0, h1, max_step, t_end - t0)
 
 
-def _doubled(buf):
-    """A copy of buf with room for as many rows again."""
-    out = np.empty((2 * len(buf),) + buf.shape[1:])
-    out[:len(buf)] = buf
-    return out
-
-
-def _dense_coefficients(ys, fs, hs, dks):
+def _dense_coefficients(ys, hs, recs):
     """(N-1, 8, n) contd8 coefficients of every accepted step, from the
-    accepted states ys, their rhs values fs, the step sizes hs and the
-    per-step _D @ K; elementwise the same operations as one step at a time."""
+    accepted states ys, the step sizes hs and the step records of _dop853;
+    elementwise the same operations as one step at a time."""
     rcont = np.empty((len(hs), 8, ys.shape[1]))
     h = hs[:, None]
+    f0, f1 = recs[:, 0], recs[:, 1]
     y0, ydiff, c2, c3 = (rcont[:, j] for j in range(4))
     y0[...] = ys[:-1]
     np.subtract(ys[1:], ys[:-1], out=ydiff)
-    np.multiply(h, fs[:-1], out=c2)
+    np.multiply(h, f0, out=c2)
     c2 -= ydiff                        # h*f0 - ydiff
-    np.add(fs[1:], fs[:-1], out=c3)
+    np.add(f1, f0, out=c3)
     c3 *= h
     np.subtract(ydiff + ydiff, c3, out=c3)  # 2*ydiff - h*(f1 + f0)
-    np.multiply(h[:, None], dks, out=rcont[:, 4:])
+    np.multiply(h[:, None], recs[:, 2:], out=rcont[:, 4:])
     return rcont
 
 
@@ -320,6 +310,14 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 
     With linear (a LinearBlocks), the system is y' = L y + rhs(t, y) and the
     exponential stepper integrates it, returning an ExpTrajectory.
+
+    This is the one step controller for both step methods (_dop853 and
+    _exponential). A method supplies size(t, h) -> (h, t_new), which fits a
+    proposed h to the method, and attempt(t, y, h, t_new) -> (err_norm,
+    pieces), where err_norm is None on a non-finite value. err_norm <= 1
+    accepts the pieces, each (t, h, y, record) for one stored step, and the
+    method then continues from the last of them. A method also names its
+    controller exponent and the number of rows of a step record.
     """
     if not (rtol > 0.0 and atol > 0.0):
         raise InvalidParameterError("tolerances must be positive")
@@ -333,21 +331,83 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         raise InvalidParameterError("t_end must be finite")
     if t_end <= t:
         raise InvalidParameterError("t_end must exceed t0")
-
     if linear is not None:
-        return _integrate_exponential(rhs, t, y, t_end, rtol, atol, max_step,
-                                      stop_indices, stop_threshold, linear)
+        k = np.asarray(linear.stiffness, dtype=float)
+        if k.ndim != 2 or 2 * k.size != n:
+            raise InvalidParameterError("linear blocks do not match the state")
+        linear = LinearBlocks(k, np.broadcast_to(
+            np.asarray(linear.damping, dtype=float), k.shape),
+            tuple(sorted(linear.kinks)))
 
     f = np.asarray(rhs(t, y), dtype=float)
     h = _initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
+    size, attempt, exponent, width = (
+        _dop853(rhs, y, f, t_end, rtol, atol) if linear is None
+        else _exponential(rhs, t, y, f, t_end, rtol, atol, linear))
     ts = [t]
-    hs = []  # accepted step sizes
-    # row j: accepted state j, the rhs there (the FSAL stage) and _D @ K of
-    # step j; grown by doubling, so a run holds no per-step arrays
-    Y, F = np.empty((2, 256, n))
-    DK = np.empty((256, 4, n))
-    Y[0], F[0] = y, f
+    hs = []  # the sizes the stored steps were taken with
+    # row j: stored state j and the record of step j; grown by doubling, so
+    # a run holds no per-step arrays
+    Y, R = np.empty((256, n)), np.empty((256, width, n))
+    Y[0] = y
+    termination = REACHED_T_END
+    n_rejected = 0
+    stop_idx = np.array(stop_indices, dtype=np.intp)
+    while t < t_end:
+        h, t_new = size(t, h)
+        if h <= 1e-14 * max(1.0, abs(t)):
+            if len(ts) == 1:
+                raise InvalidParameterError(
+                    "step size underflow before any progress; tolerances "
+                    "are inconsistent with the problem scale")
+            termination = STEP_UNDERFLOW
+            break
+
+        err_norm, pieces = attempt(t, y, h, t_new)
+        if err_norm is None or not math.isfinite(err_norm):
+            n_rejected += 1
+            h *= 0.5
+            continue
+
+        if err_norm <= 1.0:
+            for t, h_piece, y, rec in pieces:
+                j = len(ts)
+                if j == len(Y):
+                    Y, R = (np.concatenate([b, np.empty_like(b)]) for b in (Y, R))
+                Y[j], R[j - 1] = y, rec
+                ts.append(t)
+                hs.append(h_piece)
+                # a max over Python floats beats numpy's on a few entries
+                if (stop_idx.size and max(map(abs, y[stop_idx].tolist()))
+                        >= stop_threshold):
+                    termination = BLOWUP_DETECTED
+                    break
+            if termination == BLOWUP_DETECTED:
+                break
+        else:
+            n_rejected += 1
+
+        factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** exponent
+        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        h = min(h, max_step)
+
+    N = len(ts)
+    ts, ys, hs = np.asarray(ts), Y[:N].copy(), np.asarray(hs)
+    if linear is None:
+        return RawTrajectory(ts, ys, _dense_coefficients(ys, hs, R[:N - 1]),
+                             termination, n_rejected)
+    return ExpTrajectory(ts, ys, hs, R[:N - 1].copy(), linear, termination,
+                         n_rejected)
+
+
+def _dop853(rhs, y0, f0, t_end, rtol, atol):
+    """The Dormand-Prince 8(5,3) step method of integrate_adaptive. A step is
+    rejected when a stage input or value is not finite. Its record is [f at
+    the step start, f at its end, _D @ K], which _dense_coefficients turns
+    into the step's interpolant."""
+    n = y0.size
     K = np.empty((16, n))
+    K[0] = f0
     K_flat, K_err = K.reshape(-1), K[:12]  # views
     # x * 0.0 is 0.0 for finite x and NaN for inf or NaN, so a dot product
     # with zeros is 0.0 exactly when every entry is finite (and is several
@@ -359,10 +419,10 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     # three of its dense output follow once the step passes.
     step, dense = ([(i, float(_C[i]), K[:i], _A[i]) for i in stages]
                    for stages in (range(1, 13), range(13, 16)))
-    termination = REACHED_T_END
-    n_rejected = 0
+    rec = np.empty((6, n))
+    abs_y = np.abs(y0)
 
-    def fill(stages):
+    def fill(stages, t, y, h):
         """Evaluate the stages into K; their last input, or None when an
         input or a stage so far is not finite."""
         for i, c, k_prev, a in stages:
@@ -370,62 +430,36 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
             if yi.dot(zeros) != 0.0:
                 return None
             K[i] = rhs(t + c * h, yi)
-        size = (i + 1) * n
-        return yi if K_flat[:size].dot(zeros_K[:size]) == 0.0 else None
+        end = (i + 1) * n
+        return yi if K_flat[:end].dot(zeros_K[:end]) == 0.0 else None
 
-    stop_idx = np.array(stop_indices, dtype=np.intp)
-    abs_y = np.abs(y)
-    while t < t_end:
+    def size(t, h):
         h = min(h, t_end - t)
-        if h <= 1e-14 * max(1.0, abs(t)):
-            if len(ts) == 1:
-                raise InvalidParameterError(
-                    "step size underflow before any progress; tolerances "
-                    "are inconsistent with the problem scale")
-            termination = STEP_UNDERFLOW
-            break
+        return h, t + h
 
-        K[0] = f
-        y_new = fill(step)
-        if y_new is not None:
-            abs_new = np.abs(y_new)
-            sc = atol + rtol * np.maximum(abs_y, abs_new)
-            e5, e3 = _E5.dot(K_err) / sc, _E3.dot(K_err) / sc
-            # == np.sum(e ** 2) bitwise: the same pairwise sum over n
-            s5, s3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
-            den = s5 + 0.01 * s3
-            err_norm = h * s5 / math.sqrt(den * n) if den else 0.0
-        if (y_new is None or not math.isfinite(err_norm)
-                or err_norm <= 1.0 and fill(dense) is None):
-            n_rejected += 1
-            h *= 0.5
-            continue
+    def attempt(t, y, h, t_new):
+        nonlocal abs_y
+        y_new = fill(step, t, y, h)
+        if y_new is None:
+            return None, None
+        abs_new = np.abs(y_new)
+        sc = atol + rtol * np.maximum(abs_y, abs_new)
+        e5, e3 = _E5.dot(K_err) / sc, _E3.dot(K_err) / sc
+        # == np.sum(e ** 2) bitwise: the same pairwise sum over n
+        s5, s3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
+        den = s5 + 0.01 * s3
+        err_norm = h * s5 / math.sqrt(den * n) if den else 0.0
+        if not err_norm <= 1.0:
+            return err_norm, None
+        if fill(dense, t, y, h) is None:
+            return None, None
+        rec[:2] = K[:13:12]
+        np.dot(_D, K, out=rec[2:])
+        K[0] = K[12]  # FSAL: stage 12 is the next step's stage 0
+        abs_y = abs_new
+        return err_norm, ((t_new, h, y_new, rec),)
 
-        if err_norm <= 1.0:
-            j = len(ts)
-            if j == len(Y):
-                Y, F, DK = (_doubled(b) for b in (Y, F, DK))
-            np.dot(_D, K, out=DK[j - 1])
-            Y[j] = y_new
-            F[j] = K[12]
-            hs.append(h)
-            t += h
-            y, abs_y, f = y_new, abs_new, F[j]  # f: FSAL
-            ts.append(t)
-            if stop_idx.size and abs_y[stop_idx].max() >= stop_threshold:
-                termination = BLOWUP_DETECTED
-                break
-        else:
-            n_rejected += 1
-
-        factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** -0.125
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        h = min(h, max_step)
-
-    N = len(ts)
-    rcont = _dense_coefficients(Y[:N], F[:N], np.asarray(hs), DK[:N - 1])
-    return RawTrajectory(np.asarray(ts), Y[:N].copy(), rcont, termination,
-                         n_rejected)
+    return size, attempt, -0.125, len(rec)
 
 
 # --- exponential Runge-Kutta -----------------------------------------------
@@ -553,35 +587,25 @@ def _ho5_step(stage, mats, t, y, f, h, t_new, swap):
     return _exp_step_end((e, p1, p2, p3), y, step, h, 1.0, swap), step
 
 
-def _integrate_exponential(rhs, t, y, t_end, rtol, atol, max_step,
-                           stop_indices, stop_threshold, blocks):
-    """Hochbruck and Ostermann's exponential method with step doubling: each
-    attempt takes one step of size h and two of size h/2, and on acceptance
-    keeps the two half steps, whose error is the difference over 2^4 - 1.
-    The finiteness rejections, the stop test and the underflow test are
-    those of the Dormand-Prince loop, and so is the controller but for its
-    exponent, -1/5 for this fourth-order estimate. The proposed h is
-    rounded down to a ladder of _RUNGS sizes per octave, so that the phi
-    functions of a run's few distinct step sizes are computed once; a step
-    cut short at a kink or at t_end leaves the ladder."""
-    k = np.asarray(blocks.stiffness, dtype=float)
-    if k.ndim != 2 or 2 * k.size != y.size:
-        raise InvalidParameterError("linear blocks do not match the state")
-    blocks = LinearBlocks(k, np.broadcast_to(np.asarray(blocks.damping, dtype=float),
-                                             k.shape),
-                          tuple(sorted(blocks.kinks)))
-    n = y.size
-    stops = [tk for tk in blocks.kinks if t < tk < t_end] + [t_end]
-    stop_idx = np.array(stop_indices, dtype=np.intp)
-    f = np.asarray(rhs(t, y), dtype=float)
-    h = _initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
-    ts, ys, hs, stages = [t], [y], [], []
-    termination = REACHED_T_END
-    n_rejected = 0
-    abs_y = np.abs(y)
+
+
+def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
+    """Hochbruck and Ostermann's exponential step method of
+    integrate_adaptive, with step doubling: each attempt takes one step of
+    size h and two of size h/2, and an accepted attempt stores the two half
+    steps, whose error is the difference over 2^4 - 1. A step's record is
+    its interpolation data (N at its start, D1, D2). size rounds h down to a
+    ladder of _RUNGS sizes per octave, so that the phi functions of a run's
+    few distinct step sizes are computed once; a step cut short at a kink or
+    at t_end leaves the ladder."""
+    n = y0.size
+    stops = [tk for tk in blocks.kinks if t0 < tk < t_end] + [t_end]
     swap = _swap(blocks)
     zeros = np.zeros(n)
     phi_of_rung, mats_of_rung = {}, {}
+    # N at the step start (None until the first attempt from a new state),
+    # |y| there, and the rung of the step size, None for a step cut short
+    f, abs_y, rung = f0, np.abs(y0), None
 
     def stage(ti, ui):
         # u.dot(zeros) is 0.0 exactly when every entry of u is finite
@@ -590,44 +614,45 @@ def _integrate_exponential(rhs, t, y, t_end, rtol, atol, max_step,
         out = np.asarray(rhs(ti, ui), dtype=float)
         return out if out.dot(zeros) == 0.0 else None
 
-    while t < t_end:
+    def size(t, h):
+        nonlocal rung
         while t >= stops[0]:
             stops.pop(0)
+        if not h > 0.0:  # no rung; the controller's underflow rule ends the run
+            return h, t + h
         rung = math.floor(_RUNGS * math.log2(h))
         if _rung(rung) > h:  # log2 rounded up
             rung -= 1
         if _rung(rung) < stops[0] - t:
             h = _rung(rung)
-            t_new = t + h
-        else:
-            t_new, rung = stops[0], None
-            h = t_new - t
-        if h <= 1e-14 * max(1.0, abs(t)):
-            if len(ts) == 1:
-                raise InvalidParameterError(
-                    "step size underflow before any progress; tolerances "
-                    "are inconsistent with the problem scale")
-            termination = STEP_UNDERFLOW
-            break
+            return h, t + h
+        rung = None
+        return stops[0] - t, stops[0]
 
-        # the step matrices at h/2 and h: once per rung, or for a step cut
-        # short at a stop
+    def matrices(h):
+        """The step matrices at h/2 and h: once per rung, or for a step cut
+        short at a stop."""
         if rung is None:
             quarter, half, whole = np.moveaxis(_phi_matrices(
                 blocks, h * np.array([0.25, 0.5, 1.0])[:, None, None]), 2, 0)
-            halves, mats = _ho5_matrices(quarter, half), _ho5_matrices(half, whole)
-        else:
-            need = [r for r in (rung - 2 * _RUNGS, rung - _RUNGS, rung)
-                    if r not in phi_of_rung]
-            if need:
-                taus = np.array([_rung(r) for r in need])[:, None, None]
-                phi_of_rung.update(zip(need, np.moveaxis(
-                    _phi_matrices(blocks, taus), 2, 0)))
-            for r in (rung - _RUNGS, rung):
-                if r not in mats_of_rung:
-                    mats_of_rung[r] = _ho5_matrices(phi_of_rung[r - _RUNGS],
-                                                    phi_of_rung[r])
-            halves, mats = mats_of_rung[rung - _RUNGS], mats_of_rung[rung]
+            return _ho5_matrices(quarter, half), _ho5_matrices(half, whole)
+        need = [r for r in (rung - 2 * _RUNGS, rung - _RUNGS, rung)
+                if r not in phi_of_rung]
+        if need:
+            taus = np.array([_rung(r) for r in need])[:, None, None]
+            phi_of_rung.update(zip(need, np.moveaxis(
+                _phi_matrices(blocks, taus), 2, 0)))
+        for r in (rung - _RUNGS, rung):
+            if r not in mats_of_rung:
+                mats_of_rung[r] = _ho5_matrices(phi_of_rung[r - _RUNGS],
+                                                phi_of_rung[r])
+        return mats_of_rung[rung - _RUNGS], mats_of_rung[rung]
+
+    def attempt(t, y, h, t_new):
+        nonlocal f, abs_y
+        if f is None:
+            f = np.asarray(rhs(t, y), dtype=float)
+        halves, mats = matrices(h)
         t_mid = t + 0.5 * h
         full = _ho5_step(stage, mats, t, y, f, h, t_new, swap)
         first = full and _ho5_step(stage, halves, t, y, f, 0.5 * h, t_mid, swap)
@@ -635,40 +660,13 @@ def _integrate_exponential(rhs, t, y, t_end, rtol, atol, max_step,
         second = None if f_mid is None else _ho5_step(
             stage, halves, t_mid, first[0], f_mid, 0.5 * h, t_new, swap)
         if second is None:
-            n_rejected += 1
-            h *= 0.5
-            continue
-
-        y_new = second[0]
-        abs_new = np.abs(y_new)
-        q = (y_new - full[0]) / (15.0 * (atol + rtol * np.maximum(abs_y, abs_new)))
+            return None, None
+        abs_new = np.abs(second[0])
+        q = (second[0] - full[0]) / (
+            15.0 * (atol + rtol * np.maximum(abs_y, abs_new)))
         err_norm = math.sqrt(float(np.add.reduce(q * q)) / n)
-        if not math.isfinite(err_norm):
-            n_rejected += 1
-            h *= 0.5
-            continue
-
         if err_norm <= 1.0:
-            for t_i, (y_i, stage_i) in ((t_mid, first), (t_new, second)):
-                ts.append(t_i)
-                ys.append(y_i)
-                hs.append(0.5 * h)
-                stages.append(stage_i)
-                if stop_idx.size and np.abs(y_i[stop_idx]).max() >= stop_threshold:
-                    termination = BLOWUP_DETECTED
-                    break
-            if termination == BLOWUP_DETECTED:
-                break
-            t, y, abs_y = t_new, y_new, abs_new
-            if t < t_end:
-                f = np.asarray(rhs(t, y), dtype=float)
-        else:
-            n_rejected += 1
+            f, abs_y = None, abs_new
+        return err_norm, ((t_mid, 0.5 * h, *first), (t_new, 0.5 * h, *second))
 
-        factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** -0.2
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        h = min(h, max_step)
-
-    stages = np.array(stages) if stages else np.empty((0, 3, n))
-    return ExpTrajectory(np.asarray(ts), np.array(ys), np.asarray(hs), stages,
-                         blocks, termination, n_rejected)
+    return size, attempt, -0.2, 3

@@ -257,8 +257,7 @@ def _estimate_blowup_time(traj: Trajectory, zeros: Sequence[float]) -> float:
     return float(t_last)
 
 
-def detect_blowup(traj: Trajectory,
-                  cfg: Optional[IntegratorConfig] = None) -> BlowupReport:
+def detect_blowup(traj: Trajectory) -> BlowupReport:
     """Classify a trajectory and extract the blow-up diagnostics.
 
     Blow-up means threshold termination, or step underflow with |w| still

@@ -100,7 +100,7 @@ def _run_ode4(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     family = _family_from_config(p)
     cfg = _record(ode4.IntegratorConfig, p)
     traj = ode4.integrate(family, [float(v) for v in p["state0"]], cfg)
-    report = ode4.detect_blowup(traj, cfg)
+    report = ode4.detect_blowup(traj)
     traj.to_csv(out["csv"])
     _write_line(out["json"], report.to_json())
     svg_line_plot(out["svg"], traj.ts, [traj.states[:, 0]], ["w"],
@@ -127,7 +127,7 @@ def _run_system(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
         params = _record(systems.MiosystParams, p)
         traj = systems.integrate_miosyst(params, nl, s0, cfg)
         reduced = systems.to_fourth_order(params, nl, traj)
-        report = ode4.detect_blowup(reduced, cfg)
+        report = ode4.detect_blowup(reduced)
         red_csv = os.path.splitext(out["csv"])[0] + "_reduced.csv"
         reduced.to_csv(red_csv)
         _write_line(out["json"], report.to_json())

@@ -16,7 +16,7 @@ def fig12(cubic1):
     family = bo.canonical(3.0, cubic1)
     cfg = bo.IntegratorConfig(t_end=20.0)
     traj = bo.integrate(family, [1.0, 0.0, 0.0, 0.0], cfg)
-    report = bo.detect_blowup(traj, cfg)
+    report = bo.detect_blowup(traj)
     return family, cfg, traj, report
 
 
@@ -25,7 +25,7 @@ def fig13(cubic1):
     family = bo.canonical(3.6, cubic1)
     cfg = bo.IntegratorConfig(t_end=120.0)
     traj = bo.integrate(family, [0.9, 0.0, 0.0, 0.0], cfg)
-    report = bo.detect_blowup(traj, cfg)
+    report = bo.detect_blowup(traj)
     return family, cfg, traj, report
 
 
@@ -36,7 +36,7 @@ def fig16():
     cfg = bo.IntegratorConfig(t_end=10.0)
     traj = systems.integrate_miosyst(params, nl, [1.0, 1.0, 0.0, -1.0], cfg)
     reduced = systems.to_fourth_order(params, nl, traj)
-    report = bo.detect_blowup(reduced, cfg)
+    report = bo.detect_blowup(reduced)
     return params, nl, cfg, traj, reduced, report
 
 
@@ -49,5 +49,5 @@ def fig16_deep():
     cfg = bo.IntegratorConfig(t_end=10.0, blowup_threshold=1e12)
     traj = systems.integrate_miosyst(params, nl, [1.0, 1.0, 0.0, -1.0], cfg)
     reduced = systems.to_fourth_order(params, nl, traj)
-    report = bo.detect_blowup(reduced, cfg)
+    report = bo.detect_blowup(reduced)
     return params, nl, cfg, traj, reduced, report

@@ -23,7 +23,7 @@ def test_criterion_1_figure12(cubic1):
     t0 = time.perf_counter()
     cfg = bo.IntegratorConfig(t_end=20.0, rel_tol=1e-10, abs_tol=1e-10)
     traj = bo.integrate(bo.canonical(3.0, cubic1), [1.0, 0.0, 0.0, 0.0], cfg)
-    report = bo.detect_blowup(traj, cfg)
+    report = bo.detect_blowup(traj)
     elapsed = time.perf_counter() - t0
     ok = (report.blew_up and abs(report.R_est - 8.164) <= 0.1
           and elapsed < 1.0)

@@ -50,7 +50,7 @@ def test_zero_state_is_equilibrium():
     assert traj.termination == "reached_t_end"
     assert np.max(np.abs(traj.states)) == 0.0
     assert traj.events == []
-    rep = bo.detect_blowup(traj, cfg)
+    rep = bo.detect_blowup(traj)
     assert not rep.blew_up and rep.R_est is None and rep.zeros == []
 
 
@@ -143,7 +143,7 @@ def test_general_family_superlinear_blowup():
     fam = bo.general(0.0, 2.0, 0.0, 1.0, 2.0)
     cfg = bo.IntegratorConfig(t_end=20.0)
     traj = bo.integrate(fam, [0.5, 0.0, 0.0, 0.0], cfg)
-    rep = bo.detect_blowup(traj, cfg)
+    rep = bo.detect_blowup(traj)
     assert rep.blew_up
 
 
@@ -171,14 +171,14 @@ def test_detect_blowup_requires_samples():
     traj = bo.integrate(bo.canonical(0.0, nl), [1.0, 0, 0, 0], cfg)
     traj._raw.ts = traj._raw.ts[:1]
     with pytest.raises(EmptyTrajectoryError):
-        bo.detect_blowup(traj, cfg)
+        bo.detect_blowup(traj)
 
 
 def test_r_est_insensitive_to_tolerance(fig12, cubic1):
     _family, _cfg, _traj, report = fig12
     cfg2 = bo.IntegratorConfig(t_end=20.0, rel_tol=5e-11, abs_tol=5e-11)
     traj2 = bo.integrate(bo.canonical(3.0, cubic1), [1, 0, 0, 0], cfg2)
-    rep2 = bo.detect_blowup(traj2, cfg2)
+    rep2 = bo.detect_blowup(traj2)
     assert abs(rep2.R_est - report.R_est) < 1e-3
 
 
@@ -189,7 +189,7 @@ def test_global_existence_threshold_semantics():
     cfg = bo.IntegratorConfig(t_end=20.0, blowup_threshold=1e300)
     traj = bo.integrate(bo.canonical(3.0, nl), [1, 0, 0, 0], cfg)
     assert traj.termination == "step_underflow"
-    rep = bo.detect_blowup(traj, cfg)
+    rep = bo.detect_blowup(traj)
     assert rep.blew_up
     assert rep.R_est == pytest.approx(8.164, abs=0.01)
 
@@ -203,8 +203,8 @@ def test_pedestrian_wave_damping_delays_blowup():
                             [0.5, 0.0, 0.0, 0.0], cfg)
     damped = bo.integrate(bo.pedestrian_wave(1.0, 1.0, 0.5, nl),
                           [0.5, 0.0, 0.0, 0.0], cfg)
-    r0 = bo.detect_blowup(undamped, cfg)
-    r1 = bo.detect_blowup(damped, cfg)
+    r0 = bo.detect_blowup(undamped)
+    r1 = bo.detect_blowup(damped)
     assert r0.blew_up and r1.blew_up
     assert r1.R_est > r0.R_est
 
@@ -228,7 +228,7 @@ def test_blowup_time_monotone_in_k_and_height(cubic1):
     def r_est(k, w0):
         cfg = bo.IntegratorConfig(t_end=60.0, rel_tol=1e-9, abs_tol=1e-9)
         traj = bo.integrate(bo.canonical(k, cubic1), [w0, 0.0, 0.0, 0.0], cfg)
-        rep = bo.detect_blowup(traj, cfg)
+        rep = bo.detect_blowup(traj)
         assert rep.blew_up
         return rep.R_est
 

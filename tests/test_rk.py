@@ -56,21 +56,34 @@ def test_blowup_stop_on_riccati():
     assert abs(raw.ts[-1] - 1.0) < 1e-4
 
 
-def test_underflow_before_progress_raises():
+# The oscillator p'' = -p through each step method: whole as the rhs of the
+# Dormand-Prince method, or as the linear part of the exponential method
+# with a nonlinear part of zero. The controller rules are the same for both.
+OSCILLATOR_BLOCKS = _rk.LinearBlocks([[1.0]], [[0.0]])
+METHODS = [(rhs_oscillator, None), (lambda t, y: 0.0 * y, OSCILLATOR_BLOCKS)]
+both_methods = pytest.mark.parametrize("rhs, linear", METHODS,
+                                       ids=["dop853", "exponential"])
+
+
+@pytest.mark.parametrize("linear", [None, OSCILLATOR_BLOCKS],
+                         ids=["dop853", "exponential"])
+def test_underflow_before_progress_raises(linear):
     def rhs(t, y):
         return 1e280 * y
 
     with pytest.raises(InvalidParameterError):
-        integrate_adaptive(rhs, 0.0, [1.0], 10.0, rtol=1e-13, atol=1e-13)
+        integrate_adaptive(rhs, 0.0, [1.0, 0.0], 10.0, rtol=1e-13, atol=1e-13,
+                           linear=linear)
 
 
-def test_rejects_bad_inputs():
+@both_methods
+def test_rejects_bad_inputs(rhs, linear):
     with pytest.raises(InvalidParameterError):
-        integrate_adaptive(rhs_oscillator, 0.0, [np.nan, 0.0], 1.0)
+        integrate_adaptive(rhs, 0.0, [np.nan, 0.0], 1.0, linear=linear)
     with pytest.raises(InvalidParameterError):
-        integrate_adaptive(rhs_oscillator, 0.0, [1.0, 0.0], 0.0)
+        integrate_adaptive(rhs, 0.0, [1.0, 0.0], 0.0, linear=linear)
     with pytest.raises(InvalidParameterError):
-        integrate_adaptive(rhs_oscillator, 0.0, [1.0, 0.0], 1.0, rtol=0.0)
+        integrate_adaptive(rhs, 0.0, [1.0, 0.0], 1.0, rtol=0.0, linear=linear)
 
 
 def test_bisect_root():
@@ -86,9 +99,11 @@ def test_bisect_stops_at_adjacent_floats():
     assert abs(z - root) <= np.spacing(root)
 
 
-def test_max_step_honored():
-    raw = integrate_adaptive(rhs_oscillator, 0.0, [1.0, 0.0], 5.0,
-                             rtol=1e-6, atol=1e-6, max_step=0.01)
+@both_methods
+def test_max_step_honored(rhs, linear):
+    raw = integrate_adaptive(rhs, 0.0, [1.0, 0.0], 5.0, rtol=1e-6, atol=1e-6,
+                             max_step=0.01, linear=linear)
+    assert raw.ts[-1] == 5.0
     assert np.max(np.diff(raw.ts)) <= 0.01 + 1e-12
 
 
@@ -101,10 +116,13 @@ def test_tolerance_scaling():
     assert abs(a.ys[-1, 0] - b.ys[-1, 0]) < 1e-6
 
 
-@pytest.mark.parametrize("t_end", [np.nan, np.inf])
-def test_non_finite_t_end_rejected(t_end):
+@pytest.mark.parametrize("t_end, rhs, linear", [
+    (t_end, rhs, linear) for rhs, linear in METHODS
+    for t_end in (np.nan, np.inf)],
+    ids=["nan", "inf", "exponential-nan", "exponential-inf"])
+def test_non_finite_t_end_rejected(t_end, rhs, linear):
     with pytest.raises(InvalidParameterError):
-        integrate_adaptive(rhs_oscillator, 0.0, [1.0, 0.0], t_end)
+        integrate_adaptive(rhs, 0.0, [1.0, 0.0], t_end, linear=linear)
 
 
 # --- reference step loop --------------------------------------------------
@@ -194,6 +212,125 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
                              termination, n_rejected)
 
 
+# The plain step loop of the exponential method (input checks left out).
+# integrate_adaptive with linear must take exactly the same steps and
+# produce the same samples and interpolation data, bit for bit, with the
+# same rhs calls but one: this loop evaluates N after every accepted step,
+# also after the last one of a run that then underflows, and the
+# controller leaves that call out.
+
+def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
+                                     atol=1e-10, max_step=np.inf,
+                                     stop_indices=(), stop_threshold=np.inf,
+                                     linear=None):
+    y = np.array(y0, dtype=float)
+    t = float(t0)
+    t_end = float(t_end)
+    k = np.asarray(linear.stiffness, dtype=float)
+    blocks = _rk.LinearBlocks(k, np.broadcast_to(
+        np.asarray(linear.damping, dtype=float), k.shape),
+        tuple(sorted(linear.kinks)))
+    n = y.size
+    stops = [tk for tk in blocks.kinks if t < tk < t_end] + [t_end]
+    stop_idx = np.array(stop_indices, dtype=np.intp)
+    f = np.asarray(rhs(t, y), dtype=float)
+    h = _rk._initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
+    ts, ys, hs, stages = [t], [y], [], []
+    termination = REACHED_T_END
+    n_rejected = 0
+    abs_y = np.abs(y)
+    swap = _rk._swap(blocks)
+    zeros = np.zeros(n)
+    phi_of_rung, mats_of_rung = {}, {}
+
+    def stage(ti, ui):
+        if ui.dot(zeros) != 0.0:
+            return None
+        out = np.asarray(rhs(ti, ui), dtype=float)
+        return out if out.dot(zeros) == 0.0 else None
+
+    while t < t_end:
+        while t >= stops[0]:
+            stops.pop(0)
+        rung = math.floor(_rk._RUNGS * math.log2(h))
+        if _rk._rung(rung) > h:
+            rung -= 1
+        if _rk._rung(rung) < stops[0] - t:
+            h = _rk._rung(rung)
+            t_new = t + h
+        else:
+            t_new, rung = stops[0], None
+            h = t_new - t
+        if h <= 1e-14 * max(1.0, abs(t)):
+            termination = STEP_UNDERFLOW
+            break
+
+        if rung is None:
+            quarter, half, whole = np.moveaxis(_rk._phi_matrices(
+                blocks, h * np.array([0.25, 0.5, 1.0])[:, None, None]), 2, 0)
+            halves = _rk._ho5_matrices(quarter, half)
+            mats = _rk._ho5_matrices(half, whole)
+        else:
+            R = _rk._RUNGS
+            need = [r for r in (rung - 2 * R, rung - R, rung)
+                    if r not in phi_of_rung]
+            if need:
+                taus = np.array([_rk._rung(r) for r in need])[:, None, None]
+                phi_of_rung.update(zip(need, np.moveaxis(
+                    _rk._phi_matrices(blocks, taus), 2, 0)))
+            for r in (rung - R, rung):
+                if r not in mats_of_rung:
+                    mats_of_rung[r] = _rk._ho5_matrices(phi_of_rung[r - R],
+                                                        phi_of_rung[r])
+            halves, mats = mats_of_rung[rung - R], mats_of_rung[rung]
+        t_mid = t + 0.5 * h
+        full = _rk._ho5_step(stage, mats, t, y, f, h, t_new, swap)
+        first = full and _rk._ho5_step(stage, halves, t, y, f, 0.5 * h, t_mid,
+                                       swap)
+        f_mid = first and stage(t_mid, first[0])
+        second = None if f_mid is None else _rk._ho5_step(
+            stage, halves, t_mid, first[0], f_mid, 0.5 * h, t_new, swap)
+        if second is None:
+            n_rejected += 1
+            h *= 0.5
+            continue
+
+        y_new = second[0]
+        abs_new = np.abs(y_new)
+        q = (y_new - full[0]) / (15.0 * (atol + rtol * np.maximum(abs_y, abs_new)))
+        err_norm = math.sqrt(float(np.add.reduce(q * q)) / n)
+        if not math.isfinite(err_norm):
+            n_rejected += 1
+            h *= 0.5
+            continue
+
+        if err_norm <= 1.0:
+            for t_i, (y_i, stage_i) in ((t_mid, first), (t_new, second)):
+                ts.append(t_i)
+                ys.append(y_i)
+                hs.append(0.5 * h)
+                stages.append(stage_i)
+                if stop_idx.size and np.abs(y_i[stop_idx]).max() >= stop_threshold:
+                    termination = BLOWUP_DETECTED
+                    break
+            if termination == BLOWUP_DETECTED:
+                break
+            t, y, abs_y = t_new, y_new, abs_new
+            if t < t_end:
+                f = np.asarray(rhs(t, y), dtype=float)
+        else:
+            n_rejected += 1
+
+        factor = (_rk._MAX_FACTOR if err_norm == 0.0
+                  else _rk._SAFETY * err_norm ** -0.2)
+        h *= min(_rk._MAX_FACTOR, max(_rk._MIN_FACTOR, factor))
+        h = min(h, max_step)
+
+    stages = np.array(stages) if stages else np.empty((0, 3, n))
+    return _rk.ExpTrajectory(np.asarray(ts), np.array(ys), np.asarray(hs),
+                             stages, blocks, termination, n_rejected)
+
+
 class _CountingRhs:
     """rhs wrapper counting its calls; returns NaN on the given (1-based)
     calls, to spoil chosen stages."""
@@ -207,10 +344,10 @@ class _CountingRhs:
         return out * np.nan if self.calls in self.bad_calls else out
 
 
-def _assert_same_run(raw, ref):
+def _assert_same_run(raw, ref, fields=("ts", "ys", "_rcont")):
     assert raw.termination == ref.termination
     assert raw.n_rejected == ref.n_rejected
-    for name in ("ts", "ys", "_rcont"):
+    for name in fields:
         a, b = getattr(raw, name), getattr(ref, name)
         assert a.shape == b.shape, name
         # bitwise, so -0.0 != 0.0 and equal NaNs count as equal
@@ -218,12 +355,19 @@ def _assert_same_run(raw, ref):
 
 
 def _assert_matches_reference_run(fun, *args, bad_calls=(), **kwargs):
-    """Run fun through integrate_adaptive and the reference loop; require
-    the same rhs calls and a bitwise identical result. Returns the run."""
+    """Run fun through integrate_adaptive and the reference loop of its
+    method; require the same rhs calls and a bitwise identical result.
+    Returns the run."""
     rhs, ref_rhs = _CountingRhs(fun, bad_calls), _CountingRhs(fun, bad_calls)
     raw = integrate_adaptive(rhs, *args, **kwargs)
-    _assert_same_run(raw, _reference_integrate_adaptive(ref_rhs, *args, **kwargs))
-    assert rhs.calls == ref_rhs.calls
+    if kwargs.get("linear") is None:
+        _assert_same_run(raw, _reference_integrate_adaptive(ref_rhs, *args, **kwargs))
+        assert rhs.calls == ref_rhs.calls
+    else:
+        _assert_same_run(raw, _reference_integrate_exponential(
+            ref_rhs, *args, **kwargs), ("ts", "ys", "_hs", "_stages"))
+        assert rhs.calls == ref_rhs.calls or (
+            raw.termination == STEP_UNDERFLOW and rhs.calls == ref_rhs.calls - 1)
     return raw
 
 
@@ -318,6 +462,55 @@ def test_step_loop_matches_reference_on_truebeam_segment():
         stop_indices=tuple(range(4 * M)),
         stop_threshold=truebeam.BLOWUP_MODAL_NORM)
     assert raw.termination == REACHED_T_END and len(raw.ts) > 200
+
+
+@pytest.mark.parametrize("M", [1, 4, 8])
+def test_exponential_loop_matches_reference_on_truebeam_switching(monkeypatch, M):
+    # the benchmark's truebeam-switching run: three switch segments, of
+    # which the last two hold a kink of the gust ramp
+    calls = _captured_stepper_calls(monkeypatch, truebeam)
+    ramp = ((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))
+    cfg = truebeam.TrueBeamConfig(
+        geom=plate.PlateGeom(0.5, 0.05, 0.2),
+        nl=bo.make_nonlinearity("cubic", epsilon=1.0), threshold_Ebar=1.25,
+        damping_delta=0.5, forcing=truebeam.GustForcing(breakpoints=ramp),
+        modes_M=M)
+    a, b = np.zeros(M), np.zeros(M)
+    a[0] = b[0] = 1.0
+    traj = truebeam.integrate_truebeam(
+        cfg, truebeam.ModalState(0.0, a, np.zeros(M), b, np.zeros(M)), 3.0)
+    assert traj.termination == REACHED_T_END and len(traj.events) == 2
+    assert [any(lo < tk < hi for tk in kw["linear"].kinks)
+            for _, (lo, _, hi), kw in calls] == [False, True, True]
+    _assert_matches_reference(calls)
+
+
+@pytest.mark.parametrize("threshold, termination", [
+    (1e6, BLOWUP_DETECTED), (np.inf, STEP_UNDERFLOW)])
+def test_exponential_loop_matches_reference_on_cubic_blowup(threshold,
+                                                            termination):
+    # p'' = -p + p^3 from p = 2 blows up in finite time
+    raw = _assert_matches_reference_run(
+        lambda t, y: np.array([0.0, y[0] ** 3]), 0.0, [2.0, 0.0], 5.0,
+        linear=OSCILLATOR_BLOCKS, stop_indices=(0,), stop_threshold=threshold)
+    assert raw.termination == termination
+
+
+def test_exponential_loop_matches_reference_on_non_finite_stages():
+    # p'' = -p - 0.3 p' - p^3 + sin 3t. While every attempt is accepted,
+    # attempt j + 1 makes calls 3 + 14 j + i: i = 0-3 are the stages of the
+    # whole step, 4-7 those of the first half step, 8 is N at its end, 9-12
+    # are the stages of the second half step and 13 is N at the new state.
+    # A spoiled call cuts its attempt short, so 5 spoils stage 2 of the
+    # whole step of attempt 1, 12 stage 2 of the first half step of attempt
+    # 2, 21 N at the midpoint in attempt 3 and 33 stage 2 of the second half
+    # step of attempt 4
+    blocks = _rk.LinearBlocks([[1.0]], [[0.3]])
+    raw = _assert_matches_reference_run(
+        lambda t, y: np.array([0.0, -y[0] ** 3 + np.sin(3.0 * t)]), 0.0,
+        [0.8, 0.0], 2.0, bad_calls=(5, 12, 21, 33), rtol=1e-8, atol=1e-8,
+        linear=blocks)
+    assert raw.termination == REACHED_T_END and raw.n_rejected == 4
 
 
 # --- oracles independent of the stepper -----------------------------------
