@@ -11,7 +11,8 @@ continuous extension: built for stiff amplitude growth near finite-time
 blow-up. Given the linear part of y' = L y + N(t, y) as damped 2x2
 oscillator blocks, the five-stage exponential method of Hochbruck and
 Ostermann (stiff order 4) solves the linear flow exactly, so the step size
-follows N alone and not the stiffness of L.
+follows N alone and not the stiffness of L. A trajectory's zeros of one
+component are bisected on the interpolant of each step that brackets one.
 """
 from __future__ import annotations
 
@@ -162,13 +163,10 @@ class RawTrajectory:
     def eval(self, t):
         """Dense evaluation of the full state at time(s) t within the span."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if len(self.ts) == 1:
-            out = np.broadcast_to(self.ys[0], (t_arr.size, self.ys.shape[1])).copy()
-        else:
-            idx = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1,
-                          0, len(self.ts) - 2)
-            h = self.ts[idx + 1] - self.ts[idx]
-            out = self._interpolate(idx, (t_arr - self.ts[idx]) / h)
+        idx = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1,
+                      0, len(self.ts) - 2)
+        h = self.ts[idx + 1] - self.ts[idx]
+        out = self._interpolate(idx, (t_arr - self.ts[idx]) / h)
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def _interpolate(self, idx, theta):
@@ -183,21 +181,34 @@ class RawTrajectory:
         return RawTrajectory(self.ts, ys, rcont, self.termination, self.n_rejected)
 
     def component_zeros(self, idx, tol=1e-9):
-        """Times where component idx crosses zero, by bisection on the
-        interpolant of each step between accepted samples of opposite sign."""
+        """Times where component idx crosses zero, in order: roots bisected
+        to absolute tol in t (or to adjacent floats) on the interpolant of
+        each step whose samples have opposite signs, and exactly-zero
+        samples after a nonzero one that it crosses or that end the run."""
         w = self.ys[:, idx]
+        ends_on_zero = (w[1:] == 0.0) & (w[:-1] != 0.0) & np.append(
+            w[:-2] * w[2:] < 0.0, True)
+        steps = np.flatnonzero((w[:-1] * w[1:] < 0.0) | ends_on_zero)
+        ts, w = self.ts.tolist(), w.tolist()
         zs = []
-        for i in range(len(w) - 1):
-            a, b = w[i], w[i + 1]
-            if a == 0.0:
+        for i in steps.tolist():
+            t0, t1 = lo, hi = ts[i], ts[i + 1]
+            if w[i + 1] == 0.0:
+                zs.append(t1)
                 continue
-            if a * b < 0.0:
-                t0, t1 = self.ts[i:i + 2].tolist()
-                coef = self._rcont[i, :, idx].tolist()
-                zs.append(bisect(lambda t: _contd8(coef, (t - t0) / (t1 - t0)),
-                                 t0, t1, tol, fa=a, fb=b))
-            elif b == 0.0 and (i + 2 == len(w) or a * w[i + 2] < 0.0):
-                zs.append(self.ts[i + 1])
+            coef, f_lo = self._rcont[i, :, idx].tolist(), w[i]
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                f_mid = _contd8(coef, (mid - t0) / (t1 - t0))
+                if f_mid == 0.0:
+                    lo = hi = mid  # an exact root: 0.5 * (mid + mid) is mid
+                elif f_lo * f_mid < 0.0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            zs.append(0.5 * (lo + hi))
         return zs
 
 
@@ -233,32 +244,6 @@ def _contd8(c, th):
     s = 1.0 - th
     return c[0] + th * (c[1] + s * (c[2] + th * (c[3] + s * (
         c[4] + th * (c[5] + s * (c[6] + th * c[7]))))))
-
-
-def bisect(fun, a, b, tol=1e-9, fa=None, fb=None):
-    """Root of a sign-changing scalar function on [a, b] to absolute tol in t,
-    or to adjacent floats where tol is below their spacing; fa and fb, when
-    given, stand for fun(a) and fun(b)."""
-    fa = fun(a) if fa is None else fa
-    fb = fun(b) if fb is None else fb
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ValueError("bisect needs a sign change")
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        if not a < m < b:
-            break
-        fm = fun(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
@@ -306,7 +291,8 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     Terminates early with blowup_detected once max over stop_indices of |y_i|
     reaches stop_threshold, or with step_underflow when the step size can no
     longer advance t. Underflow before any accepted step raises
-    InvalidParameterError (inconsistent tolerances).
+    InvalidParameterError (inconsistent tolerances), as do a max_step that
+    is not positive and a non-finite rhs at the initial state.
 
     With linear (a LinearBlocks), the system is y' = L y + rhs(t, y) and the
     exponential stepper integrates it, returning an ExpTrajectory.
@@ -321,6 +307,8 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     """
     if not (rtol > 0.0 and atol > 0.0):
         raise InvalidParameterError("tolerances must be positive")
+    if not max_step > 0.0:
+        raise InvalidParameterError("max_step must be > 0")
     y = np.array(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise InvalidParameterError("initial state must be finite")
@@ -340,6 +328,8 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
             tuple(sorted(linear.kinks)))
 
     f = np.asarray(rhs(t, y), dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise InvalidParameterError("rhs at the initial state must be finite")
     h = _initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
     size, attempt, exponent, width = (
         _dop853(rhs, y, f, t_end, rtol, atol) if linear is None
@@ -355,7 +345,7 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     stop_idx = np.array(stop_indices, dtype=np.intp)
     while t < t_end:
         h, t_new = size(t, h)
-        if h <= 1e-14 * max(1.0, abs(t)):
+        if not h > 1e-14 * max(1.0, abs(t)):  # NaN included
             if len(ts) == 1:
                 raise InvalidParameterError(
                     "step size underflow before any progress; tolerances "
@@ -587,25 +577,23 @@ def _ho5_step(stage, mats, t, y, f, h, t_new, swap):
     return _exp_step_end((e, p1, p2, p3), y, step, h, 1.0, swap), step
 
 
-
-
 def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
     """Hochbruck and Ostermann's exponential step method of
     integrate_adaptive, with step doubling: each attempt takes one step of
     size h and two of size h/2, and an accepted attempt stores the two half
     steps, whose error is the difference over 2^4 - 1. A step's record is
     its interpolation data (N at its start, D1, D2). size rounds h down to a
-    ladder of _RUNGS sizes per octave, so that the phi functions of a run's
-    few distinct step sizes are computed once; a step cut short at a kink or
-    at t_end leaves the ladder."""
+    ladder of _RUNGS sizes per octave and cuts a step short at a kink or at
+    t_end; the phi functions and step matrices are cached by step size, so
+    a run computes those of each of its few distinct sizes once."""
     n = y0.size
     stops = [tk for tk in blocks.kinks if t0 < tk < t_end] + [t_end]
     swap = _swap(blocks)
     zeros = np.zeros(n)
-    phi_of_rung, mats_of_rung = {}, {}
-    # N at the step start (None until the first attempt from a new state),
-    # |y| there, and the rung of the step size, None for a step cut short
-    f, abs_y, rung = f0, np.abs(y0), None
+    phis, mats = {}, {}  # phi matrices by tau, step matrices by step size
+    # N at the step start (None until the first attempt from a new state)
+    # and |y| there
+    f, abs_y = f0, np.abs(y0)
 
     def stage(ti, ui):
         # u.dot(zeros) is 0.0 exactly when every entry of u is finite
@@ -615,7 +603,6 @@ def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
         return out if out.dot(zeros) == 0.0 else None
 
     def size(t, h):
-        nonlocal rung
         while t >= stops[0]:
             stops.pop(0)
         if not h > 0.0:  # no rung; the controller's underflow rule ends the run
@@ -623,38 +610,28 @@ def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
         rung = math.floor(_RUNGS * math.log2(h))
         if _rung(rung) > h:  # log2 rounded up
             rung -= 1
-        if _rung(rung) < stops[0] - t:
-            h = _rung(rung)
-            return h, t + h
-        rung = None
-        return stops[0] - t, stops[0]
+        h = _rung(rung)
+        return (h, t + h) if h < stops[0] - t else (stops[0] - t, stops[0])
 
     def matrices(h):
-        """The step matrices at h/2 and h: once per rung, or for a step cut
-        short at a stop."""
-        if rung is None:
-            quarter, half, whole = np.moveaxis(_phi_matrices(
-                blocks, h * np.array([0.25, 0.5, 1.0])[:, None, None]), 2, 0)
-            return _ho5_matrices(quarter, half), _ho5_matrices(half, whole)
-        need = [r for r in (rung - 2 * _RUNGS, rung - _RUNGS, rung)
-                if r not in phi_of_rung]
-        if need:
-            taus = np.array([_rung(r) for r in need])[:, None, None]
-            phi_of_rung.update(zip(need, np.moveaxis(
-                _phi_matrices(blocks, taus), 2, 0)))
-        for r in (rung - _RUNGS, rung):
-            if r not in mats_of_rung:
-                mats_of_rung[r] = _ho5_matrices(phi_of_rung[r - _RUNGS],
-                                                phi_of_rung[r])
-        return mats_of_rung[rung - _RUNGS], mats_of_rung[rung]
+        """The step matrices at h/2 and h. 0.25 h and 0.5 h are exact
+        scalings, so a tau shared by two step sizes has one entry."""
+        taus = [tau for tau in (0.25 * h, 0.5 * h, h) if tau not in phis]
+        if taus:
+            phis.update(zip(taus, np.moveaxis(_phi_matrices(
+                blocks, np.array(taus)[:, None, None]), 2, 0)))
+        for hk in (0.5 * h, h):
+            if hk not in mats:
+                mats[hk] = _ho5_matrices(phis[0.5 * hk], phis[hk])
+        return mats[0.5 * h], mats[h]
 
     def attempt(t, y, h, t_new):
         nonlocal f, abs_y
         if f is None:
             f = np.asarray(rhs(t, y), dtype=float)
-        halves, mats = matrices(h)
+        halves, whole = matrices(h)
         t_mid = t + 0.5 * h
-        full = _ho5_step(stage, mats, t, y, f, h, t_new, swap)
+        full = _ho5_step(stage, whole, t, y, f, h, t_new, swap)
         first = full and _ho5_step(stage, halves, t, y, f, 0.5 * h, t_mid, swap)
         f_mid = first and stage(t_mid, first[0])
         second = None if f_mid is None else _ho5_step(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -90,8 +91,9 @@ def _parse_param_spec(spec: str):
         raise ValueError(f"bad --param spec {spec!r}; expected name=a:b:step") from exc
     if len(parts) == 1:
         return name, [parts[0]]
-    if len(parts) != 3:
-        raise ValueError(f"bad --param spec {spec!r}; expected name=a:b:step")
+    if len(parts) != 3 or not all(map(math.isfinite, parts)):
+        raise ValueError(f"bad --param spec {spec!r}; expected name=a:b:step "
+                         "with finite a, b and step")
     a, b, step = parts
     if step <= 0 or b < a:
         raise ValueError("sweep range must have b >= a and step > 0")

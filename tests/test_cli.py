@@ -151,6 +151,10 @@ def test_sweep_bad_spec(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
     assert main(["sweep", str(cfg), "--param", "no_such_param=1:2:1",
                  "--out", str(tmp_path / "x")]) == 2
+    # a non-finite bound or step made the grid endless
+    for spec in ("k=1:inf:1", "k=1:nan:1", "k=1:2:nan"):
+        assert main(["sweep", str(cfg), "--param", spec,
+                     "--out", str(tmp_path / "x")]) == 2
 
 
 def test_scanlan_scenario(tmp_path):
@@ -324,6 +328,25 @@ def test_scanlan_non_finite_t_end_exits_3(tmp_path, t_end):
     out = tmp_path / "o"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     assert not (out / "sc.csv").exists()
+
+
+def test_non_finite_initial_slope_exits_3(tmp_path):
+    # inf - inf in the hanger forces makes the first slope NaN, on which the
+    # run used to hang: run it apart, under a timeout
+    cfg = tmp_path / "hang.json"
+    cfg.write_text(json.dumps({
+        "name": "hang", "model": "coupled",
+        "parameters": {"nl": {"kind": "exponential",
+                              "params": {"a_coef": 1.0, "b_coef": 1000.0}},
+                       "state0": [0.1, 0.0, 1.0, 0.0], "t_end": 1.0}}))
+    src = os.path.dirname(os.path.dirname(bridgeosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bridgeosc.cli", "run", str(cfg),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_parallel_sweep_prints_one_line_per_point_in_order(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 import bridgeosc as bo
 from bridgeosc import _rk, ode4, plate, systems, truebeam
 from bridgeosc._rk import (BLOWUP_DETECTED, REACHED_T_END, STEP_UNDERFLOW,
-                           bisect, integrate_adaptive)
+                           integrate_adaptive)
 from bridgeosc.errors import InvalidParameterError
 
 
@@ -84,19 +84,50 @@ def test_rejects_bad_inputs(rhs, linear):
         integrate_adaptive(rhs, 0.0, [1.0, 0.0], 0.0, linear=linear)
     with pytest.raises(InvalidParameterError):
         integrate_adaptive(rhs, 0.0, [1.0, 0.0], 1.0, rtol=0.0, linear=linear)
+    for max_step in (np.nan, 0.0, -1.0):
+        with pytest.raises(InvalidParameterError, match="max_step must be > 0"):
+            integrate_adaptive(rhs, 0.0, [1.0, 0.0], 1.0, max_step=max_step,
+                               linear=linear)
 
 
-def test_bisect_root():
-    assert abs(bisect(np.cos, 0.0, 3.0, tol=1e-12) - np.pi / 2) < 1e-11
-    with pytest.raises(ValueError):
-        bisect(np.cos, 0.0, 1.0)
+@both_methods
+def test_non_finite_initial_slope_rejected(rhs, linear):
+    # a NaN slope made the first step size NaN, and halving a rejected NaN
+    # step never ended the run
+    with pytest.raises(InvalidParameterError, match="initial state"):
+        integrate_adaptive(lambda t, y: rhs(t, y) * np.nan, 0.0, [1.0, 0.0],
+                           1.0, linear=linear)
 
 
-def test_bisect_stops_at_adjacent_floats():
+def test_nan_initial_step_counts_as_underflow():
+    # tolerances of 1e-320 against a state of 1e300 overflow the initial
+    # step estimate to NaN from a finite slope
+    with pytest.raises(InvalidParameterError, match="underflow"):
+        integrate_adaptive(rhs_oscillator, 0.0, [1e300, 1e300], 1.0,
+                           rtol=1e-320, atol=1e-320)
+
+
+def _piecewise_linear(ts, w):
+    """A one-component trajectory through the samples w at ts, linear on
+    each step: contd8 coefficients c0 = w_i, c1 = w_(i+1) - w_i, the rest 0."""
+    ts, w = np.asarray(ts, dtype=float), np.asarray(w, dtype=float)
+    rcont = np.zeros((len(ts) - 1, 8, 1))
+    rcont[:, 0, 0], rcont[:, 1, 0] = w[:-1], np.diff(w)
+    return _rk.RawTrajectory(ts, w[:, None], rcont, REACHED_T_END)
+
+
+def test_component_zeros_at_exact_zero_samples():
+    # a zero sample counts where w changes sign across it (t = 2) or ends
+    # the run (t = 7), not where w only touches zero (t = 4); the sign
+    # change of the step [5, 6] is bisected
+    raw = _piecewise_linear(np.arange(8.0), [0, 1, 0, -1, 0, -2, 3, 0])
+    assert raw.component_zeros(0, tol=1e-12) == [2.0, 5.400000000000091, 7.0]
+
+
+def test_component_zeros_stop_at_adjacent_floats():
     # near 1e8 the floats are 1.5e-8 apart, far coarser than tol
-    root = 1e8 + 0.3
-    z = bisect(lambda t: t - root, 1e8, 1e8 + 1.0, tol=1e-12)
-    assert abs(z - root) <= np.spacing(root)
+    raw = _piecewise_linear([1e8, 1e8 + 1.0], [-0.3, 0.7])
+    assert raw.component_zeros(0, tol=1e-12) == [100000000.30000001]
 
 
 @both_methods
@@ -567,6 +598,31 @@ def test_component_zeros_finds_every_fine_sampling_sign_change(fig12):
     assert np.all((tt[flips] <= zs) & (zs <= tt[flips + 1]))
 
 
+def _bisect(fun, a, b, tol):
+    """Root of a sign-changing scalar function on [a, b] to absolute tol in t,
+    or to adjacent floats where tol is below their spacing; the reference
+    for component_zeros."""
+    fa, fb = fun(a), fun(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        raise ValueError("bisect needs a sign change")
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        fm = fun(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
 def test_component_zeros_equal_bisection_of_the_full_state(fig12):
     # each zero bisects one component of its own step's interpolant; the
     # midpoints stay inside the step and the arithmetic is elementwise, so
@@ -574,8 +630,8 @@ def test_component_zeros_equal_bisection_of_the_full_state(fig12):
     traj = fig12[2]
     w = traj.ys[:, 0]
     steps = np.flatnonzero(w[:-1] * w[1:] < 0.0)
-    full = [bisect(lambda t: traj.eval(t)[0], traj.ts[i], traj.ts[i + 1],
-                   traj.ZERO_TOL) for i in steps]
+    full = [_bisect(lambda t: traj.eval(t)[0], traj.ts[i], traj.ts[i + 1],
+                    traj.ZERO_TOL) for i in steps]
     assert len(full) > 5
     assert np.array(traj.events).tobytes() == np.array(full).tobytes()
 
