@@ -29,24 +29,3 @@ def simpson_uniform(values: np.ndarray, h: float) -> float:
         + 2.0 * np.sum(values[2:-1:2])
     return float(h / 3.0 * acc)
 
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
-                     max_depth: int = 50) -> float:
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-
-    def whole(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, acc, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        left = whole(lo, mid, flo, flm, fmid)
-        right = whole(mid, hi, fmid, frm, fhi)
-        if depth >= max_depth or abs(left + right - acc) <= 15.0 * eps:
-            return left + right + (left + right - acc) / 15.0
-        return (recurse(lo, mid, flo, flm, fmid, left, eps / 2.0, depth + 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, eps / 2.0, depth + 1))
-
-    return float(recurse(a, b, fa, fm, fb, whole(a, b, fa, fm, fb), tol, 0))

@@ -22,12 +22,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
-
-
-def _default_out_dir(explicit: Optional[str]) -> str:
-    if explicit:
-        return explicit
-    return os.environ.get("BRIDGE_OUT", "out")
+MAX_SWEEP_POINTS = 100_000
 
 
 def _load_config(path: str) -> dict:
@@ -57,7 +52,7 @@ def _report(outcome: Tuple[int, str]) -> int:
 
 
 def _cmd_run(args) -> int:
-    out_dir = _default_out_dir(args.out)
+    out_dir = args.out or os.environ.get("BRIDGE_OUT", "out")
     if args.builtin:
         if args.builtin not in BUILTINS:
             print(f"unknown builtin {args.builtin!r}; see `bridge list`",
@@ -83,7 +78,7 @@ def _cmd_list(_args) -> int:
 
 def _parse_param_spec(spec: str):
     """'k=2:4:0.1' -> ('k', [2.0, 2.1, ..., 4.0]); dotted names descend
-    into the parameters object."""
+    into the parameters object. A grid is at most MAX_SWEEP_POINTS long."""
     try:
         name, rng = spec.split("=", 1)
         parts = [float(v) for v in rng.split(":")]
@@ -97,13 +92,13 @@ def _parse_param_spec(spec: str):
     a, b, step = parts
     if step <= 0 or b < a:
         raise ValueError("sweep range must have b >= a and step > 0")
-    vals = []
-    k = 0
-    while True:
-        v = a + k * step
-        if v > b + 1e-12 * max(1.0, abs(b)):
-            break
-        vals.append(round(v, 12))
+    top = b + 1e-12 * max(1.0, abs(b))
+    if (top - a) / step >= MAX_SWEEP_POINTS:
+        raise ValueError(f"bad --param spec {spec!r}; the grid has more than "
+                         f"{MAX_SWEEP_POINTS} points")
+    vals, k = [], 0
+    while a + k * step <= top:
+        vals.append(round(a + k * step, 12))
         k += 1
     return name, vals
 
@@ -129,7 +124,7 @@ def _set_param(config: dict, dotted: str, value: float) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    out_dir = _default_out_dir(args.out)
+    out_dir = args.out or os.environ.get("BRIDGE_OUT", "out")
     try:
         config = _load_config(args.config)
         name, values = _parse_param_spec(args.param)

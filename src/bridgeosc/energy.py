@@ -12,7 +12,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from ._quad import adaptive_simpson, tensor_grid
+from ._quad import tensor_grid
 from .errors import InvalidParameterError
 
 
@@ -28,8 +28,8 @@ class FlutterParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise InvalidParameterError(f"{f.name} must be positive")
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise InvalidParameterError(f"{f.name} must be finite and positive")
 
 
 def flutter_speed(params: FlutterParams) -> float:
@@ -83,36 +83,35 @@ class EnergyLedger:
     """
 
     total_E: float
-    threshold_Ebar: float
     schedule: Tuple[float, ...]
-    switch: int
 
     def __post_init__(self):
         if not self.schedule:
             raise InvalidParameterError("schedule must be nonempty")
-        diffs = np.diff(self.schedule)
-        if len(diffs) and not np.all(diffs > 0.0):
+        if not np.all(np.isfinite([self.total_E, *self.schedule])):
+            raise InvalidParameterError("total_E and the schedule must be finite")
+        if not np.all(np.diff(self.schedule) > 0.0):
             raise InvalidParameterError("schedule must be strictly ascending")
-        if self.schedule[-1] != self.threshold_Ebar:
-            raise InvalidParameterError("threshold_Ebar must equal the last threshold")
-        if self.switch != switch_value(self.total_E, self.threshold_Ebar):
-            raise InvalidParameterError("switch disagrees with the energy level")
+
+    @property
+    def threshold_Ebar(self) -> float:
+        return self.schedule[-1]
+
+    @property
+    def switch(self) -> int:
+        return switch_value(self.total_E, self.threshold_Ebar)
 
     @property
     def torsional_active(self) -> bool:
-        return self.total_E > self.schedule[-1]
+        return self.total_E > self.threshold_Ebar
 
 
 def make_ledger(total_E: float, schedule: Sequence[float]) -> EnergyLedger:
-    sched = tuple(float(s) for s in schedule)
-    if not sched:
-        raise InvalidParameterError("schedule must be nonempty")
-    return EnergyLedger(total_E=float(total_E), threshold_Ebar=sched[-1],
-                        schedule=sched, switch=switch_value(total_E, sched[-1]))
+    return EnergyLedger(float(total_E), tuple(float(s) for s in schedule))
 
 
 def switch_state(ledger: EnergyLedger) -> int:
-    return switch_value(ledger.total_E, ledger.threshold_Ebar)
+    return ledger.switch
 
 
 def active_mode_count(ledger: EnergyLedger) -> int:
@@ -125,7 +124,7 @@ def ledger_report(ledger: EnergyLedger) -> dict:
     return {
         "total_E": ledger.total_E,
         "threshold_Ebar": ledger.threshold_Ebar,
-        "switch": switch_state(ledger),
+        "switch": ledger.switch,
         "active_modes": active_mode_count(ledger),
         "torsional_active": ledger.torsional_active,
     }
@@ -143,8 +142,11 @@ class NetInputParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise InvalidParameterError(f"{f.name} must be positive")
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise InvalidParameterError(f"{f.name} must be finite and positive")
+
+
+_ELONGATION_MAX_INTERVALS = 2 ** 22
 
 
 def _trapezoid(values: np.ndarray, dx: float) -> float:
@@ -164,18 +166,27 @@ def net_energy_input(eta_samples, params: NetInputParams) -> float:
 
 def elongation_mode(a_m: float, m: int, L: float, tol: float = 1e-10) -> float:
     """Axial elongation of the m-th vertical mode at amplitude a_m:
-    int_0^L (sqrt(1 + (m pi/L)^2 a_m^2 cos^2(m pi x/L)) - 1) dx."""
+    int_0^L (sqrt(1 + (m pi/L)^2 a_m^2 cos^2(m pi x/L)) - 1) dx.
+
+    The integrand is smooth with period L/m, so the trapezoid rule on one
+    period converges geometrically: the interval count doubles until two
+    sums agree to tol, or to 1e-14 relative, the rounding of the sum."""
     if m < 1 or L <= 0.0:
         raise InvalidParameterError("need m >= 1 and L > 0")
     if a_m == 0.0:
         return 0.0
     k = m * math.pi / L
     c = (k * a_m) ** 2
-
-    def integrand(x):
-        return math.sqrt(1.0 + c * math.cos(k * x) ** 2) - 1.0
-
-    return adaptive_simpson(integrand, 0.0, L, tol=tol)
+    n, prev = 8, math.inf
+    while n <= _ELONGATION_MAX_INTERVALS:
+        x = np.linspace(0.0, L / m, n + 1)
+        total = m * _trapezoid(np.sqrt(1.0 + c * np.cos(k * x) ** 2) - 1.0,
+                               L / (m * n))
+        if abs(total - prev) <= max(tol, 1e-14 * abs(total)):
+            return total
+        n, prev = 2 * n, total
+    raise InvalidParameterError(f"elongation integral not converged to {tol} "
+                                f"in {_ELONGATION_MAX_INTERVALS} intervals")
 
 
 def _field_eval(field, x1, x2, dx1=0, dx2=0):

@@ -14,7 +14,10 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-KINDS = ("linear", "cubic", "power", "piecewise", "exponential", "mckenna_cubic")
+# kind -> the parameters its f, F and f' read; no other parameter is settable
+KINDS = {"linear": (), "cubic": ("epsilon",), "power": ("epsilon", "p_exp"),
+         "piecewise": (), "exponential": ("a_coef", "b_coef"),
+         "mckenna_cubic": ("sigma_f", "c_quad", "d_cub")}
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,10 @@ class Nonlinearity:
     sigma_f: float = 1.0
     c_quad: float = 0.0
     d_cub: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise InvalidParameterError(f"unknown nonlinearity kind {self.kind!r}")
 
     def f(self, s):
         if isinstance(s, float) and self.kind in _SCALAR_F:
@@ -98,15 +105,8 @@ class Nonlinearity:
 
     def to_config(self) -> dict:
         """Scenario-config form: {"kind": ..., "params": {...}}."""
-        relevant = {
-            "linear": (),
-            "cubic": ("epsilon",),
-            "power": ("epsilon", "p_exp"),
-            "piecewise": (),
-            "exponential": ("a_coef", "b_coef"),
-            "mckenna_cubic": ("sigma_f", "c_quad", "d_cub"),
-        }[self.kind]
-        return {"kind": self.kind, "params": {k: getattr(self, k) for k in relevant}}
+        return {"kind": self.kind,
+                "params": {k: getattr(self, k) for k in KINDS[self.kind]}}
 
 
 # f at one float (a Python float or a numpy float64), with the arithmetic of
@@ -125,23 +125,22 @@ _SCALAR_F = {
 
 
 def make_nonlinearity(kind: str, params: Optional[dict] = None, **kw) -> Nonlinearity:
-    """Build a validated Nonlinearity; raises InvalidParameterError on bad input."""
+    """Build a validated Nonlinearity from the parameters its kind reads;
+    raises InvalidParameterError on any other parameter or a bad value."""
     given = dict(params or {})
     given.update(kw)
-    if kind not in KINDS:
-        raise InvalidParameterError(f"unknown nonlinearity kind {kind!r}")
-    unknown = set(given) - {"epsilon", "p_exp", "a_coef", "b_coef",
-                            "sigma_f", "c_quad", "d_cub"}
+    unknown = set(given) - set(KINDS.get(kind, ()))
     if unknown:
-        raise InvalidParameterError(f"unknown parameters {sorted(unknown)} for {kind}")
+        raise InvalidParameterError(f"{kind} does not read {sorted(unknown)}")
     nl = Nonlinearity(kind=kind, **given)
-    if kind in ("cubic", "power") and nl.epsilon < 0.0:
+    # written so that NaN fails every check
+    if kind in ("cubic", "power") and not nl.epsilon >= 0.0:
         raise InvalidParameterError("epsilon must be >= 0")
-    if kind == "power" and nl.p_exp <= 1.0:
+    if kind == "power" and not nl.p_exp > 1.0:
         raise InvalidParameterError("p_exp must be > 1")
-    if kind == "exponential" and (nl.a_coef <= 0.0 or nl.b_coef <= 0.0):
+    if kind == "exponential" and not (nl.a_coef > 0.0 and nl.b_coef > 0.0):
         raise InvalidParameterError("exponential needs a_coef > 0 and b_coef > 0")
-    if kind == "mckenna_cubic" and nl.d_cub <= 0.0:
+    if kind == "mckenna_cubic" and not nl.d_cub > 0.0:
         raise InvalidParameterError("mckenna_cubic needs d_cub > 0")
     return nl
 

@@ -10,7 +10,7 @@ energy-rate ratios between consecutive sign intervals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,10 @@ from ._rk import (BLOWUP_DETECTED, REACHED_T_END, STEP_UNDERFLOW,
 from .errors import EmptyTrajectoryError, InvalidParameterError, UnsupportedFamilyError
 from .nonlin import Nonlinearity
 
-FAMILY_KINDS = ("canonical", "rocard_wave", "pedestrian_wave", "general")
+# family kind -> the fields its rhs reads; every other field keeps its default
+FAMILY_KINDS = {"canonical": ("nl", "k_coef"), "rocard_wave": ("alpha_r", "beta_r"),
+                "pedestrian_wave": ("nl", "gamma_p", "c_speed", "delta_damp"),
+                "general": ("a3", "k2", "b1", "c0", "q_exp")}
 TERMINATIONS = (REACHED_T_END, BLOWUP_DETECTED, STEP_UNDERFLOW)
 _SIMPSON_POINTS = 513  # per sign interval in the energy-rate ratios; odd for Simpson
 
@@ -53,9 +56,14 @@ class OdeFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise InvalidParameterError(f"unknown family kind {self.kind!r}")
-        if self.kind in ("canonical", "pedestrian_wave") and self.nl is None:
+        read = FAMILY_KINDS[self.kind]
+        unread = [f.name for f in fields(self) if f.name not in read + ("kind",)
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise InvalidParameterError(f"{self.kind} family does not read {unread}")
+        if "nl" in read and self.nl is None:
             raise InvalidParameterError(f"{self.kind} family needs a nonlinearity")
-        if self.kind == "pedestrian_wave" and self.gamma_p <= 0.0:
+        if self.kind == "pedestrian_wave" and not self.gamma_p > 0.0:
             raise InvalidParameterError("pedestrian_wave needs gamma_p > 0")
 
     def rhs(self):
@@ -209,7 +217,8 @@ class BlowupReport:
     def to_json(self) -> str:
         return json.dumps({"blew_up": self.blew_up, "R_est": self.R_est,
                            "zeros": list(self.zeros),
-                           "ratios": [list(r) for r in self.ratios]})
+                           "ratios": [list(r) for r in self.ratios]},
+                          allow_nan=False)
 
 
 def _interval_ratios(traj: Trajectory,
@@ -219,13 +228,8 @@ def _interval_ratios(traj: Trajectory,
         tt = np.linspace(z0, z1, _SIMPSON_POINTS)
         Y = traj.eval(tt)
         h = (z1 - z0) / (_SIMPSON_POINTS - 1)
-        i_w = simpson_uniform(Y[:, 0] ** 2, h)
-        i_w1 = simpson_uniform(Y[:, 1] ** 2, h)
-        i_w2 = simpson_uniform(Y[:, 2] ** 2, h)
-        if i_w2 == 0.0:
-            out.append((0.0, 0.0))
-        else:
-            out.append((i_w / i_w2, i_w1 / i_w2))
+        i_w, i_w1, i_w2 = (simpson_uniform(Y[:, j] ** 2, h) for j in range(3))
+        out.append((i_w / i_w2, i_w1 / i_w2) if i_w2 != 0.0 else (0.0, 0.0))
     return out
 
 
@@ -237,7 +241,6 @@ def _estimate_blowup_time(traj: Trajectory, zeros: Sequence[float]) -> float:
     Falls back to a secant extrapolation of 1/|w| toward zero on the final
     monotone stretch when fewer than four zeros are available.
     """
-    t_last = traj.t_end
     if len(zeros) >= 4:
         g_prev = zeros[-2] - zeros[-3]
         g_last = zeros[-1] - zeros[-2]
@@ -254,7 +257,7 @@ def _estimate_blowup_time(traj: Trajectory, zeros: Sequence[float]) -> float:
         u1, u2 = 1.0 / w_tail[-2], 1.0 / w_tail[-1]
         dt = t_tail[-1] - t_tail[-2]
         return float(t_tail[-1] + u2 * dt / (u1 - u2))
-    return float(t_last)
+    return float(traj.t_end)
 
 
 def detect_blowup(traj: Trajectory) -> BlowupReport:

@@ -29,8 +29,8 @@ class PlateGeom:
     poisson_sigma: float = 0.2
 
     def __post_init__(self):
-        if self.length_L <= 0.0 or self.half_width_l <= 0.0:
-            raise InvalidParameterError("plate dimensions must be positive")
+        if not all(0.0 < v < math.inf for v in (self.length_L, self.half_width_l)):
+            raise InvalidParameterError("plate dimensions must be finite and positive")
         if not 0.0 <= self.poisson_sigma < 0.5:
             raise InvalidParameterError("Poisson ratio must satisfy 0 <= sigma < 1/2")
 

@@ -101,8 +101,8 @@ def _run_ode4(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     cfg = _record(ode4.IntegratorConfig, p)
     traj = ode4.integrate(family, [float(v) for v in p["state0"]], cfg)
     report = ode4.detect_blowup(traj)
-    traj.to_csv(out["csv"])
     _write_line(out["json"], report.to_json())
+    traj.to_csv(out["csv"])
     svg_line_plot(out["svg"], traj.ts, [traj.states[:, 0]], ["w"],
                   title=sc.name)
     return ScenarioResult(sc.name, f"termination={traj.termination} "
@@ -128,9 +128,9 @@ def _run_system(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
         traj = systems.integrate_miosyst(params, nl, s0, cfg)
         reduced = systems.to_fourth_order(params, nl, traj)
         report = ode4.detect_blowup(reduced)
+        _write_line(out["json"], report.to_json())
         red_csv = os.path.splitext(out["csv"])[0] + "_reduced.csv"
         reduced.to_csv(red_csv)
-        _write_line(out["json"], report.to_json())
         artifacts += [red_csv, out["json"]]
         extra = " " + _blowup_summary(report, reduced)
     traj.to_csv(out["csv"])
@@ -148,10 +148,10 @@ def _run_scanlan(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
                                 float(p.get("thetad0", 0.0)),
                                 float(p["t_end"]),
                                 int(p.get("n_samples", 2001)))
-    sol.to_csv(out["csv"])
     _write_line(out["json"], json.dumps(
         {"growth_exponent": sol.growth_exponent,
-         "roots": [[r.real, r.imag] for r in sol.roots]}))
+         "roots": [[r.real, r.imag] for r in sol.roots]}, allow_nan=False))
+    sol.to_csv(out["csv"])
     svg_line_plot(out["svg"], sol.ts, [sol.theta], ["theta"], title=sc.name)
     return ScenarioResult(sc.name,
                           f"growth_exponent={sol.growth_exponent:.6g}",
@@ -191,10 +191,9 @@ def _run_flutter(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
 
 def _run_energy(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     p = sc.parameters
-    ledger = energy.make_ledger(float(p["total_E"]),
-                                [float(v) for v in p["schedule"]])
+    ledger = energy.make_ledger(p["total_E"], p["schedule"])
     payload = energy.ledger_report(ledger)
-    _write_line(out["json"], json.dumps(payload))
+    _write_line(out["json"], json.dumps(payload, allow_nan=False))
     return ScenarioResult(sc.name,
                           f"switch={payload['switch']} "
                           f"active_modes={payload['active_modes']}",
@@ -223,8 +222,8 @@ def _run_truebeam(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
     traj = truebeam.integrate_truebeam(
         cfg, state0, float(p["t_end"]), freeze_switch=p.get("freeze_switch"),
         **{k: float(p[k]) for k in ("rel_tol", "abs_tol") if k in p})
-    traj.to_csv(out["csv"])
     _write_line(out["json"], traj.events_json())
+    traj.to_csv(out["csv"])
     svg_line_plot(out["svg"], traj.ts, [traj.ys[:, 0], traj.ys[:, 2 * M]],
                   ["a1", "b1"], title=sc.name)
     return ScenarioResult(sc.name,

@@ -8,7 +8,7 @@ aeroelastic comparison model solved in closed form.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -48,8 +48,8 @@ class McKennaParams:
     half_width_l: float = 1.0
 
     def __post_init__(self):
-        if self.mass_m <= 0.0 or self.half_width_l <= 0.0:
-            raise InvalidParameterError("mass_m and half_width_l must be > 0")
+        if not (0.0 < self.mass_m < np.inf and 0.0 < self.half_width_l < np.inf):
+            raise InvalidParameterError("mass_m and half_width_l must be finite, > 0")
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,10 @@ class ScanlanParams:
     B_lift: float
 
     def __post_init__(self):
-        if self.inertia_I <= 0.0 or self.omega_n <= 0.0 or self.zeta < 0.0:
+        if not (np.all(np.isfinite(astuple(self))) and self.inertia_I > 0.0
+                and self.omega_n > 0.0 and self.zeta >= 0.0):
             raise InvalidParameterError(
-                "need inertia_I > 0, omega_n > 0, zeta >= 0")
+                "need finite fields with inertia_I > 0, omega_n > 0, zeta >= 0")
 
 
 class SysTrajectory(RawTrajectory):
@@ -288,8 +289,10 @@ def solve_scanlan(params: ScanlanParams, theta0: float, thetad0: float,
     Characteristic roots of the quadratic give the trajectory in closed form;
     growth_exponent is the largest real part.
     """
-    if not (0.0 < t_end < np.inf) or n_samples < 2:
-        raise InvalidParameterError("need a finite t_end > 0 and n_samples >= 2")
+    if not (0.0 < t_end < np.inf and np.all(np.isfinite([theta0, thetad0]))
+            and n_samples >= 2):
+        raise InvalidParameterError(
+            "need finite theta0, thetad0 and t_end > 0, and n_samples >= 2")
     I = params.inertia_I
     c1 = 2.0 * params.zeta * params.omega_n * I - params.A_lift
     c0 = params.omega_n ** 2 * I - params.B_lift

@@ -42,8 +42,8 @@ class GustForcing:
     profile_m: int = 1
 
     def __post_init__(self):
-        if not self.breakpoints:
-            raise InvalidParameterError("forcing needs at least one breakpoint")
+        if not (self.breakpoints and np.all(np.isfinite(self.breakpoints))):
+            raise InvalidParameterError("forcing needs one or more finite breakpoints")
         tp = [t for t, _ in self.breakpoints]
         if any(t1 >= t2 for t1, t2 in zip(tp, tp[1:])):
             raise InvalidParameterError("breakpoint times must be ascending")
@@ -113,14 +113,15 @@ class TrueBeamConfig:
     bc_penalty_kappa: float = 100.0
 
     def __post_init__(self):
+        # written so that NaN fails every check
         if self.modes_M < 1:
             raise InvalidParameterError("modes_M must be >= 1")
-        if self.bc_penalty_kappa <= 0.0:
-            raise InvalidParameterError("bc_penalty_kappa must be > 0")
-        if self.damping_delta < 0.0:
-            raise InvalidParameterError("damping_delta must be >= 0")
-        if self.threshold_Ebar <= 0.0:
-            raise InvalidParameterError("threshold_Ebar must be > 0")
+        if not 0.0 < self.bc_penalty_kappa < math.inf:
+            raise InvalidParameterError("bc_penalty_kappa must be finite and > 0")
+        if not 0.0 <= self.damping_delta < math.inf:
+            raise InvalidParameterError("damping_delta must be finite and >= 0")
+        if not 0.0 < self.threshold_Ebar < math.inf:
+            raise InvalidParameterError("threshold_Ebar must be finite and > 0")
 
     def lambdas(self) -> np.ndarray:
         m = np.arange(1, self.modes_M + 1)
@@ -196,13 +197,12 @@ class ModalTrajectory(RawTrajectory):
     nonlinearity and projection_error its last grid-convergence error.
     """
 
-    def __init__(self, cfg: TrueBeamConfig, segments, switch_of: Callable,
+    def __init__(self, segments, switch_of: Callable,
                  events: List[SwitchEvent], termination: str,
                  projection_grid: Tuple[int, int], projection_error: float):
         ts, ys = _sample(segments)
         super().__init__(ts, ys, None, termination,
                          sum(seg.n_rejected for seg in segments))
-        self.cfg = cfg
         self._segments = segments  # one ExpTrajectory per switch interval
         self._starts = np.array([seg.ts[0] for seg in segments[1:]])
         self.switch = np.broadcast_to(switch_of(self.ts), self.ts.shape).astype(int)
@@ -244,7 +244,7 @@ class ModalTrajectory(RawTrajectory):
 
     def events_json(self) -> str:
         return json.dumps([{"t_switch": ev.t_switch, "direction": ev.direction}
-                           for ev in self.events])
+                           for ev in self.events], allow_nan=False)
 
 
 def _sample(segments):
@@ -446,7 +446,7 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
         if raw.termination != REACHED_T_END:
             termination = raw.termination
             break
-    return ModalTrajectory(cfg, segments, switch_of, events, termination,
+    return ModalTrajectory(segments, switch_of, events, termination,
                            (len(proj.x1), len(proj.x2)), proj_err)
 
 

@@ -155,6 +155,18 @@ def test_sweep_bad_spec(tmp_path):
     for spec in ("k=1:inf:1", "k=1:nan:1", "k=1:2:nan"):
         assert main(["sweep", str(cfg), "--param", spec,
                      "--out", str(tmp_path / "x")]) == 2
+    # a finite grid of 1e12 points was built in full before any point ran:
+    # run it apart, under a timeout
+    src = os.path.dirname(os.path.dirname(bridgeosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bridgeosc.cli", "sweep", str(cfg),
+         "--param", "k_coef=0:1e12:1", "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "bad --param spec" in proc.stderr
+    assert not (tmp_path / "x").exists()
 
 
 def test_scanlan_scenario(tmp_path):
@@ -381,3 +393,99 @@ def test_import_leaves_scipy_out():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_LINEAR = {"kind": "linear", "params": {}}
+_CUBIC = {"kind": "cubic", "params": {"epsilon": 0.1}}
+_SQUARE_GEOM = {"length_L": math.pi, "half_width_l": math.pi / 2}
+
+# one small config per model, and the artifacts that the README lists for it
+MODEL_RUNS = {
+    "ode4": (_tiny_ode4_config("m")["parameters"], (".csv", ".json", ".svg")),
+    "coupled": ({"nl": _CUBIC, "state0": [0.1, 0.0, 0.5, 0.0], "t_end": 2.0},
+                (".csv", ".svg")),
+    "truesystem": ({"nl": _CUBIC, "state0": [0.1, 0.0, 0.5, 0.0],
+                    "t_end": 2.0}, (".csv", ".svg")),
+    "miosyst": ({"beta": -1.0, "delta": 1.0, "nl": _CUBIC,
+                 "state0": [1.0, 1.0, 0.0, -1.0], "t_end": 10.0,
+                 "rel_tol": 1e-8, "abs_tol": 1e-8},
+                (".csv", "_reduced.csv", ".json", ".svg")),
+    "scanlan": ({"inertia_I": 1.0, "zeta": 0.05, "omega_n": 1.0,
+                 "A_lift": 0.5, "B_lift": 0.0, "t_end": 10.0},
+                (".csv", ".json", ".svg")),
+    "truebeam": ({"geom": _SQUARE_GEOM, "nl": _LINEAR,
+                  "threshold_Ebar": math.pi ** 2 / 4.0, "modes_M": 1,
+                  "forcing": {"breakpoints": [[0.0, 0.0], [2.0, 1.0],
+                                              [4.0, 0.0]]},
+                  "t_end": 5.0, "state0": {"a": [0.5]}},
+                 (".csv", ".json", ".svg")),
+    "modes": ({"navier_S": 25}, (".csv",)),
+    "modes-geom": ({"geom": _SQUARE_GEOM, "m_max": 2}, (".csv",)),
+    "flutter": ({"half_width_l": 6.0, "gyration_r": 4.0, "omega_B": 1.0,
+                 "omega_T": 1.6, "alpha_mass": 0.02, "doubling_check": True},
+                (".json",)),
+    "energy": ({"total_E": 2.5, "schedule": [1.0, 2.0]}, (".json",)),
+}
+
+
+def test_model_runs_cover_every_model():
+    from bridgeosc.scenarios import MODELS
+    assert {run.split("-")[0] for run in MODEL_RUNS} == set(MODELS)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("run", sorted(MODEL_RUNS))
+def test_every_model_writes_its_artifacts_as_standard_json(tmp_path, run):
+    parameters, suffixes = MODEL_RUNS[run]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "m", "model": run.split("-")[0],
+                               "parameters": parameters}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"m" + s for s in suffixes}
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def _with(run, **changes):
+    """(run, a copy of its MODEL_RUNS parameters with changes); a dict value
+    updates the nested object of that name."""
+    p = json.loads(json.dumps(MODEL_RUNS[run][0]))
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            p[key] = {**p[key], **value}
+        else:
+            p[key] = value
+    return run, p
+
+
+@pytest.mark.parametrize("run, parameters", [
+    _with("energy", total_E=math.nan),
+    _with("energy", total_E=math.inf),
+    _with("scanlan", zeta=math.nan),
+    _with("scanlan", A_lift=math.inf),
+    _with("scanlan", theta0=math.nan),
+    _with("modes-geom", geom={"length_L": math.nan}),
+    _with("flutter", half_width_l=math.nan),
+    _with("coupled", mass_m=math.nan),
+    _with("truebeam", damping_delta=math.nan),
+    _with("truebeam", geom={"half_width_l": math.inf}),
+    _with("truebeam", forcing={"breakpoints": [[0.0, 0.0], [1.0, math.nan]]}),
+    # settings that the model never reads
+    _with("ode4", family={"nl": {"kind": "cubic",
+                                       "params": {"d_cub": 1.0}}}),
+    _with("ode4", family={"k2": 3.0}),
+], ids=["energy-nan", "energy-inf", "scanlan-nan", "scanlan-inf",
+        "scanlan-theta0-nan", "modes-nan", "flutter-nan", "coupled-nan",
+        "truebeam-nan", "truebeam-inf", "truebeam-forcing-nan", "cubic-d_cub",
+        "canonical-k2"])
+def test_rejected_settings_exit_3_and_write_nothing(tmp_path, run, parameters):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "bad", "model": run.split("-")[0],
+                               "parameters": parameters}))  # NaN literals
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists() or not any(out.iterdir())

@@ -100,9 +100,6 @@ def test_ledger_validation():
         energy.make_ledger(1.0, [])
     with pytest.raises(InvalidParameterError):
         energy.make_ledger(1.0, [2.0, 1.0])
-    with pytest.raises(InvalidParameterError):
-        energy.EnergyLedger(total_E=2.0, threshold_Ebar=1.0, schedule=(1.0,),
-                            switch=1)
     rep = energy.ledger_report(energy.make_ledger(2.0, [1.0]))
     assert rep["switch"] == -1 and rep["torsional_active"] is True
 
@@ -130,6 +127,37 @@ def test_elongation_mode():
     # and strictly increasing in |a|
     amps = [energy.elongation_mode(a, 2, math.pi) for a in (0.1, 0.5, 1.0)]
     assert amps[0] < amps[1] < amps[2]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("a", [0.1, 0.7, 1.0, 10.0, 1000.0])
+def test_elongation_mode_matches_elliptic_closed_form(a, m):
+    # with c = (m pi a / L)^2 the integral is
+    # (2L/pi) sqrt(1 + c) E(c / (1 + c)) - L, E complete of the second kind
+    ellipe = pytest.importorskip("scipy.special").ellipe
+    L = math.pi
+    c = (m * math.pi * a / L) ** 2
+    exact = 2.0 * L / math.pi * math.sqrt(1.0 + c) * ellipe(c / (1.0 + c)) - L
+    assert abs(energy.elongation_mode(a, m, L) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("record, kw", [
+    (energy.NetInputParams, {"weight_w": math.nan}),
+    (energy.NetInputParams, {"damp_C": math.inf}),
+    (energy.FlutterParams, {"half_width_l": math.nan}),
+    (energy.FlutterParams, {"alpha_mass": math.inf})])
+def test_non_finite_record_fields_are_rejected(record, kw):
+    base = {f: 1.0 for f in record.__dataclass_fields__}
+    with pytest.raises(InvalidParameterError):
+        record(**{**base, **kw})
+
+
+@pytest.mark.parametrize("total_E, schedule", [
+    (math.nan, [1.0]), (math.inf, [1.0]), (1.0, [math.nan]),
+    (1.0, [0.5, math.nan])])
+def test_ledger_rejects_non_finite_values(total_E, schedule):
+    with pytest.raises(InvalidParameterError):
+        energy.make_ledger(total_E, schedule)
 
 
 class _PlaneField:

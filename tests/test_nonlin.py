@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +176,45 @@ def test_mckenna_monotonicity_matches_discriminant(sig, c, d):
     nl = bo.make_nonlinearity("mckenna_cubic", sigma_f=sig, c_quad=c, d_cub=d)
     rep = bo.check_hypotheses(nl)
     assert rep.holds_fmono == (c * c <= 3.0 * d * sig)
+
+
+# the parameters each kind's f, F and f' read; no other one is settable
+NL_READS = {
+    "linear": set(), "cubic": {"epsilon"}, "power": {"epsilon", "p_exp"},
+    "piecewise": set(), "exponential": {"a_coef", "b_coef"},
+    "mckenna_cubic": {"sigma_f", "c_quad", "d_cub"},
+}
+NL_PARAMS = ("epsilon", "p_exp", "a_coef", "b_coef", "sigma_f", "c_quad", "d_cub")
+
+
+def test_nonlinearity_parameters_are_the_read_ones():
+    import dataclasses
+    assert tuple(f.name for f in dataclasses.fields(bo.Nonlinearity))[1:] == \
+        NL_PARAMS
+    assert sum(map(len, NL_READS.values())) == 8
+    for kind, read in NL_READS.items():
+        assert set(bo.make_nonlinearity(kind).to_config()["params"]) == read
+
+
+@pytest.mark.parametrize("kind, param", [
+    (kind, p) for kind, read in NL_READS.items()
+    for p in NL_PARAMS if p not in read])
+def test_unread_parameter_is_rejected(kind, param):
+    # 1.0 is d_cub's default: a parameter is refused by name, whatever its
+    # value, so that d_cub on a cubic cannot quietly drop the cubic term
+    with pytest.raises(InvalidParameterError, match=param):
+        bo.make_nonlinearity(kind, {param: 1.0})
+
+
+def test_unknown_kind_is_rejected_on_construction():
+    with pytest.raises(InvalidParameterError, match="bogus"):
+        nonlin.Nonlinearity(kind="bogus")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("cubic", {"epsilon": math.nan}), ("power", {"p_exp": math.nan}),
+    ("exponential", {"a_coef": math.nan}), ("exponential", {"b_coef": math.nan}),
+    ("mckenna_cubic", {"d_cub": math.nan})])
+def test_nan_parameter_fails_its_check(kind, params):
+    with pytest.raises(InvalidParameterError):
+        bo.make_nonlinearity(kind, params)

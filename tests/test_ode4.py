@@ -301,3 +301,65 @@ def test_integrator_config_keeps_unbounded_step_and_threshold():
     cfg = bo.IntegratorConfig(t_end=1.0, max_step=math.inf,
                               blowup_threshold=math.inf)
     assert cfg.max_step == math.inf and cfg.blowup_threshold == math.inf
+
+
+# the fields each family's rhs reads; any other field must keep its default
+FAMILY_READS = {
+    "canonical": {"nl", "k_coef"},
+    "rocard_wave": {"alpha_r", "beta_r"},
+    "pedestrian_wave": {"nl", "gamma_p", "c_speed", "delta_damp"},
+    "general": {"a3", "k2", "b1", "c0", "q_exp"},
+}
+FAMILY_FIELDS = ("nl", "k_coef", "alpha_r", "beta_r", "gamma_p", "c_speed",
+                 "delta_damp", "a3", "b1", "c0", "k2", "q_exp")
+
+
+def test_family_fields_are_the_read_ones():
+    import dataclasses
+    assert tuple(f.name for f in dataclasses.fields(bo.OdeFamily))[1:] == \
+        FAMILY_FIELDS
+    assert sum(map(len, FAMILY_READS.values())) == 13
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, f) for kind, read in FAMILY_READS.items()
+    for f in FAMILY_FIELDS if f not in read])
+def test_unread_family_field_is_rejected(kind, field):
+    nl = bo.make_nonlinearity("linear")
+    given = {"nl": nl} if "nl" in FAMILY_READS[kind] else {}
+    bo.OdeFamily(kind=kind, **given)  # the read fields alone are accepted
+    given[field] = nl if field == "nl" else 3.0
+    with pytest.raises(InvalidParameterError, match=field):
+        bo.OdeFamily(kind=kind, **given)
+
+
+def _blowup_trajectory(ts, w):
+    """A blowup_detected Trajectory through the samples w of its first
+    component at ts, linear on each step (contd8 coefficients c0 = w_i,
+    c1 = w_(i+1) - w_i, the rest 0); the other components are 0."""
+    from bridgeosc._rk import BLOWUP_DETECTED, RawTrajectory
+    ts, w = np.asarray(ts, dtype=float), np.asarray(w, dtype=float)
+    ys = np.zeros((len(ts), 4))
+    ys[:, 0] = w
+    rcont = np.zeros((len(ts) - 1, 8, 4))
+    rcont[:, 0, 0], rcont[:, 1, 0] = w[:-1], np.diff(w)
+    return bo.Trajectory(RawTrajectory(ts, ys, rcont, BLOWUP_DETECTED))
+
+
+@pytest.mark.parametrize("n_zeros", [0, 3, 6])
+def test_r_est_secant_is_exact_on_reciprocal_growth(n_zeros):
+    # w = 1/(R - t) after n_zeros unit-spaced sign changes: with fewer than
+    # 4 zeros, or with a last gap ratio of 1 >= 0.95, R_est comes from the
+    # secant of 1/|w| through the last two samples, exact on this w
+    R = 9.75
+    head = np.arange(n_zeros + 1, dtype=float)
+    tail = np.linspace(n_zeros + 1, R - 0.5, 30)
+    w = np.concatenate([(-1.0) ** (n_zeros - head), 1.0 / (R - tail)])
+    traj = _blowup_trajectory(np.concatenate([head, tail]), w)
+    assert len(traj.events) == n_zeros
+    if n_zeros >= 4:
+        gaps = np.diff(traj.events)
+        assert gaps[-1] / gaps[-2] >= 0.95
+    report = bo.detect_blowup(traj)
+    assert report.blew_up
+    assert abs(report.R_est - R) <= 1e-12 * R
