@@ -102,7 +102,8 @@ _SAFETY = 0.9
 # term left out is below 1 / 19! < 1e-17
 _PHI_TERMS = 16
 _INV_FACT = [1.0 / math.factorial(i) for i in range(_PHI_TERMS + 4)]
-# dense-output points evaluated at once, which bounds their temporaries
+# dense-output points, or phi offsets tau, evaluated at once, which bounds
+# their temporaries
 _EVAL_CHUNK = 256
 # exponential steps per octave of step size
 _RUNGS = 8
@@ -226,15 +227,21 @@ class ExpTrajectory(RawTrajectory):
     def _interpolate(self, idx, theta, out=None):
         if out is None:
             out = np.empty((len(idx), self.ys.shape[1]))
-        for lo in range(0, len(idx), _EVAL_CHUNK):
-            sl = slice(lo, lo + _EVAL_CHUNK)
-            i = idx[sl]
-            h = self._hs[i]
-            # steps of one size share their sample fractions: phi once per tau
-            tau, where = np.unique(theta[sl] * h, return_inverse=True)
-            phis = _phi_matrices(self.blocks, tau[:, None, None])[:, :, where]
-            out[sl] = _exp_step_end(phis, self.ys[i], self._stages[i],
-                                    h[:, None], theta[sl, None], self._swap)
+        h = self._hs[idx]
+        # steps of one size share their sample offsets: phi once per distinct
+        # tau, for at most _EVAL_CHUNK taus and then samples at a time
+        tau, where = np.unique(theta * h, return_inverse=True)
+        order = np.argsort(where, kind="stable")
+        batches = range(0, len(tau), _EVAL_CHUNK)
+        cuts = np.searchsorted(where[order], [*batches, len(tau)])
+        for lo, start, stop in zip(batches, cuts, cuts[1:]):
+            phis = _phi_matrices(self.blocks, tau[lo:lo + _EVAL_CHUNK, None, None])
+            for at in range(start, stop, _EVAL_CHUNK):
+                rows = order[at:min(at + _EVAL_CHUNK, stop)]
+                i = idx[rows]
+                out[rows] = _exp_step_end(phis[:, :, where[rows] - lo], self.ys[i],
+                                          self._stages[i], h[rows, None],
+                                          theta[rows, None], self._swap)
         return out
 
 

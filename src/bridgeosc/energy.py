@@ -32,6 +32,14 @@ class FlutterParams:
                 raise InvalidParameterError(f"{f.name} must be finite and positive")
 
 
+def _square(params, name: str) -> float:
+    try:
+        return getattr(params, name) ** 2
+    except OverflowError:
+        raise InvalidParameterError(f"{name} is too large: its square "
+                                    "overflows a float") from None
+
+
 def flutter_speed(params: FlutterParams) -> float:
     """Critical wind speed V_c with
     V_c^2 = (2 r^2 l^2 / (2 r^2 + l^2)) (omega_T^2 - omega_B^2) / alpha.
@@ -45,9 +53,9 @@ def flutter_speed(params: FlutterParams) -> float:
     structure instead: V_c = 0 at equal frequencies and exact degree-1
     homogeneity in (l, r).
     """
-    r2 = params.gyration_r ** 2
-    l2 = params.half_width_l ** 2
-    gap = params.omega_T ** 2 - params.omega_B ** 2
+    r2, l2, wT2, wB2 = (_square(params, name) for name in (
+        "gyration_r", "half_width_l", "omega_T", "omega_B"))
+    gap = wT2 - wB2
     if gap < 0.0:
         raise InvalidParameterError(
             "omega_T < omega_B: negative radicand, no flutter threshold")
@@ -146,9 +154,6 @@ class NetInputParams:
                 raise InvalidParameterError(f"{f.name} must be finite and positive")
 
 
-_ELONGATION_MAX_INTERVALS = 2 ** 22
-
-
 def _trapezoid(values: np.ndarray, dx: float) -> float:
     return float(dx * (np.sum(values) - 0.5 * (values[0] + values[-1])))
 
@@ -168,25 +173,23 @@ def elongation_mode(a_m: float, m: int, L: float, tol: float = 1e-10) -> float:
     """Axial elongation of the m-th vertical mode at amplitude a_m:
     int_0^L (sqrt(1 + (m pi/L)^2 a_m^2 cos^2(m pi x/L)) - 1) dx.
 
-    The integrand is smooth with period L/m, so the trapezoid rule on one
-    period converges geometrically: the interval count doubles until two
-    sums agree to tol, or to 1e-14 relative, the rounding of the sum."""
+    With c = (m pi a_m / L)^2 it is (2L/pi) sqrt(1 + c) E(c / (1 + c)) - L,
+    E complete of the second kind, here L (a^2 - S) / AGM(a, 1) - L with
+    a^2 = 1 + c and S = sum_n 2^(n-1) c_n^2 (Gauss-Kummer); the mean
+    iterates until its last half gap c_n is within tol of a, relative
+    (at least 1e-15)."""
     if m < 1 or L <= 0.0:
         raise InvalidParameterError("need m >= 1 and L > 0")
-    if a_m == 0.0:
-        return 0.0
-    k = m * math.pi / L
-    c = (k * a_m) ** 2
-    n, prev = 8, math.inf
-    while n <= _ELONGATION_MAX_INTERVALS:
-        x = np.linspace(0.0, L / m, n + 1)
-        total = m * _trapezoid(np.sqrt(1.0 + c * np.cos(k * x) ** 2) - 1.0,
-                               L / (m * n))
-        if abs(total - prev) <= max(tol, 1e-14 * abs(total)):
-            return total
-        n, prev = 2 * n, total
-    raise InvalidParameterError(f"elongation integral not converged to {tol} "
-                                f"in {_ELONGATION_MAX_INTERVALS} intervals")
+    slope = m * math.pi * a_m / L
+    c = slope * slope
+    if not c < math.inf:
+        raise InvalidParameterError("(m pi a_m / L)^2 must be finite")
+    a, b, weight, total, gap = math.sqrt(1.0 + c), 1.0, 0.5, 0.5 * c, math.inf
+    while gap > max(1e-15, tol) * a:
+        gap = 0.5 * (a - b)
+        a, b, weight = a - gap, math.sqrt(a * b), 2.0 * weight
+        total += weight * gap * gap
+    return L * ((1.0 + c - total) / a - 1.0)
 
 
 def _field_eval(field, x1, x2, dx1=0, dx2=0):

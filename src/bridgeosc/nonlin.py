@@ -54,7 +54,7 @@ class Nonlinearity:
         if k == "linear":
             out = s.copy()
         elif k == "cubic":
-            out = s + self.epsilon * s**3
+            out = s + self.epsilon * (s * s * s)
         elif k == "power":
             out = s + self.epsilon * np.abs(s) ** (self.p_exp - 1.0) * s
         elif k == "piecewise":
@@ -109,11 +109,12 @@ class Nonlinearity:
                 "params": {k: getattr(self, k) for k in KINDS[self.kind]}}
 
 
-# f at one float (a Python float or a numpy float64), with the arithmetic of
-# the array path: +, - and * are exact IEEE operations either way, and the
-# powers and expm1 go through the same numpy loops. The power kind is left
-# out: its np.abs(s) ** e on a 0-d array and np.power(abs(s), e) round
-# differently.
+# f at one float (a Python float or a numpy float64). Its cubes go through
+# np.power, whose rounding the figure12, figure13 and figure16 artifacts
+# pin; the cubic's array path multiplies instead (s * s * s is ~6x faster on
+# a projection grid), so the two paths of that kind can differ in the last
+# bits. The power kind is left out: its np.abs(s) ** e on a 0-d array and
+# np.power(abs(s), e) round differently.
 _SCALAR_F = {
     "linear": lambda nl, s: float(s),
     "cubic": lambda nl, s: float(s + nl.epsilon * np.power(s, 3.0)),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ def test_flutter_negative_radicand():
         energy.flutter_speed(_fp(6.0, 4.0, 2.0, 1.0))
     with pytest.raises(InvalidParameterError):
         _fp(-1.0, 4.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("field", ["half_width_l", "gyration_r", "omega_B",
+                                   "omega_T"])
+def test_flutter_square_overflow_names_the_field(field):
+    params = replace(_fp(6.0, 4.0, 1.0, 1.6), **{field: 1e200})
+    with pytest.raises(InvalidParameterError, match=field):
+        energy.flutter_speed(params)
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,6 +127,9 @@ def test_net_energy_input():
 
 def test_elongation_mode():
     assert energy.elongation_mode(0.0, 1, math.pi) == 0.0
+    for a in (math.nan, math.inf, 1e200):  # (m pi a / L)^2 is not finite
+        with pytest.raises(InvalidParameterError):
+            energy.elongation_mode(a, 1, 1.0)
     g1 = energy.elongation_mode(1.0, 1, math.pi)
     oracle = energy.elongation_mode(1.0, 1, math.pi, tol=1e-12)
     assert g1 == pytest.approx(oracle, abs=1e-8)
@@ -129,16 +141,20 @@ def test_elongation_mode():
     assert amps[0] < amps[1] < amps[2]
 
 
-@pytest.mark.parametrize("m", [1, 3])
-@pytest.mark.parametrize("a", [0.1, 0.7, 1.0, 10.0, 1000.0])
-def test_elongation_mode_matches_elliptic_closed_form(a, m):
+# (a, m, L); the last two have slopes k a of about 2e6 and 3e6
+ELLIPTIC_CASES = [(a, m, math.pi) for a in (0.1, 0.7, 1.0, 10.0, 1000.0)
+                  for m in (1, 3)] + [(1e5, 7, 1.0), (1e6, 1, 1.0)]
+
+
+@pytest.mark.parametrize("a, m, L", ELLIPTIC_CASES, ids=[
+    f"{a}-{m}" if L == math.pi else f"{a}-{m}-{L}" for a, m, L in ELLIPTIC_CASES])
+def test_elongation_mode_matches_elliptic_closed_form(a, m, L):
     # with c = (m pi a / L)^2 the integral is
     # (2L/pi) sqrt(1 + c) E(c / (1 + c)) - L, E complete of the second kind
     ellipe = pytest.importorskip("scipy.special").ellipe
-    L = math.pi
     c = (m * math.pi * a / L) ** 2
     exact = 2.0 * L / math.pi * math.sqrt(1.0 + c) * ellipe(c / (1.0 + c)) - L
-    assert abs(energy.elongation_mode(a, m, L) - exact) <= 1e-12
+    assert abs(energy.elongation_mode(a, m, L) - exact) <= 1e-12 * max(1.0, exact)
 
 
 @pytest.mark.parametrize("record, kw", [

@@ -170,6 +170,18 @@ def test_cubic_structure_properties(eps, s):
     assert rep.holds_f and rep.holds_fmono and rep.holds_f2
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 1.0, 250.0])
+def test_cubic_array_path_multiplies_and_agrees_with_the_scalar_path(eps):
+    rng = np.random.default_rng(5)
+    s = rng.standard_normal(2000) * 10.0 ** rng.uniform(-4.0, 4.0, 2000)
+    nl = bo.make_nonlinearity("cubic", epsilon=eps)
+    out = nl.f(s)
+    assert out.tobytes() == (s + eps * (s * s * s)).tobytes()
+    # the scalar path cubes through np.power, which rounds once
+    scalar = np.array([nl.f(float(x)) for x in s])
+    assert np.all(np.abs(out - scalar) <= 2.0 * np.spacing(np.abs(scalar)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(sig=st.floats(0.1, 5.0), c=st.floats(-3.0, 3.0), d=st.floats(0.05, 5.0))
 def test_mckenna_monotonicity_matches_discriminant(sig, c, d):

@@ -796,6 +796,56 @@ def test_phi_matrices_do_not_depend_on_the_batch():
         assert one[:, :, 0].tobytes() == batch[:, :, i].tobytes()
 
 
+def test_exp_interpolate_computes_phi_once_per_distinct_tau(monkeypatch):
+    # 12 steps of 4 sizes, 150 samples each at the fractions j / 150 (as
+    # truebeam._sample lays them out), visited in a shuffled order: each
+    # tau recurs on the 3 steps of its size, and the ~600 distinct ones
+    # take three phi batches, each applied to its samples in slices
+    blocks = _rk.LinearBlocks(np.array([[1.0, 40.0, 900.0], [2.0, 300.0, 4e4]]),
+                              np.array([[0.5], [1.5]]))
+    rng = np.random.default_rng(11)
+    hs = np.tile([0.004, 0.01, 0.013, 0.04], 3)
+    n = 12
+    traj = _rk.ExpTrajectory(np.concatenate([[0.0], np.cumsum(hs)]),
+                             rng.standard_normal((13, n)), hs,
+                             rng.standard_normal((12, 3, n)), blocks,
+                             REACHED_T_END, 0)
+    parts = 150
+    idx = np.repeat(np.arange(12), parts)
+    theta = np.tile(np.arange(parts) / parts, 12)
+    order = rng.permutation(idx.size)
+    idx, theta = idx[order], theta[order]
+
+    want = np.empty((idx.size, n))
+    for row, (i, th) in enumerate(zip(idx, theta)):
+        h = hs[i]
+        phis = _rk._phi_matrices(blocks, np.array([[[th * h]]]))[:, :, 0]
+        want[row] = _rk._exp_step_end(phis, traj.ys[i], traj._stages[i], h, th,
+                                      traj._swap)
+
+    taus, rows = [], []
+    phi_matrices, exp_step_end = _rk._phi_matrices, _rk._exp_step_end
+
+    def counted_phi(blocks, tau):
+        taus.append(tau.ravel().copy())
+        return phi_matrices(blocks, tau)
+
+    def counted_end(phis, y, *args):
+        rows.append(len(y))
+        return exp_step_end(phis, y, *args)
+
+    monkeypatch.setattr(_rk, "_phi_matrices", counted_phi)
+    monkeypatch.setattr(_rk, "_exp_step_end", counted_end)
+    got = traj._interpolate(idx, theta)
+    assert got.tobytes() == want.tobytes()
+    assert sum(rows) == idx.size and max(rows) <= _rk._EVAL_CHUNK
+    distinct = np.unique(theta * hs[idx])
+    assert distinct.size > 2 * _rk._EVAL_CHUNK
+    assert len(taus) == -(-distinct.size // _rk._EVAL_CHUNK)
+    assert all(t.size <= _rk._EVAL_CHUNK for t in taus)
+    assert np.array_equal(np.concatenate(taus), distinct)
+
+
 def _critical_cfg():
     # the square plate has lambda_1 = 1 exactly; kappa = 3 and delta = 1
     # give the constrained (torsional) block (delta + kappa)^2 = 4 (1 + kappa)
