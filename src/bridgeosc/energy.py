@@ -51,7 +51,7 @@ def flutter_speed(params: FlutterParams) -> float:
     formula lands within ~10% of the collapse wind speed) needs measured
     modal frequencies that are not bundled here; tests pin the algebraic
     structure instead: V_c = 0 at equal frequencies and exact degree-1
-    homogeneity in (l, r).
+    homogeneity in (l, r). Raises when V_c itself overflows a float.
     """
     r2, l2, wT2, wB2 = (_square(params, name) for name in (
         "gyration_r", "half_width_l", "omega_T", "omega_B"))
@@ -59,7 +59,11 @@ def flutter_speed(params: FlutterParams) -> float:
     if gap < 0.0:
         raise InvalidParameterError(
             "omega_T < omega_B: negative radicand, no flutter threshold")
-    return math.sqrt(2.0 * r2 * l2 / (2.0 * r2 + l2) * gap / params.alpha_mass)
+    # the ratio first, so that r^2 l^2 cannot overflow where V_c^2 does not
+    v_c = math.sqrt(2.0 * r2 / (2.0 * r2 + l2) * l2 * gap / params.alpha_mass)
+    if not v_c < math.inf:
+        raise InvalidParameterError("V_c is not a finite float for these fields")
+    return v_c
 
 
 def gust_energy(phi_field: Callable, geom, t: float,
@@ -177,13 +181,21 @@ def elongation_mode(a_m: float, m: int, L: float, tol: float = 1e-10) -> float:
     E complete of the second kind, here L (a^2 - S) / AGM(a, 1) - L with
     a^2 = 1 + c and S = sum_n 2^(n-1) c_n^2 (Gauss-Kummer); the mean
     iterates until its last half gap c_n is within tol of a, relative
-    (at least 1e-15)."""
+    (at least 1e-15). Below c = 0.1, where subtracting L costs digits, it is
+    the binomial series L sum_k binom(1/2, k) binom(2k, k) (c/4)^k, summed
+    until a term no longer changes the sum: L (c/4 - 3c^2/64 + ...)."""
     if m < 1 or L <= 0.0:
         raise InvalidParameterError("need m >= 1 and L > 0")
     slope = m * math.pi * a_m / L
     c = slope * slope
     if not c < math.inf:
         raise InvalidParameterError("(m pi a_m / L)^2 must be finite")
+    if c < 0.1:
+        k, term, total = 1, 0.25 * c, 0.0
+        while total + term != total:
+            k, total = k + 1, total + term
+            term *= -(2 * k - 3) * (2 * k - 1) / (4.0 * k * k) * c
+        return L * total
     a, b, weight, total, gap = math.sqrt(1.0 + c), 1.0, 0.5, 0.5 * c, math.inf
     while gap > max(1e-15, tol) * a:
         gap = 0.5 * (a - b)

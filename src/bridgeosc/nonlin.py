@@ -1,23 +1,80 @@
 """Restoring-force nonlinearities and numeric checks of their structural hypotheses.
 
-Each family evaluates f, its antiderivative F (with F(0) = 0) and its
-derivative f' in closed form. The hypothesis checker combines exact per-kind
-reasoning with a sampled safety net on a symmetric grid.
+One table keyed by kind holds each force law: the parameters it reads, f,
+F (the antiderivative with F(0) = 0), f' and its parameter checks. f runs
+the same arithmetic on one float (numpy float64 included) as on an array.
+The hypothesis checker combines exact per-kind reasoning with a sampled
+safety net on a symmetric grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
+
+class _Law(NamedTuple):
+    """One force law. f, F and fprime map (nl, s) to the value at s; each
+    check is a (test of nl, message) pair, written so that NaN fails it."""
+
+    params: Tuple[str, ...]
+    f: Callable
+    F: Callable
+    fprime: Callable
+    checks: tuple = ()
+
+
+_EPSILON_CHECK = (lambda nl: nl.epsilon >= 0.0, "epsilon must be >= 0")
+
+_LAWS = {
+    "linear": _Law((), lambda nl, s: +s, lambda nl, s: s**2 / 2.0,  # +s: array copy
+                   lambda nl, s: np.ones_like(s)),
+    "cubic": _Law(
+        ("epsilon",), lambda nl, s: s + nl.epsilon * (s * s * s),
+        lambda nl, s: s**2 / 2.0 + nl.epsilon * s**4 / 4.0,
+        lambda nl, s: 1.0 + 3.0 * nl.epsilon * s**2, (_EPSILON_CHECK,)),
+    # np.power: on a float, ** rounds apart from the array loop and can raise
+    "power": _Law(
+        ("epsilon", "p_exp"),
+        lambda nl, s: s + nl.epsilon * np.power(np.abs(s), nl.p_exp - 1.0) * s,
+        lambda nl, s: s**2 / 2.0 + (nl.epsilon * np.abs(s) ** (nl.p_exp + 1.0)
+                                    / (nl.p_exp + 1.0)),
+        lambda nl, s: 1.0 + nl.epsilon * nl.p_exp * np.abs(s) ** (nl.p_exp - 1.0),
+        (_EPSILON_CHECK, (lambda nl: nl.p_exp > 1.0, "p_exp must be > 1"))),
+    # Lazer & McKenna's slackening cable. On a float the builtin max is ~4x
+    # faster than np.maximum; (s > -1) * (s + 1) would turn -inf into NaN.
+    "piecewise": _Law(
+        (), lambda nl, s: (max(s + 1.0, 0.0) if isinstance(s, float)
+                           else np.maximum(s + 1.0, 0.0)) - 1.0,
+        lambda nl, s: np.where(s >= -1.0, s**2 / 2.0, -s - 0.5),
+        lambda nl, s: np.where(s >= -1.0, 1.0, 0.0)),
+    "exponential": _Law(
+        ("a_coef", "b_coef"), lambda nl, s: nl.a_coef * np.expm1(nl.b_coef * s),
+        lambda nl, s: nl.a_coef * (np.expm1(nl.b_coef * s) / nl.b_coef - s),
+        lambda nl, s: nl.a_coef * nl.b_coef * np.exp(nl.b_coef * s),
+        ((lambda nl: nl.a_coef > 0.0 and nl.b_coef > 0.0,
+          "exponential needs a_coef > 0 and b_coef > 0"),)),
+    "mckenna_cubic": _Law(
+        ("sigma_f", "c_quad", "d_cub"),
+        lambda nl, s: nl.sigma_f * s + nl.c_quad * (s * s) + nl.d_cub * (s * s * s),
+        lambda nl, s: (nl.sigma_f * s**2 / 2.0 + nl.c_quad * s**3 / 3.0
+                       + nl.d_cub * s**4 / 4.0),
+        lambda nl, s: nl.sigma_f + 2.0 * nl.c_quad * s + 3.0 * nl.d_cub * s**2,
+        ((lambda nl: nl.d_cub > 0.0, "mckenna_cubic needs d_cub > 0"),)),
+}
+
 # kind -> the parameters its f, F and f' read; no other parameter is settable
-KINDS = {"linear": (), "cubic": ("epsilon",), "power": ("epsilon", "p_exp"),
-         "piecewise": (), "exponential": ("a_coef", "b_coef"),
-         "mckenna_cubic": ("sigma_f", "c_quad", "d_cub")}
+KINDS = {kind: law.params for kind, law in _LAWS.items()}
+_F = {k: law.f for k, law in _LAWS.items()}  # per-call f: a dict hit, ~25 ns faster
+
+
+def _on_array(fn, nl, s):
+    out = fn(nl, np.asarray(s, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -47,61 +104,16 @@ class Nonlinearity:
             raise InvalidParameterError(f"unknown nonlinearity kind {self.kind!r}")
 
     def f(self, s):
-        if isinstance(s, float) and self.kind in _SCALAR_F:
-            return _SCALAR_F[self.kind](self, s)
-        s = np.asarray(s, dtype=float)
-        k = self.kind
-        if k == "linear":
-            out = s.copy()
-        elif k == "cubic":
-            out = s + self.epsilon * (s * s * s)
-        elif k == "power":
-            out = s + self.epsilon * np.abs(s) ** (self.p_exp - 1.0) * s
-        elif k == "piecewise":
-            out = np.maximum(s + 1.0, 0.0) - 1.0
-        elif k == "exponential":
-            out = self.a_coef * np.expm1(self.b_coef * s)
-        else:  # mckenna_cubic
-            out = self.sigma_f * s + self.c_quad * s**2 + self.d_cub * s**3
-        return float(out) if out.ndim == 0 else out
+        if isinstance(s, float):  # numpy float64 too, run as a Python float
+            return float(_F[self.kind](self, float(s)))
+        return _on_array(_F[self.kind], self, s)
 
     def F(self, s):
         """Antiderivative of f with F(0) = 0."""
-        s = np.asarray(s, dtype=float)
-        k = self.kind
-        if k == "linear":
-            out = s**2 / 2.0
-        elif k == "cubic":
-            out = s**2 / 2.0 + self.epsilon * s**4 / 4.0
-        elif k == "power":
-            p = self.p_exp
-            out = s**2 / 2.0 + self.epsilon * np.abs(s) ** (p + 1.0) / (p + 1.0)
-        elif k == "piecewise":
-            out = np.where(s >= -1.0, s**2 / 2.0, -s - 0.5)
-        elif k == "exponential":
-            a, b = self.a_coef, self.b_coef
-            out = a * (np.expm1(b * s) / b - s)
-        else:  # mckenna_cubic
-            out = (self.sigma_f * s**2 / 2.0 + self.c_quad * s**3 / 3.0
-                   + self.d_cub * s**4 / 4.0)
-        return float(out) if out.ndim == 0 else out
+        return _on_array(_LAWS[self.kind].F, self, s)
 
     def fprime(self, s):
-        s = np.asarray(s, dtype=float)
-        k = self.kind
-        if k == "linear":
-            out = np.ones_like(s)
-        elif k == "cubic":
-            out = 1.0 + 3.0 * self.epsilon * s**2
-        elif k == "power":
-            out = 1.0 + self.epsilon * self.p_exp * np.abs(s) ** (self.p_exp - 1.0)
-        elif k == "piecewise":
-            out = np.where(s >= -1.0, 1.0, 0.0)
-        elif k == "exponential":
-            out = self.a_coef * self.b_coef * np.exp(self.b_coef * s)
-        else:  # mckenna_cubic
-            out = self.sigma_f + 2.0 * self.c_quad * s + 3.0 * self.d_cub * s**2
-        return float(out) if out.ndim == 0 else out
+        return _on_array(_LAWS[self.kind].fprime, self, s)
 
     def to_config(self) -> dict:
         """Scenario-config form: {"kind": ..., "params": {...}}."""
@@ -109,40 +121,17 @@ class Nonlinearity:
                 "params": {k: getattr(self, k) for k in KINDS[self.kind]}}
 
 
-# f at one float (a Python float or a numpy float64). Its cubes go through
-# np.power, whose rounding the figure12, figure13 and figure16 artifacts
-# pin; the cubic's array path multiplies instead (s * s * s is ~6x faster on
-# a projection grid), so the two paths of that kind can differ in the last
-# bits. The power kind is left out: its np.abs(s) ** e on a 0-d array and
-# np.power(abs(s), e) round differently.
-_SCALAR_F = {
-    "linear": lambda nl, s: float(s),
-    "cubic": lambda nl, s: float(s + nl.epsilon * np.power(s, 3.0)),
-    "piecewise": lambda nl, s: float(max(s + 1.0, 0.0) - 1.0),
-    "exponential": lambda nl, s: float(nl.a_coef * np.expm1(nl.b_coef * s)),
-    "mckenna_cubic": lambda nl, s: float(nl.sigma_f * s + nl.c_quad * (s * s)
-                                         + nl.d_cub * np.power(s, 3.0)),
-}
-
-
 def make_nonlinearity(kind: str, params: Optional[dict] = None, **kw) -> Nonlinearity:
     """Build a validated Nonlinearity from the parameters its kind reads;
     raises InvalidParameterError on any other parameter or a bad value."""
-    given = dict(params or {})
-    given.update(kw)
+    given = {**(params or {}), **kw}
     unknown = set(given) - set(KINDS.get(kind, ()))
     if unknown:
         raise InvalidParameterError(f"{kind} does not read {sorted(unknown)}")
     nl = Nonlinearity(kind=kind, **given)
-    # written so that NaN fails every check
-    if kind in ("cubic", "power") and not nl.epsilon >= 0.0:
-        raise InvalidParameterError("epsilon must be >= 0")
-    if kind == "power" and not nl.p_exp > 1.0:
-        raise InvalidParameterError("p_exp must be > 1")
-    if kind == "exponential" and not (nl.a_coef > 0.0 and nl.b_coef > 0.0):
-        raise InvalidParameterError("exponential needs a_coef > 0 and b_coef > 0")
-    if kind == "mckenna_cubic" and not nl.d_cub > 0.0:
-        raise InvalidParameterError("mckenna_cubic needs d_cub > 0")
+    for ok, message in _LAWS[kind].checks:
+        if not ok(nl):
+            raise InvalidParameterError(message)
     return nl
 
 

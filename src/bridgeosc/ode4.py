@@ -10,7 +10,7 @@ energy-rate ratios between consecutive sign intervals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -179,12 +179,12 @@ class Trajectory(RawTrajectory):
 
 
 def _initial_state(state0, record=State4) -> Tuple[float, np.ndarray]:
-    """(t0, y0) from a state record, or from 4 bare components at t0 = 0."""
+    """(t, y) from a state record, or from 4 bare components at t = 0."""
     if isinstance(state0, record):
         return state0.t, state0.array
-    arr = np.asarray(state0, dtype=float)
-    if arr.shape != (4,):
-        raise InvalidParameterError("initial state must have 4 components")
+    arr = np.asarray(() if is_dataclass(state0) else state0, dtype=float)
+    if arr.shape != (4,):  # another record is refused, not read as 4 numbers
+        raise InvalidParameterError(f"need a {record.__name__} or 4 components")
     return 0.0, arr
 
 
@@ -311,7 +311,7 @@ def _hamiltonian_terms(family: OdeFamily, states: np.ndarray):
 
 def hamiltonian(family: OdeFamily, state) -> float:
     """First integral H = w' w''' - (w'')^2/2 + k (w')^2/2 + F(w)."""
-    arr = state.array if isinstance(state, State4) else np.asarray(state, float)
+    arr = _initial_state(state)[1]
     return float(sum(_hamiltonian_terms(family, arr[None, :]))[0])
 
 
@@ -342,6 +342,5 @@ def hamiltonian_drift(family: OdeFamily, traj: Trajectory,
 
 def check_tech(k: float, state0) -> bool:
     """Strict sign condition w'(0)w''(0) - w(0)w'''(0) - k w(0)w'(0) > 0."""
-    arr = state0.array if isinstance(state0, State4) else np.asarray(state0, float)
-    w, w1, w2, w3 = arr
+    w, w1, w2, w3 = _initial_state(state0)[1]
     return bool(w1 * w2 - w * w3 - k * w * w1 > 0.0)

@@ -213,7 +213,7 @@ def _first_integral_terms(params: MiosystParams, nl: Nonlinearity,
 
 def first_integral_E(params: MiosystParams, nl: Nonlinearity, state4) -> float:
     """E = (beta+delta)/2 (w')^2 + w' w''' + 2(delta-beta) F(w) - (w'')^2/2."""
-    arr = state4.array if hasattr(state4, "array") else np.asarray(state4, float)
+    arr = _initial_state(state4)[1]  # a State4 or (w, w', w'', w''')
     return float(sum(_first_integral_terms(params, nl, arr[None, :]))[0])
 
 

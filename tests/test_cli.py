@@ -471,6 +471,8 @@ def _with(run, **changes):
     _with("modes-geom", geom={"length_L": math.nan}),
     _with("flutter", half_width_l=math.nan),
     _with("flutter", omega_T=1e200),  # finite, but its square overflows
+    # finite squares, but V_c itself overflows
+    _with("flutter", half_width_l=1e150, gyration_r=1e150, alpha_mass=1e-10),
     _with("coupled", mass_m=math.nan),
     _with("truebeam", damping_delta=math.nan),
     _with("truebeam", geom={"half_width_l": math.inf}),
@@ -481,7 +483,7 @@ def _with(run, **changes):
     _with("ode4", family={"k2": 3.0}),
 ], ids=["energy-nan", "energy-inf", "scanlan-nan", "scanlan-inf",
         "scanlan-theta0-nan", "modes-nan", "flutter-nan", "flutter-overflow",
-        "coupled-nan",
+        "flutter-speed-overflow", "coupled-nan",
         "truebeam-nan", "truebeam-inf", "truebeam-forcing-nan", "cubic-d_cub",
         "canonical-k2"])
 def test_rejected_settings_exit_3_and_write_nothing(tmp_path, run, parameters):

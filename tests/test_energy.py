@@ -50,6 +50,18 @@ def test_flutter_square_overflow_names_the_field(field):
         energy.flutter_speed(params)
 
 
+def test_flutter_large_lengths_keep_a_finite_speed():
+    # r^2 l^2 = 1e400 overflows, but V_c^2 = (2/3) 1e200 * 1.56 / 0.02 does not
+    v_c = energy.flutter_speed(_fp(1e100, 1e100, 1.0, 1.6))
+    assert v_c == pytest.approx(math.sqrt(52.0) * 1e100, rel=1e-14)
+
+
+def test_flutter_speed_that_overflows_is_rejected():
+    # every square is finite, V_c^2 = (2/3) 1e300 * 1.56 / 1e-10 is not
+    with pytest.raises(InvalidParameterError, match="V_c"):
+        energy.flutter_speed(_fp(1e150, 1e150, 1.0, 1.6, al=1e-10))
+
+
 @settings(max_examples=50, deadline=None)
 @given(c=st.floats(0.1, 50.0), l=st.floats(0.5, 20.0), r=st.floats(0.5, 20.0))
 def test_flutter_homogeneous_degree_one(c, l, r):
@@ -155,6 +167,24 @@ def test_elongation_mode_matches_elliptic_closed_form(a, m, L):
     c = (m * math.pi * a / L) ** 2
     exact = 2.0 * L / math.pi * math.sqrt(1.0 + c) * ellipe(c / (1.0 + c)) - L
     assert abs(energy.elongation_mode(a, m, L) - exact) <= 1e-12 * max(1.0, exact)
+
+
+# (a, m, L): small slopes, then c = (pi a)^2 just below and above 0.1,
+# where the binomial series hands over to the elliptic closed form
+SMALL_SLOPES = [(a, m, L) for a in (1e-9, 1e-7, 1e-5, 1e-3)
+                for m, L in ((1, 1.0), (3, math.pi))] + [
+    (math.sqrt(0.1) / math.pi * (1.0 + d), 1, 1.0) for d in (-1e-9, 1e-9)]
+
+
+@pytest.mark.parametrize("a, m, L", SMALL_SLOPES)
+def test_elongation_mode_is_relative_accurate_at_small_slopes(a, m, L):
+    mpmath = pytest.importorskip("mpmath")
+    slope = m * math.pi * a / L
+    with mpmath.workdps(50):
+        c = mpmath.mpf(slope * slope)
+        exact = float(L * (2 / mpmath.pi * mpmath.sqrt(1 + c)
+                           * mpmath.ellipe(c / (1 + c)) - 1))
+    assert abs(energy.elongation_mode(a, m, L) - exact) <= 1e-13 * exact
 
 
 @pytest.mark.parametrize("record, kw", [

@@ -177,9 +177,84 @@ def test_cubic_array_path_multiplies_and_agrees_with_the_scalar_path(eps):
     nl = bo.make_nonlinearity("cubic", epsilon=eps)
     out = nl.f(s)
     assert out.tobytes() == (s + eps * (s * s * s)).tobytes()
-    # the scalar path cubes through np.power, which rounds once
     scalar = np.array([nl.f(float(x)) for x in s])
-    assert np.all(np.abs(out - scalar) <= 2.0 * np.spacing(np.abs(scalar)))
+    assert scalar.tobytes() == out.tobytes()
+
+
+def _float_grid():
+    """100,000 log-spread values of both signs over 1e-300..1e300, then
+    +-0, +-1e308, +-inf, NaN, -1 and the two floats next to -1."""
+    rng = np.random.default_rng(5)
+    s = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-300.0, 300.0,
+                                                               100_000)
+    return np.concatenate([s, [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf,
+                               math.nan, -1.0, np.nextafter(-1.0, 0.0),
+                               np.nextafter(-1.0, -2.0)]])
+
+
+FLOAT_GRID = _float_grid()
+# every kind, and power also at p = 3, where |s|^(p-1) is a square
+GRID_KINDS = ALL_KINDS + [bo.make_nonlinearity("power", epsilon=0.5, p_exp=3.0)]
+
+
+@pytest.mark.parametrize("nl", GRID_KINDS, ids=lambda n: n.kind)
+def test_f_on_one_float_is_the_array_f_byte_for_byte(nl):
+    # the stepper calls f on one float, the checks and the modal projection
+    # on arrays: they must be one function, down to the last bit
+    with np.errstate(all="ignore"):
+        out = nl.f(FLOAT_GRID)
+        scalar = np.fromiter(map(nl.f, FLOAT_GRID.tolist()), float)
+        # numpy float64 takes the float path too
+        f64 = np.fromiter(map(nl.f, FLOAT_GRID[-10_010:]), float)
+    assert scalar.tobytes() == out.tobytes()
+    assert f64.tobytes() == out[-10_010:].tobytes()
+    assert type(nl.f(np.float64(0.5))) is float
+
+
+# f (array path), F and f' as written before each law was one table entry,
+# kept as the reference arithmetic
+REFERENCE = {
+    "linear": (lambda nl, s: s.copy(), lambda nl, s: s**2 / 2.0,
+               lambda nl, s: np.ones_like(s)),
+    "cubic": (lambda nl, s: s + nl.epsilon * (s * s * s),
+              lambda nl, s: s**2 / 2.0 + nl.epsilon * s**4 / 4.0,
+              lambda nl, s: 1.0 + 3.0 * nl.epsilon * s**2),
+    "power": (lambda nl, s: s + nl.epsilon * np.abs(s) ** (nl.p_exp - 1.0) * s,
+              lambda nl, s: (s**2 / 2.0 + nl.epsilon
+                             * np.abs(s) ** (nl.p_exp + 1.0) / (nl.p_exp + 1.0)),
+              lambda nl, s: (1.0 + nl.epsilon * nl.p_exp
+                             * np.abs(s) ** (nl.p_exp - 1.0))),
+    "piecewise": (lambda nl, s: np.maximum(s + 1.0, 0.0) - 1.0,
+                  lambda nl, s: np.where(s >= -1.0, s**2 / 2.0, -s - 0.5),
+                  lambda nl, s: np.where(s >= -1.0, 1.0, 0.0)),
+    "exponential": (
+        lambda nl, s: nl.a_coef * np.expm1(nl.b_coef * s),
+        lambda nl, s: nl.a_coef * (np.expm1(nl.b_coef * s) / nl.b_coef - s),
+        lambda nl, s: nl.a_coef * nl.b_coef * np.exp(nl.b_coef * s)),
+    "mckenna_cubic": (
+        lambda nl, s: nl.sigma_f * s + nl.c_quad * s**2 + nl.d_cub * s**3,
+        lambda nl, s: (nl.sigma_f * s**2 / 2.0 + nl.c_quad * s**3 / 3.0
+                       + nl.d_cub * s**4 / 4.0),
+        lambda nl, s: nl.sigma_f + 2.0 * nl.c_quad * s + 3.0 * nl.d_cub * s**2),
+}
+
+
+@pytest.mark.parametrize("nl", GRID_KINDS, ids=lambda n: n.kind)
+def test_f_F_and_fprime_keep_the_reference_arithmetic(nl):
+    f_ref, F_ref, fprime_ref = REFERENCE[nl.kind]
+    s = FLOAT_GRID
+    with np.errstate(all="ignore"):
+        assert nl.F(s).tobytes() == F_ref(nl, s).tobytes()
+        assert nl.fprime(s).tobytes() == fprime_ref(nl, s).tobytes()
+        if nl.kind != "mckenna_cubic":
+            assert nl.f(s).tobytes() == f_ref(nl, s).tobytes()
+            return
+        # the reference cubed through np.power, f multiplies: they agree to
+        # the rounding of the terms
+        x = s[np.abs(s) < 1e100]
+        terms = (np.abs(nl.sigma_f * x) + np.abs(nl.c_quad * x * x)
+                 + np.abs(nl.d_cub * x * x * x))
+        assert np.all(np.abs(nl.f(x) - f_ref(nl, x)) <= 4.0 * np.spacing(terms))
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bridgeosc as bo
 from bridgeosc.errors import (EmptyTrajectoryError, InvalidParameterError,
@@ -139,6 +141,30 @@ def test_hamiltonian_general_conservative():
     assert np.max(np.abs(np.array(H) - H[0])) < 1e-8
 
 
+# conservative families from (k, p, q): p is epsilon, a_coef or c, q is
+# b_coef or the general family's exponent
+CONSERVATIVE = {
+    "cubic": lambda k, p, q: bo.canonical(
+        k, bo.make_nonlinearity("cubic", epsilon=p)),
+    "piecewise": lambda k, p, q: bo.canonical(k, bo.make_nonlinearity("piecewise")),
+    "exponential": lambda k, p, q: bo.canonical(
+        k, bo.make_nonlinearity("exponential", a_coef=p, b_coef=q)),
+    "general": lambda k, p, q: bo.general(0.0, k, 0.0, p, q),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONSERVATIVE))
+@settings(max_examples=20, deadline=None)
+@given(k=st.floats(-3.0, 3.0), p=st.floats(0.1, 3.0), q=st.floats(0.5, 3.0),
+       state0=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_hamiltonian_is_conserved_over_random_settings(kind, k, p, q, state0):
+    family = CONSERVATIVE[kind](k, p, q)
+    cfg = bo.IntegratorConfig(t_end=10.0, rel_tol=1e-10, abs_tol=1e-10)
+    traj = bo.integrate(family, state0, cfg)
+    _abs_drift, rel_drift = bo.hamiltonian_drift(family, traj, w_cap=1e3)
+    assert rel_drift <= 1e-6
+
+
 def test_general_family_superlinear_blowup():
     fam = bo.general(0.0, 2.0, 0.0, 1.0, 2.0)
     cfg = bo.IntegratorConfig(t_end=20.0)
@@ -163,6 +189,18 @@ def test_check_tech_examples():
     assert not bo.check_tech(5.0, [1.0, 0.0, 0.0, 0.0])
     assert bo.check_tech(5.0, [0.0, 1.0, 1.0, 0.0])
     assert bo.check_tech(-1.0, [1.0, 1.0, 0.0, 0.0])
+
+
+def test_state_readers_refuse_other_records_and_shapes():
+    fam = bo.canonical(3.0, bo.make_nonlinearity("cubic", epsilon=1.0))
+    sys_state = bo.SysState(0.0, 1.0, 0.0, 2.0, 0.0)  # (x, xd, y, yd)
+    for bad in (sys_state, [1.0, 0.0, 0.0], np.zeros((2, 4))):
+        with pytest.raises(InvalidParameterError):
+            bo.hamiltonian(fam, bad)
+        with pytest.raises(InvalidParameterError):
+            bo.check_tech(5.0, bad)
+    state = bo.State4(0.0, 1.0, 0.0, 0.0, 0.0)
+    assert bo.hamiltonian(fam, state) == bo.hamiltonian(fam, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_detect_blowup_requires_samples():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bridgeosc as bo
@@ -178,6 +178,19 @@ def test_first_integral_values():
     assert got == pytest.approx(0.1, abs=1e-14)
 
 
+def test_first_integral_refuses_a_system_state_and_a_wrong_shape():
+    nl = bo.make_nonlinearity("cubic", epsilon=0.1)
+    params = systems.MiosystParams(-1.0, 1.0)
+    # a SysState holds (x, xd, y, yd), not (w, w', w'', w''')
+    sys_state = systems.SysState(0.0, 1.0, 0.0, 2.0, 0.0)
+    for bad in (sys_state, [1.0, 0.0, 2.0], np.zeros((2, 4))):
+        with pytest.raises(InvalidParameterError):
+            systems.first_integral_E(params, nl, bad)
+    state = bo.State4(0.0, 1.0, 0.0, 2.0, 0.0)
+    assert systems.first_integral_E(params, nl, state) == \
+        systems.first_integral_E(params, nl, [1.0, 0.0, 2.0, 0.0])
+
+
 def test_first_integral_conserved(fig16):
     params, nl, _cfg16, _traj, reduced, _rep = fig16
     _abs_d, rel_d = systems.first_integral_drift(params, nl, reduced, cap=1e3)
@@ -185,6 +198,20 @@ def test_first_integral_conserved(fig16):
     E0 = systems.first_integral_E(params, nl, reduced.states[0])
     abs_d, _ = systems.first_integral_drift(params, nl, reduced, cap=1e3)
     assert abs_d <= 1e-6 * (1.0 + abs(E0)) * 10.0  # mild absolute bound too
+
+
+@settings(max_examples=20, deadline=None)
+@given(beta=st.floats(-3.0, 3.0), delta=st.floats(-3.0, 3.0),
+       eps=st.floats(0.1, 3.0),
+       s0=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_first_integral_is_conserved_over_random_settings(beta, delta, eps, s0):
+    assume(abs(delta - beta) > 0.1)  # the reduction needs delta != beta
+    params = systems.MiosystParams(beta, delta)
+    nl = bo.make_nonlinearity("cubic", epsilon=eps)
+    traj = systems.integrate_miosyst(params, nl, s0, _cfg(10.0))
+    reduced = systems.to_fourth_order(params, nl, traj)
+    _abs_d, rel_d = systems.first_integral_drift(params, nl, reduced, cap=1e3)
+    assert rel_d <= 1e-6
 
 
 def test_check_initial_oscill_examples():
