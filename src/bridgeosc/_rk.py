@@ -8,11 +8,14 @@ monitored component crosses a threshold or the step size underflows. The
 Dormand-Prince method (Hairer's DOP853) propagates at eighth order, blends
 its embedded 5th- and 3rd-order error estimators and has a degree-7
 continuous extension: built for stiff amplitude growth near finite-time
-blow-up. Given the linear part of y' = L y + N(t, y) as damped 2x2
-oscillator blocks, the five-stage exponential method of Hochbruck and
-Ostermann (stiff order 4) solves the linear flow exactly, so the step size
-follows N alone and not the stiffness of L. A trajectory's zeros of one
-component are bisected on the interpolant of each step that brackets one.
+blow-up. As in Hairer's code, the three stages of that extension are left
+out of the step loop: a trajectory evaluates them, from the stages its steps
+kept, for the steps that something reads. Given the linear part of
+y' = L y + N(t, y) as damped 2x2 oscillator blocks, the five-stage
+exponential method of Hochbruck and Ostermann (stiff order 4) solves the
+linear flow exactly, so the step size follows N alone and not the stiffness
+of L. A trajectory's zeros of one component are bisected on the
+interpolant of each step that brackets one.
 """
 from __future__ import annotations
 
@@ -31,7 +34,8 @@ STEP_UNDERFLOW = "step_underflow"
 # Dormand-Prince 8(5,3), Hairer's DOP853. Stages 0-11 make the step; _A[12]
 # is _B, so stage 12 is the rhs at the new state (the next step's stage 0);
 # stages 13-15 serve only the degree-7 dense output (contd8). _A[i] weighs
-# stages 0 .. i-1 in the input of stage i.
+# stages 0 .. i-1 in the input of stage i; stages 1-4 weigh 0 in stages 13-15
+# and in _D.
 _C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
                0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
                0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
@@ -135,6 +139,10 @@ class RawTrajectory:
     ys, states  (N, n) accepted states
     termination one of reached_t_end / blowup_detected / step_underflow
     columns     CSV names of the n state columns, set by each subclass
+
+    rcont is the (N-1, 8, n) array of the steps' contd8 coefficients, or a
+    function returning those of given steps (sorted distinct indices): then
+    a step's coefficients are built the first time it is read, and kept.
     """
 
     columns: tuple = ()
@@ -142,9 +150,28 @@ class RawTrajectory:
     def __init__(self, ts, ys, rcont, termination, n_rejected=0):
         self.ts = ts
         self.ys = ys
-        self._rcont = rcont  # (N-1, 8, n)
+        lazy = callable(rcont)
+        self._build, self._todo = rcont, np.full(len(ts) - 1, lazy)  # unbuilt
+        self._coef = np.empty((len(ts) - 1, 8, ys.shape[1])) if lazy else rcont
         self.termination = termination
         self.n_rejected = n_rejected
+
+    def _coefficients(self, steps):
+        """The (N-1, 8, n) coefficient array, built at least at steps."""
+        # the unbuilt ones, sorted and distinct (the first np.unique call of
+        # a process adds 1.7 MB of resident memory under numpy 2.4)
+        new = np.zeros_like(self._todo)
+        new[steps] = True
+        new = np.flatnonzero(new & self._todo)
+        if new.size:
+            self._coef[new] = self._build(new)
+            self._todo[new] = False
+        return self._coef
+
+    @property
+    def _rcont(self):
+        """The coefficients of every step, built where not read yet."""
+        return self._coefficients(np.arange(len(self.ts) - 1))
 
     def __len__(self):
         return len(self.ts)
@@ -171,15 +198,22 @@ class RawTrajectory:
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def _interpolate(self, idx, theta):
-        """States at fractions theta of the steps idx."""
-        return _contd8(np.moveaxis(self._rcont[idx], 1, 0), theta[:, None])
+        """States at fractions theta of the steps idx, _EVAL_CHUNK at a time."""
+        coef = self._coefficients(idx)
+        out = np.empty((len(idx), self.ys.shape[1]))
+        for lo in range(0, len(idx), _EVAL_CHUNK):
+            at = slice(lo, lo + _EVAL_CHUNK)
+            out[at] = _contd8(np.moveaxis(coef[idx[at]], 1, 0), theta[at, None])
+        return out
 
     def map_linear(self, mat):
-        """New trajectory whose state is mat @ y; exact for the interpolant."""
+        """New trajectory whose state is mat @ y; exact for the interpolant,
+        whose coefficients it maps step by step as they are read."""
         mat = np.asarray(mat, dtype=float)
         ys = self.ys @ mat.T
-        rcont = np.einsum("skn,mn->skm", self._rcont, mat)
-        return RawTrajectory(self.ts, ys, rcont, self.termination, self.n_rejected)
+        return RawTrajectory(self.ts, ys, lambda steps: np.einsum(
+            "skn,mn->skm", self._coefficients(steps)[steps], mat),
+            self.termination, self.n_rejected)
 
     def component_zeros(self, idx, tol=1e-9):
         """Times where component idx crosses zero, in order: roots bisected
@@ -190,6 +224,7 @@ class RawTrajectory:
         ends_on_zero = (w[1:] == 0.0) & (w[:-1] != 0.0) & np.append(
             w[:-2] * w[2:] < 0.0, True)
         steps = np.flatnonzero((w[:-1] * w[1:] < 0.0) | ends_on_zero)
+        rcont = self._coefficients(steps[w[steps + 1] != 0.0])  # the bisected
         ts, w = self.ts.tolist(), w.tolist()
         zs = []
         for i in steps.tolist():
@@ -197,7 +232,7 @@ class RawTrajectory:
             if w[i + 1] == 0.0:
                 zs.append(t1)
                 continue
-            coef, f_lo = self._rcont[i, :, idx].tolist(), w[i]
+            coef, f_lo = rcont[i, :, idx].tolist(), w[i]
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
@@ -271,23 +306,38 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     return min(100.0 * h0, h1, max_step, t_end - t0)
 
 
-def _dense_coefficients(ys, hs, recs):
-    """(N-1, 8, n) contd8 coefficients of every accepted step, from the
-    accepted states ys, the step sizes hs and the step records of _dop853;
-    elementwise the same operations as one step at a time."""
-    rcont = np.empty((len(hs), 8, ys.shape[1]))
-    h = hs[:, None]
-    f0, f1 = recs[:, 0], recs[:, 1]
-    y0, ydiff, c2, c3 = (rcont[:, j] for j in range(4))
-    y0[...] = ys[:-1]
-    np.subtract(ys[1:], ys[:-1], out=ydiff)
-    np.multiply(h, f0, out=c2)
-    c2 -= ydiff                        # h*f0 - ydiff
-    np.add(f1, f0, out=c3)
-    c3 *= h
-    np.subtract(ydiff + ydiff, c3, out=c3)  # 2*ydiff - h*(f1 + f0)
-    np.multiply(h[:, None], recs[:, 2:], out=rcont[:, 4:])
-    return rcont
+def _dop853_dense(rhs, ts, ys, hs, recs):
+    """The function returning the (S, 8, n) contd8 coefficients of S given
+    steps of a _dop853 run, from its samples ts, ys, its step sizes hs and
+    its step records. It evaluates each step's three dense stages with the
+    step loop's operations, over K with rows 1-4 set to 0.0, then forms the
+    coefficients elementwise, the same operations as one step at a time."""
+    n = ys.shape[1]
+    K = np.zeros((16, n))
+
+    def build(steps):
+        dk = np.empty((len(steps), 4, n))  # _D @ K of each step
+        for s, i in enumerate(steps.tolist()):
+            t, y, h = float(ts[i]), ys[i], float(hs[i])
+            K[0], K[5:13] = recs[i, 0], recs[i, 1:]
+            for j in range(13, 16):
+                K[j] = rhs(t + float(_C[j]) * h, y + h * _A[j].dot(K[:j]))
+            np.dot(_D, K, out=dk[s])
+        rcont = np.empty((len(steps), 8, n))
+        h = hs[steps, None]
+        f0, f1 = recs[steps, 0], recs[steps, 8]
+        y0, ydiff, c2, c3 = (rcont[:, j] for j in range(4))
+        y0[...] = ys[steps]
+        np.subtract(ys[steps + 1], y0, out=ydiff)
+        np.multiply(h, f0, out=c2)
+        c2 -= ydiff                        # h*f0 - ydiff
+        np.add(f1, f0, out=c3)
+        c3 *= h
+        np.subtract(ydiff + ydiff, c3, out=c3)  # 2*ydiff - h*(f1 + f0)
+        np.multiply(h[:, None], dk, out=rcont[:, 4:])
+        return rcont
+
+    return build
 
 
 def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
@@ -302,7 +352,9 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     is not positive and a non-finite rhs at the initial state.
 
     With linear (a LinearBlocks), the system is y' = L y + rhs(t, y) and the
-    exponential stepper integrates it, returning an ExpTrajectory.
+    exponential stepper integrates it, returning an ExpTrajectory. Else the
+    RawTrajectory keeps rhs and calls it again, three times for each step
+    whose interpolant is read, so rhs must be a pure function of (t, y).
 
     This is the one step controller for both step methods (_dop853 and
     _exponential). A method supplies size(t, h) -> (h, t_new), which fits a
@@ -391,44 +443,31 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     N = len(ts)
     ts, ys, hs = np.asarray(ts), Y[:N].copy(), np.asarray(hs)
     if linear is None:
-        return RawTrajectory(ts, ys, _dense_coefficients(ys, hs, R[:N - 1]),
-                             termination, n_rejected)
+        dense = _dop853_dense(rhs, ts, ys, hs, R[:N - 1])
+        return RawTrajectory(ts, ys, dense, termination, n_rejected)
     return ExpTrajectory(ts, ys, hs, R[:N - 1].copy(), linear, termination,
                          n_rejected)
 
 
 def _dop853(rhs, y0, f0, t_end, rtol, atol):
     """The Dormand-Prince 8(5,3) step method of integrate_adaptive. A step is
-    rejected when a stage input or value is not finite. Its record is [f at
-    the step start, f at its end, _D @ K], which _dense_coefficients turns
-    into the step's interpolant."""
+    rejected when a stage input or value is not finite. Its record is the
+    stages that the dense stages and _D read, K[0] and K[5] .. K[12], from
+    which _dop853_dense builds the step's interpolant."""
     n = y0.size
-    K = np.empty((16, n))
+    K = np.empty((13, n))
     K[0] = f0
     K_flat, K_err = K.reshape(-1), K[:12]  # views
     # x * 0.0 is 0.0 for finite x and NaN for inf or NaN, so a dot product
     # with zeros is 0.0 exactly when every entry is finite (and is several
     # times cheaper than isfinite().all() on a handful of entries)
-    zeros, zeros_K = np.zeros(n), np.zeros(16 * n)
+    zeros, zeros_K = np.zeros(n), np.zeros(13 * n)
     # stage i: (i, c_i, the earlier stages, tableau row), in order;
     # row.dot(stages) is the cheapest numpy call for these small products.
-    # A step's stages end on stage 12, whose input is the new state; the
-    # three of its dense output follow once the step passes.
-    step, dense = ([(i, float(_C[i]), K[:i], _A[i]) for i in stages]
-                   for stages in (range(1, 13), range(13, 16)))
-    rec = np.empty((6, n))
+    # A step's stages end on stage 12, whose input is the new state.
+    step = [(i, float(_C[i]), K[:i], _A[i]) for i in range(1, 13)]
+    rec = np.empty((9, n))
     abs_y = np.abs(y0)
-
-    def fill(stages, t, y, h):
-        """Evaluate the stages into K; their last input, or None when an
-        input or a stage so far is not finite."""
-        for i, c, k_prev, a in stages:
-            yi = y + h * a.dot(k_prev)
-            if yi.dot(zeros) != 0.0:
-                return None
-            K[i] = rhs(t + c * h, yi)
-        end = (i + 1) * n
-        return yi if K_flat[:end].dot(zeros_K[:end]) == 0.0 else None
 
     def size(t, h):
         h = min(h, t_end - t)
@@ -436,8 +475,12 @@ def _dop853(rhs, y0, f0, t_end, rtol, atol):
 
     def attempt(t, y, h, t_new):
         nonlocal abs_y
-        y_new = fill(step, t, y, h)
-        if y_new is None:
+        for i, c, k_prev, a in step:
+            y_new = y + h * a.dot(k_prev)
+            if y_new.dot(zeros) != 0.0:
+                return None, None
+            K[i] = rhs(t + c * h, y_new)
+        if K_flat.dot(zeros_K) != 0.0:
             return None, None
         abs_new = np.abs(y_new)
         sc = atol + rtol * np.maximum(abs_y, abs_new)
@@ -448,10 +491,7 @@ def _dop853(rhs, y0, f0, t_end, rtol, atol):
         err_norm = h * s5 / math.sqrt(den * n) if den else 0.0
         if not err_norm <= 1.0:
             return err_norm, None
-        if fill(dense, t, y, h) is None:
-            return None, None
-        rec[:2] = K[:13:12]
-        np.dot(_D, K, out=rec[2:])
+        rec[0], rec[1:] = K[0], K[5:]
         K[0] = K[12]  # FSAL: stage 12 is the next step's stage 0
         abs_y = abs_new
         return err_norm, ((t_new, h, y_new, rec),)

@@ -1,10 +1,10 @@
 """Restoring-force nonlinearities and numeric checks of their structural hypotheses.
 
 One table keyed by kind holds each force law: the parameters it reads, f,
-F (the antiderivative with F(0) = 0), f' and its parameter checks. f runs
-the same arithmetic on one float (numpy float64 included) as on an array.
-The hypothesis checker combines exact per-kind reasoning with a sampled
-safety net on a symmetric grid.
+F (the antiderivative with F(0) = 0), f', its parameter checks and its exact
+answers to the structural hypotheses. f runs the same arithmetic on one
+float (numpy float64 included) as on an array. The hypothesis checker
+combines those exact answers with a sampled safety net on a symmetric grid.
 """
 from __future__ import annotations
 
@@ -17,18 +17,52 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
+def _holds(nl):
+    return True
+
+
 class _Law(NamedTuple):
     """One force law. f, F and fprime map (nl, s) to the value at s; each
-    check is a (test of nl, message) pair, written so that NaN fails it."""
+    check is a (test of nl, message) pair, written so that NaN fails it.
+    The exact answers of check_hypotheses map nl to whether f(s) s > 0 away
+    from 0 (sign), whether f grows at most linearly on one side (ff3) and
+    whether f' >= 0 (mono), and f2 to its growth certificate or None."""
 
     params: Tuple[str, ...]
     f: Callable
     F: Callable
     fprime: Callable
     checks: tuple = ()
+    ff3: Callable = _holds
+    f2: Callable = lambda nl: None
+    sign: Callable = _holds
+    mono: Callable = _holds
 
 
 _EPSILON_CHECK = (lambda nl: nl.epsilon >= 0.0, "epsilon must be >= 0")
+
+
+def _no_epsilon(nl):
+    return nl.epsilon == 0.0
+
+
+def _mckenna_f2(nl):
+    """For sigma*s + c*s^2 + d*s^3 with d > 0 and c^2 <= 2*d*sigma the
+    constants rho=d/2, p=3, alpha=2*sigma, q=1, beta=3*d work; the two
+    polynomial inequalities reduce to quadratics with non-positive
+    discriminants."""
+    sig, c, d = nl.sigma_f, nl.c_quad, nl.d_cub
+    if c == 0.0 and sig >= 0.0:
+        return (d, 3.0, sig, 1.0, d)
+    if c * c <= 2.0 * d * sig:
+        return (d / 2.0, 3.0, 2.0 * sig, 1.0, 3.0 * d)
+    return None
+
+
+def _mckenna_sign(nl):
+    sig, c, d = nl.sigma_f, nl.c_quad, nl.d_cub
+    return (sig > 0.0 and c * c < 4.0 * d * sig) or (sig == 0.0 and c == 0.0)
+
 
 _LAWS = {
     "linear": _Law((), lambda nl, s: +s, lambda nl, s: s**2 / 2.0,  # +s: array copy
@@ -36,7 +70,9 @@ _LAWS = {
     "cubic": _Law(
         ("epsilon",), lambda nl, s: s + nl.epsilon * (s * s * s),
         lambda nl, s: s**2 / 2.0 + nl.epsilon * s**4 / 4.0,
-        lambda nl, s: 1.0 + 3.0 * nl.epsilon * s**2, (_EPSILON_CHECK,)),
+        lambda nl, s: 1.0 + 3.0 * nl.epsilon * s**2, (_EPSILON_CHECK,), _no_epsilon,
+        lambda nl: (nl.epsilon / 2.0, 3.0, 2.0, 1.0, 3.0 * nl.epsilon)
+        if nl.epsilon > 0.0 else None),
     # np.power: on a float, ** rounds apart from the array loop and can raise
     "power": _Law(
         ("epsilon", "p_exp"),
@@ -44,9 +80,12 @@ _LAWS = {
         lambda nl, s: s**2 / 2.0 + (nl.epsilon * np.abs(s) ** (nl.p_exp + 1.0)
                                     / (nl.p_exp + 1.0)),
         lambda nl, s: 1.0 + nl.epsilon * nl.p_exp * np.abs(s) ** (nl.p_exp - 1.0),
-        (_EPSILON_CHECK, (lambda nl: nl.p_exp > 1.0, "p_exp must be > 1"))),
+        (_EPSILON_CHECK, (lambda nl: nl.p_exp > 1.0, "p_exp must be > 1")),
+        _no_epsilon, lambda nl: (nl.epsilon, nl.p_exp, 1.0, 1.0, nl.epsilon)
+        if nl.epsilon > 0.0 else None),
     # Lazer & McKenna's slackening cable. On a float the builtin max is ~4x
     # faster than np.maximum; (s > -1) * (s + 1) would turn -inf into NaN.
+    # Like exponential, f(s)/s -> 0 as s -> -inf.
     "piecewise": _Law(
         (), lambda nl, s: (max(s + 1.0, 0.0) if isinstance(s, float)
                            else np.maximum(s + 1.0, 0.0)) - 1.0,
@@ -64,7 +103,9 @@ _LAWS = {
         lambda nl, s: (nl.sigma_f * s**2 / 2.0 + nl.c_quad * s**3 / 3.0
                        + nl.d_cub * s**4 / 4.0),
         lambda nl, s: nl.sigma_f + 2.0 * nl.c_quad * s + 3.0 * nl.d_cub * s**2,
-        ((lambda nl: nl.d_cub > 0.0, "mckenna_cubic needs d_cub > 0"),)),
+        ((lambda nl: nl.d_cub > 0.0, "mckenna_cubic needs d_cub > 0"),),
+        lambda nl: False, _mckenna_f2, _mckenna_sign,  # f(s)/s -> +inf both ways
+        lambda nl: nl.c_quad**2 <= 3.0 * nl.d_cub * nl.sigma_f),  # f' discriminant
 }
 
 # kind -> the parameters its f, F and f' read; no other parameter is settable
@@ -184,31 +225,6 @@ def _validate_grid(grid: np.ndarray) -> np.ndarray:
     return gs
 
 
-def _f2_certificate(nl: Nonlinearity):
-    """Closed-form (rho, p, alpha, q, beta) for the growth condition, or None.
-
-    For sigma*s + c*s^2 + d*s^3 with d > 0 and c^2 <= 2*d*sigma the constants
-    rho=d/2, p=3, alpha=2*sigma, q=1, beta=3*d work; the two polynomial
-    inequalities reduce to quadratics with non-positive discriminants.
-    """
-    if nl.kind == "cubic":
-        if nl.epsilon > 0.0:
-            return (nl.epsilon / 2.0, 3.0, 2.0, 1.0, 3.0 * nl.epsilon)
-        return None
-    if nl.kind == "power":
-        if nl.epsilon > 0.0:
-            return (nl.epsilon, nl.p_exp, 1.0, 1.0, nl.epsilon)
-        return None
-    if nl.kind == "mckenna_cubic":
-        sig, c, d = nl.sigma_f, nl.c_quad, nl.d_cub
-        if c == 0.0 and sig >= 0.0:
-            return (d, 3.0, sig, 1.0, d)
-        if c * c <= 2.0 * d * sig:
-            return (d / 2.0, 3.0, 2.0 * sig, 1.0, 3.0 * d)
-        return None
-    return None
-
-
 def check_hypotheses(nl: Nonlinearity, sample_grid=None) -> HypothesisReport:
     """Report which of the sign/growth/monotonicity hypotheses hold for nl.
 
@@ -220,32 +236,10 @@ def check_hypotheses(nl: Nonlinearity, sample_grid=None) -> HypothesisReport:
     fs = nl.f(grid)
     fps = nl.fprime(grid)
 
-    # sign condition f(s)*s > 0 for s != 0
-    if nl.kind == "mckenna_cubic":
-        sig, c, d = nl.sigma_f, nl.c_quad, nl.d_cub
-        holds_f = (sig > 0.0 and c * c < 4.0 * d * sig) or (sig == 0.0 and c == 0.0)
-    else:
-        holds_f = True  # remaining kinds satisfy it for all valid parameters
-    holds_f = holds_f and bool(np.all(fs * grid > 0.0))
-
-    # one-sided at most linear: limsup f(s)/s < +inf on at least one side
-    holds_ff3 = {
-        "linear": True,
-        "cubic": nl.epsilon == 0.0,
-        "power": nl.epsilon == 0.0,
-        "piecewise": True,       # f(s)/s -> 0 as s -> -inf
-        "exponential": True,     # f(s)/s -> 0 as s -> -inf
-        "mckenna_cubic": False,  # f(s)/s -> +inf on both sides (d > 0)
-    }[nl.kind]
-
-    # monotonicity f' >= 0 everywhere
-    if nl.kind == "mckenna_cubic":
-        holds_fmono = nl.c_quad**2 <= 3.0 * nl.d_cub * nl.sigma_f  # discriminant of f'
-    else:
-        holds_fmono = True
-    holds_fmono = holds_fmono and bool(np.all(fps >= 0.0))
-
-    cert = _f2_certificate(nl)
+    law = _LAWS[nl.kind]
+    holds_f = law.sign(nl) and bool(np.all(fs * grid > 0.0))
+    holds_fmono = law.mono(nl) and bool(np.all(fps >= 0.0))
+    cert = law.f2(nl)
     if cert is not None:
         rho, p, alpha, q, beta = cert
         lower = rho * np.abs(grid) ** (p + 1.0)
@@ -255,7 +249,7 @@ def check_hypotheses(nl: Nonlinearity, sample_grid=None) -> HypothesisReport:
         if not (np.all(prod >= lower - slack) and np.all(prod <= upper + slack)):
             cert = None
     if cert is None:
-        return HypothesisReport(holds_f, holds_ff3, holds_fmono, False)
+        return HypothesisReport(holds_f, law.ff3(nl), holds_fmono, False)
     rho, p, alpha, q, beta = cert
-    return HypothesisReport(holds_f, holds_ff3, holds_fmono, True,
+    return HypothesisReport(holds_f, law.ff3(nl), holds_fmono, True,
                             f2_rho=rho, f2_p=p, f2_alpha=alpha, f2_q=q, f2_beta=beta)

@@ -164,8 +164,7 @@ class Trajectory(RawTrajectory):
     columns = ("w", "w1", "w2", "w3")
 
     def __init__(self, raw: RawTrajectory):
-        super().__init__(raw.ts, raw.ys, raw._rcont, raw.termination,
-                         raw.n_rejected)
+        vars(self).update(vars(raw))  # the stepper record, built steps and all
         self.events: List[float] = self.component_zeros(0, tol=self.ZERO_TOL)
 
     @property
@@ -223,10 +222,15 @@ class BlowupReport:
 
 def _interval_ratios(traj: Trajectory,
                      zeros: Sequence[float]) -> List[Tuple[float, float]]:
+    gaps = list(zip(zeros[:-1], zeros[1:]))
+    if not gaps:
+        return []
+    # one eval of every interval's points, so the steps they read are built
+    # in one pass
+    Ys = traj.eval(np.concatenate([np.linspace(z0, z1, _SIMPSON_POINTS)
+                                   for z0, z1 in gaps]))
     out = []
-    for z0, z1 in zip(zeros[:-1], zeros[1:]):
-        tt = np.linspace(z0, z1, _SIMPSON_POINTS)
-        Y = traj.eval(tt)
+    for (z0, z1), Y in zip(gaps, Ys.reshape(len(gaps), _SIMPSON_POINTS, -1)):
         h = (z1 - z0) / (_SIMPSON_POINTS - 1)
         i_w, i_w1, i_w2 = (simpson_uniform(Y[:, j] ** 2, h) for j in range(3))
         out.append((i_w / i_w2, i_w1 / i_w2) if i_w2 != 0.0 else (0.0, 0.0))

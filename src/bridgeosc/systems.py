@@ -89,8 +89,7 @@ class SysTrajectory(RawTrajectory):
     columns = ("x", "xd", "y", "yd")
 
     def __init__(self, raw: RawTrajectory):
-        super().__init__(raw.ts, raw.ys, raw._rcont, raw.termination,
-                         raw.n_rejected)
+        vars(self).update(vars(raw))  # the stepper record, built steps and all
 
     @property
     def samples(self) -> List[SysState]:

@@ -157,9 +157,11 @@ def test_non_finite_t_end_rejected(t_end, rhs, linear):
 
 
 # --- reference step loop --------------------------------------------------
-# The plain loop, stacking each accepted step's dense-output block as it goes
-# (input checks left out). integrate_adaptive must call the rhs the same way,
-# take exactly the same steps and produce the same samples and interpolation
+# The plain loop, keeping each accepted step's stages, then the dense-output
+# block of every step, its three dense stages evaluated after the loop and
+# not checked (input checks left out). integrate_adaptive must call the rhs
+# the same way once its trajectory's coefficients are all read, take exactly
+# the same steps and produce the same samples and interpolation
 # coefficients, bit for bit.
 
 def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
@@ -173,7 +175,7 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     h = _rk._initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
     ts = [t]
     ys = [y.copy()]
-    rconts = []
+    kept = []  # (t, h, y, K) of each accepted step
     K = np.empty((16, n))
     termination = REACHED_T_END
     n_rejected = 0
@@ -214,14 +216,7 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
             continue
 
         if err_norm <= 1.0:
-            if stages(13, 16) is None or not np.all(np.isfinite(K[13:])):
-                n_rejected += 1
-                h *= 0.5
-                continue
-            ydiff = y_new - y
-            rconts.append(np.concatenate([
-                [y.copy(), ydiff, h * K[0] - ydiff,
-                 2.0 * ydiff - h * (K[12] + K[0])], h * _rk._D.dot(K)]))
+            kept.append((t, h, y.copy(), K.copy()))
             t += h
             y = y_new
             f = K[12].copy()
@@ -238,6 +233,14 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         h *= min(_rk._MAX_FACTOR, max(_rk._MIN_FACTOR, factor))
         h = min(h, max_step)
 
+    rconts = []
+    for (t, h, y, K), y_new in zip(kept, ys[1:]):
+        for i in range(13, 16):
+            K[i] = rhs(t + _rk._C[i] * h, y + h * _rk._A[i].dot(K[:i]))
+        ydiff = y_new - y
+        rconts.append(np.concatenate([
+            [y.copy(), ydiff, h * K[0] - ydiff,
+             2.0 * ydiff - h * (K[12] + K[0])], h * _rk._D.dot(K)]))
     rcont = np.asarray(rconts) if rconts else np.empty((0, 8, n))
     return _rk.RawTrajectory(np.asarray(ts), np.asarray(ys), rcont,
                              termination, n_rejected)
@@ -449,15 +452,15 @@ def test_step_loop_matches_reference_with_max_step():
 
 
 def test_step_loop_matches_reference_on_non_finite_stages():
-    # call 2 + 15 j + i computes K[i] of attempt j + 1 while every attempt is
-    # accepted. 29 spoils K[12] of attempt 2 (caught by the check on K), which
-    # cuts it to 12 calls; then 59 spoils the dense stage K[15] of attempt 4
-    # (caught by the check on the dense stages), and 75 spoils K[1] of
-    # attempt 6 (caught on the next stage's input, before the rhs sees it)
+    # call 2 + 12 j + i computes K[i] of attempt j + 1 while every attempt is
+    # accepted; the dense stages come after the loop. 26 spoils K[12] of
+    # attempt 2 (caught by the check on K), and 63 spoils K[1] of attempt 6
+    # (caught on the next stage's input, before the rhs sees it), which cuts
+    # it to 1 call
     raw = _assert_matches_reference_run(rhs_oscillator, 0.0, [1.0, 0.0], 10.0,
-                                        bad_calls=(29, 59, 75), rtol=1e-8,
+                                        bad_calls=(26, 63), rtol=1e-8,
                                         atol=1e-8)
-    assert raw.termination == REACHED_T_END and raw.n_rejected >= 3
+    assert raw.termination == REACHED_T_END and raw.n_rejected == 2
 
 
 def _modal_system(cfg, y0, switch):
@@ -724,6 +727,132 @@ def test_figure16_blowup_time_matches_tight_scipy_dop853(monkeypatch):
     sol.y = mat @ sol.y  # the reduced (w, w', w'', w''')
     reduced = systems.to_fourth_order(params, nl, traj)
     _assert_blowup_near_reference(bo.detect_blowup(reduced), sol)
+
+
+# --- dense output built on read ----------------------------------------------
+# A step's three dense stages are rhs calls made the first time something
+# reads the step, never in the step loop.
+
+def _loop_calls(raw):
+    """rhs calls of a DOP853 run whose attempts all make their 12 stages:
+    the first slope, the initial-step probe and 12 per attempt."""
+    return 2 + 12 * (len(raw.ts) - 1 + raw.n_rejected)
+
+
+def _counted_runs(monkeypatch, module):
+    """Each integrate_adaptive call made through module, its rhs counted:
+    a list of (_CountingRhs, result)."""
+    runs = []
+
+    def counting(rhs, *args, **kwargs):
+        counter = _CountingRhs(rhs)
+        runs.append((counter, integrate_adaptive(counter, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(module, "integrate_adaptive", counting)
+    return runs
+
+
+def test_run_without_sign_change_makes_no_dense_stage_calls(monkeypatch):
+    runs = _counted_runs(monkeypatch, ode4)
+    # w = 1 - t^4 / 24 + ... stays positive up to t = 0.5
+    traj = bo.integrate(bo.canonical(3.0, bo.make_nonlinearity("linear")),
+                        [1.0, 0.0, 0.0, 0.0], bo.IntegratorConfig(t_end=0.5))
+    report = bo.detect_blowup(traj)
+    [(rhs, raw)] = runs
+    assert traj.events == [] and not report.blew_up and len(traj.ts) > 3
+    assert rhs.calls == _loop_calls(raw)
+
+
+def test_component_zeros_builds_each_bracketing_step_once():
+    rhs = _CountingRhs(rhs_oscillator)
+    raw = integrate_adaptive(rhs, 0.0, [1.0, 0.0], 10.0)
+    loop = rhs.calls
+    assert loop == _loop_calls(raw)
+    w = raw.ys[:, 0]
+    brackets = np.count_nonzero(w[:-1] * w[1:] < 0.0)
+    zs = raw.component_zeros(0)
+    assert len(zs) == brackets == 3 and rhs.calls == loop + 3 * brackets
+    assert raw.component_zeros(0) == zs and rhs.calls == loop + 3 * brackets
+
+
+def test_detect_blowup_builds_the_steps_it_reads_in_one_pass(monkeypatch):
+    runs = _counted_runs(monkeypatch, ode4)
+    traj = bo.integrate(bo.canonical(3.0, bo.make_nonlinearity("cubic", epsilon=1.0)),
+                        [1.0, 0.0, 0.0, 0.0], bo.IntegratorConfig(t_end=20.0))
+    [(rhs, raw)] = runs
+    w = traj.ys[:, 0]
+    assert rhs.calls == _loop_calls(raw) + 3 * np.count_nonzero(w[:-1] * w[1:] < 0.0)
+    built, build = [], traj._build
+    traj._build = lambda steps: built.append(len(steps)) or build(steps)
+    before = rhs.calls
+    first = bo.detect_blowup(traj)
+    assert len(built) == 1 and rhs.calls == before + 3 * built[0]
+    # the zero intervals cover all but the steps before the first zero and
+    # after the last one
+    assert 0 < built[0] + len(traj.events) < len(traj.ts) - 1
+    assert bo.detect_blowup(traj) == first and len(built) == 1
+    assert rhs.calls == before + 3 * built[0]
+
+
+def test_spoiled_dense_stage_reads_as_nan_on_its_step_only():
+    # as in Hairer's code the dense stages go unchecked: a spoiled one makes
+    # its step's interpolant NaN once the step is read, and no other one
+    args = (0.0, [1.0, 0.0], 10.0)
+    clean = integrate_adaptive(rhs_oscillator, *args, rtol=1e-8, atol=1e-8)
+    rhs = _CountingRhs(rhs_oscillator)
+    raw = integrate_adaptive(rhs, *args, rtol=1e-8, atol=1e-8)
+    loop = rhs.calls
+    rhs.bad_calls = {loop + 2}  # stage 14 of the first step read
+    s = len(raw.ts) // 2
+    with np.errstate(all="raise"):
+        assert np.all(np.isnan(raw.eval(0.5 * (raw.ts[s] + raw.ts[s + 1]))))
+    assert rhs.calls == loop + 3
+    others = np.delete(np.arange(len(raw.ts) - 1), s)
+    assert np.all(np.isnan(raw._rcont[s, 4:]))
+    assert raw._rcont[others].tobytes() == clean._rcont[others].tobytes()
+    tq = np.linspace(0.0, 10.0, 101)
+    tq = tq[(tq < raw.ts[s]) | (tq > raw.ts[s + 1])]
+    assert raw.eval(tq).tobytes() == clean.eval(tq).tobytes()
+    assert raw.ys.tobytes() == clean.ys.tobytes()
+
+
+def _miosyst(monkeypatch):
+    params = systems.MiosystParams(beta=-1.0, delta=1.0)
+    nl = bo.make_nonlinearity("cubic", epsilon=0.1)
+    return _captured_run(monkeypatch, systems, lambda: systems.integrate_miosyst(
+        params, nl, [1.0, 1.0, 0.0, -1.0], bo.IntegratorConfig(t_end=10.0)))
+
+
+@pytest.mark.parametrize("run", [_figure12, _criterion_7, _miosyst],
+                         ids=["figure12", "criterion-7", "miosyst"])
+def test_steps_built_in_any_order_equal_the_eager_coefficients(monkeypatch, run):
+    # a step's coefficients are the same bits whether built alone, in a
+    # batch or with all steps at once in order. For miosyst this is checked
+    # on the reduced trajectory of w = y - x, whose einsum over some steps
+    # must match the einsum over the whole array.
+    _, (rhs, args, kwargs) = run(monkeypatch)
+    mat = systems.reduction_matrix(systems.MiosystParams(beta=-1.0, delta=1.0))
+    mapped = run is _miosyst
+
+    def fresh():
+        raw = integrate_adaptive(rhs, *args, **kwargs)
+        return raw.map_linear(mat) if mapped else raw
+
+    eager = integrate_adaptive(rhs, *args, **kwargs)._rcont
+    if mapped:
+        eager = np.einsum("skn,mn->skm", eager, mat)
+    steps = len(eager)
+    assert steps > 80
+    rng = np.random.default_rng(11)
+    shuffled = rng.permutation(steps)
+    cuts = np.sort(rng.choice(np.arange(1, steps), 9, replace=False))
+    for batches in ([[i] for i in range(steps)[::-1]], np.split(shuffled, cuts)):
+        traj = fresh()
+        for batch in batches:
+            traj._coefficients(np.asarray(batch))
+        assert not traj._todo.any()
+        assert traj._rcont.tobytes() == eager.tobytes()
 
 
 # --- the exponential path -------------------------------------------------
