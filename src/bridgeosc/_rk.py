@@ -259,6 +259,10 @@ class ExpTrajectory(RawTrajectory):
         self.blocks = blocks
         self._swap = _swap(blocks)
 
+    def _coefficients(self, *args):  # not contd8, so component_zeros and _rcont fail
+        raise TypeError(f"{type(self).__name__} has no contd8 coefficients")
+    map_linear = _coefficients
+
     def _interpolate(self, idx, theta, out=None):
         if out is None:
             out = np.empty((len(idx), self.ys.shape[1]))
@@ -421,8 +425,10 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         if err_norm <= 1.0:
             for t, h_piece, y, rec in pieces:
                 j = len(ts)
-                if j == len(Y):
-                    Y, R = (np.concatenate([b, np.empty_like(b)]) for b in (Y, R))
+                if j == len(Y):  # copied into buffers of twice the rows
+                    grown = [np.empty((2 * j, *b.shape[1:])) for b in (Y, R)]
+                    grown[0][:j], grown[1][:j] = Y, R
+                    Y, R = grown
                 Y[j], R[j - 1] = y, rec
                 ts.append(t)
                 hs.append(h_piece)

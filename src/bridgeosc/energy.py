@@ -72,9 +72,8 @@ def gust_energy(phi_field: Callable, geom, t: float,
     Gauss quadrature on (0, L) x (-l, l)."""
     if quadrature_n < 8:
         raise InvalidParameterError("quadrature_n must be >= 8 per axis")
-    X1, X2, W = tensor_grid((0.0, geom.length_L),
-                            (-geom.half_width_l, geom.half_width_l),
-                            quadrature_n, quadrature_n)
+    X1, X2, W = tensor_grid((0.0, geom.length_L, -geom.half_width_l,
+                             geom.half_width_l), quadrature_n)
     vals = np.asarray(phi_field(X1, X2, t), dtype=float)
     return float(np.sum(W * np.broadcast_to(vals, X1.shape) ** 2))
 
@@ -229,8 +228,7 @@ def local_energy(u_field, ut_field, F: Callable, sigma: float, region,
     u_field must expose second derivatives; ut_field may be None for a
     plate at rest.
     """
-    a1, b1, a2, b2 = region
-    X1, X2, W = tensor_grid((a1, b1), (a2, b2), quadrature_n, quadrature_n)
+    X1, X2, W = tensor_grid(region, quadrature_n)
     u11 = _field_eval(u_field, X1, X2, 2, 0)
     u22 = _field_eval(u_field, X1, X2, 0, 2)
     u12 = _field_eval(u_field, X1, X2, 1, 1)
@@ -245,8 +243,7 @@ def local_energy(u_field, ut_field, F: Callable, sigma: float, region,
 
 def stretching_energy(u_field, region, quadrature_n: int = 32) -> float:
     """Surface-increase energy int (sqrt(1 + |grad u|^2) - 1) over region."""
-    a1, b1, a2, b2 = region
-    X1, X2, W = tensor_grid((a1, b1), (a2, b2), quadrature_n, quadrature_n)
+    X1, X2, W = tensor_grid(region, quadrature_n)
     g1 = _field_eval(u_field, X1, X2, 1, 0)
     g2 = _field_eval(u_field, X1, X2, 0, 1)
     return float(np.sum(W * (np.sqrt(1.0 + g1 ** 2 + g2 ** 2) - 1.0)))

@@ -16,11 +16,14 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 def write_csv(path, header: Sequence[str], table) -> None:
     """Write a header line, then one row per table row with every value
     formatted %.17g (integral values print without a decimal point)."""
-    rows = np.asarray(table, dtype=float).tolist()
+    rows = np.asarray(table, dtype=float)
+    if rows.shape[1:] != (len(header),):
+        raise ValueError(f"CSV header names {len(header)} columns but the "
+                         f"table has shape {rows.shape}")
     fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % tuple(row) for row in rows)
+        fh.writelines(fmt % tuple(row) for row in rows.tolist())
 
 
 def _fmt(v: float) -> str:

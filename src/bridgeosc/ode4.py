@@ -4,8 +4,8 @@ Families are integrated as first-order systems in (w, w', w'', w''') with the
 adaptive Dormand-Prince 8(5,3) stepper (DOP853). Blow-up runs terminate on a
 displacement threshold (or step underflow when the threshold is effectively
 infinite); the report extracts the zero sequence of w, estimates the blow-up
-time from the geometric accumulation of those zeros, and computes the
-energy-rate ratios between consecutive sign intervals.
+time from the geometric accumulation of those zeros, and integrates the
+energy-rate ratios of each sign interval exactly on the interpolant (Gauss).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._quad import simpson_uniform
+from ._quad import gauss_nodes_1d
 from ._rk import (BLOWUP_DETECTED, REACHED_T_END, STEP_UNDERFLOW,
                   RawTrajectory, integrate_adaptive)
 from .errors import EmptyTrajectoryError, InvalidParameterError, UnsupportedFamilyError
@@ -26,7 +26,6 @@ FAMILY_KINDS = {"canonical": ("nl", "k_coef"), "rocard_wave": ("alpha_r", "beta_
                 "pedestrian_wave": ("nl", "gamma_p", "c_speed", "delta_damp"),
                 "general": ("a3", "k2", "b1", "c0", "q_exp")}
 TERMINATIONS = (REACHED_T_END, BLOWUP_DETECTED, STEP_UNDERFLOW)
-_SIMPSON_POINTS = 513  # per sign interval in the energy-rate ratios; odd for Simpson
 
 
 @dataclass(frozen=True)
@@ -222,19 +221,22 @@ class BlowupReport:
 
 def _interval_ratios(traj: Trajectory,
                      zeros: Sequence[float]) -> List[Tuple[float, float]]:
-    gaps = list(zip(zeros[:-1], zeros[1:]))
-    if not gaps:
+    """(int w^2 / int w''^2, int w'^2 / int w''^2) between consecutive zeros,
+    (0.0, 0.0) where int w''^2 = 0. Exact on the interpolant: the zeros and
+    samples cut the span into pieces in one step each, where the squares have
+    degree 14, and 8 Gauss nodes a piece, read in one eval, integrate them."""
+    if len(zeros) < 2:
         return []
-    # one eval of every interval's points, so the steps they read are built
-    # in one pass
-    Ys = traj.eval(np.concatenate([np.linspace(z0, z1, _SIMPSON_POINTS)
-                                   for z0, z1 in gaps]))
-    out = []
-    for (z0, z1), Y in zip(gaps, Ys.reshape(len(gaps), _SIMPSON_POINTS, -1)):
-        h = (z1 - z0) / (_SIMPSON_POINTS - 1)
-        i_w, i_w1, i_w2 = (simpson_uniform(Y[:, j] ** 2, h) for j in range(3))
-        out.append((i_w / i_w2, i_w1 / i_w2) if i_w2 != 0.0 else (0.0, 0.0))
-    return out
+    ts, n = traj.ts, len(zeros) - 1
+    # np.sort, not np.unique (+1.7 MB RSS): a repeated cut is a width-0 piece
+    cuts = np.sort(np.concatenate([zeros, ts[(ts > zeros[0]) & (ts < zeros[-1])]]))
+    x, wt = gauss_nodes_1d(0.0, 1.0, 8)
+    width = np.diff(cuts)[:, None]
+    Y = traj.eval((cuts[:-1, None] + width * x).ravel())[:, :3]
+    pieces = wt @ (Y * Y).reshape(-1, 8, 3) * width
+    gap = np.searchsorted(zeros, cuts[:-1], side="right") - 1
+    sums = [np.bincount(gap, p, n)[:n].tolist() for p in pieces.T]  # w, w', w''
+    return [(a / c, b / c) if c != 0.0 else (0.0, 0.0) for a, b, c in zip(*sums)]
 
 
 def _estimate_blowup_time(traj: Trajectory, zeros: Sequence[float]) -> float:

@@ -18,7 +18,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ._quad import gauss_nodes_1d
-from ._rk import REACHED_T_END, LinearBlocks, RawTrajectory, integrate_adaptive
+from ._rk import (REACHED_T_END, ExpTrajectory, LinearBlocks, RawTrajectory,
+                  integrate_adaptive)
 from .energy import _field_eval, gust_energy, switch_value
 from .errors import InvalidParameterError
 from .io import write_csv
@@ -196,6 +197,7 @@ class ModalTrajectory(RawTrajectory):
     projection_grid is the (x1, x2) Gauss grid of the projected
     nonlinearity and projection_error its last grid-convergence error.
     """
+    _coefficients = map_linear = ExpTrajectory._coefficients  # no contd8 either
 
     def __init__(self, segments, switch_of: Callable,
                  events: List[SwitchEvent], termination: str,

@@ -326,6 +326,57 @@ def test_blowup_report_json(fig12):
     assert len(payload["ratios"][0]) == 2
 
 
+def test_interval_ratios_match_the_closed_form():
+    # mu^4 + 2.5 mu^2 + 1 = 0: w = A cos(w1 t) + B cos(w2 t) with w1^2 = 1/2,
+    # w2^2 = 2, and from (1, 0, 0, 0) A = 4/3, B = -1/3
+    integrate = pytest.importorskip("scipy.integrate")
+    optimize = pytest.importorskip("scipy.optimize")
+    A, B, w1, w2 = 4.0 / 3.0, -1.0 / 3.0, math.sqrt(0.5), math.sqrt(2.0)
+    derivs = [lambda t, p=p: A * w1**p * math.cos(w1 * t + p * math.pi / 2.0)
+              + B * w2**p * math.cos(w2 * t + p * math.pi / 2.0)
+              for p in range(3)]
+    cfg = bo.IntegratorConfig(t_end=40.0, rel_tol=1e-12, abs_tol=1e-12)
+    traj = bo.integrate(bo.canonical(2.5, bo.make_nonlinearity("linear")),
+                        [1.0, 0.0, 0.0, 0.0], cfg)
+    report = bo.detect_blowup(traj)
+    zeros = [optimize.brentq(derivs[0], z - 1e-3, z + 1e-3, xtol=1e-15)
+             for z in report.zeros[:7]]
+    for z0, z1, got in zip(zeros, zeros[1:], report.ratios):
+        i_w, i_w1, i_w2 = (integrate.quad(lambda t, d=d: d(t) ** 2, z0, z1,
+                                          epsabs=0.0, epsrel=1e-13)[0]
+                           for d in derivs)
+        assert got == pytest.approx((i_w / i_w2, i_w1 / i_w2), rel=1e-10, abs=0.0)
+
+
+def test_interval_ratios_are_exact_on_the_interpolant(fig12):
+    integrate = pytest.importorskip("scipy.integrate")
+    _f, _c, traj, report = fig12
+    zs = report.zeros
+    for z0, z1, got in zip(zs, zs[1:], report.ratios):
+        inner = traj.ts[(traj.ts > z0) & (traj.ts < z1)]
+        i_w, i_w1, i_w2 = (integrate.quad(
+            lambda t, j=j: traj.eval(t)[j] ** 2, z0, z1, points=inner,
+            limit=4 * len(inner) + 50, epsabs=0.0, epsrel=1e-13)[0]
+            for j in range(3))
+        assert got == pytest.approx((i_w / i_w2, i_w1 / i_w2), rel=1e-12, abs=0.0)
+
+
+def test_detect_blowup_memory_on_a_fresh_figure13_run(cubic1):
+    import tracemalloc
+    # the Gauss nodes import numpy.polynomial once per process, not per run
+    import numpy.polynomial.legendre  # noqa: F401
+    traj = bo.integrate(bo.canonical(3.6, cubic1), [0.9, 0.0, 0.0, 0.0],
+                        bo.IntegratorConfig(t_end=120.0))
+    tracemalloc.start()
+    try:
+        report = bo.detect_blowup(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.ratios) == 32
+    assert peak <= 750 * 1024, peak
+
+
 @pytest.mark.parametrize("field, value", [
     ("t_end", math.nan), ("t_end", math.inf), ("t_end", -math.inf),
     ("rel_tol", math.nan), ("abs_tol", math.nan), ("max_step", math.nan),

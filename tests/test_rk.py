@@ -795,6 +795,28 @@ def test_detect_blowup_builds_the_steps_it_reads_in_one_pass(monkeypatch):
     assert rhs.calls == before + 3 * built[0]
 
 
+def test_step_buffers_grow_without_a_throwaway_copy():
+    # 8 uncoupled oscillators over ~1,100 steps: the buffers double once
+    # from 1,024 rows, which holds the old rows and the new buffer (3 old
+    # sizes); concatenating an empty block first held 4
+    import tracemalloc
+    n = 16
+
+    def rhs(t, y):
+        return np.concatenate([y[n // 2:], -y[:n // 2]])
+
+    tracemalloc.start()
+    try:
+        raw = integrate_adaptive(rhs, 0.0, np.ones(n), 11.0, rtol=1e-3,
+                                 atol=1e-3, max_step=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1024 < len(raw.ts) < 2048
+    old = 1024 * (1 + 9) * n * 8  # the rows of Y and R before the doubling
+    assert peak < 3.5 * old, peak / old
+
+
 def test_spoiled_dense_stage_reads_as_nan_on_its_step_only():
     # as in Hairer's code the dense stages go unchecked: a spoiled one makes
     # its step's interpolant NaN once the step is read, and no other one

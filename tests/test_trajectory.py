@@ -6,6 +6,7 @@ import pytest
 import bridgeosc as bo
 from bridgeosc import plate, systems, truebeam
 from bridgeosc._rk import RawTrajectory
+from bridgeosc.io import write_csv
 
 NARROW = plate.PlateGeom(0.5, 0.05, 0.2)
 RAMP = ((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))  # crosses Ebar = 1.25 twice
@@ -101,6 +102,30 @@ def test_mapped_trajectory_keeps_the_shared_fields(fig12):
     assert type(raw) is RawTrajectory and raw.states.shape == (len(traj), 2)
     assert type(raw.t_end) is float and raw.t_end == traj.t_end
     assert np.array_equal(raw.eval(traj.ts[3]), traj.eval(traj.ts[3])[:2])
+
+
+def test_csv_is_refused_before_writing_when_the_table_does_not_fit(tmp_path, fig12):
+    path = tmp_path / "w.csv"
+    mapped = fig12[2].map_linear(np.eye(4)[:2])  # 3 columns under the header "t"
+    with pytest.raises(ValueError, match=r"1 columns .* shape \(\d+, 3\)"):
+        mapped.to_csv(path)
+    with pytest.raises(ValueError, match=r"3 columns .* shape \(4,\)"):
+        write_csv(path, ["t", "a", "b"], np.zeros(4))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("part", ["stitched", "segment"])
+def test_modal_trajectories_refuse_the_contd8_members(switching, part):
+    traj = switching[2] if part == "stitched" else switching[2]._segments[0]
+    name = type(traj).__name__
+    assert name == ("ModalTrajectory" if part == "stitched" else "ExpTrajectory")
+    for read in (lambda: traj.component_zeros(0), lambda: traj._rcont,
+                 lambda: traj.map_linear(np.eye(8)[:2])):
+        with pytest.raises(TypeError, match=f"{name} has no contd8"):
+            read()
+    # the interpolant stays, and so does the step record the benchmark reads
+    assert traj.eval(traj.ts[1]).shape == (8,)
+    assert traj.n_rejected >= 0
 
 
 def test_stitched_modal_eval_matches_segments(switching):
