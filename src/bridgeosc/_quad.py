@@ -3,6 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# gauss_nodes_1d(0.0, 1.0, 8) to the bit: ODE runs need not load numpy.polynomial
+GAUSS_8_UNIT = (np.array([0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
+    0.4082826787521751, 0.5917173212478248, 0.7627662049581645, 0.8983332387068134,
+    0.9801449282487681]), np.array([0.05061426814518853, 0.11119051722668721,
+    0.15685332293894344, 0.18134189168918083, 0.18134189168918083, 0.15685332293894344,
+    0.11119051722668721, 0.05061426814518853]))
+
 
 def gauss_nodes_1d(a: float, b: float, n: int):
     """Gauss-Legendre nodes and weights mapped to [a, b]."""

@@ -366,7 +366,8 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     pieces), where err_norm is None on a non-finite value. err_norm <= 1
     accepts the pieces, each (t, h, y, record) for one stored step, and the
     method then continues from the last of them. A method also names its
-    controller exponent and the number of rows of a step record.
+    controller exponent, the number of rows of a step record and its cap on
+    the factor right after a rejection: 1 for _dop853, as in Hairer's DOP853.
     """
     if not (rtol > 0.0 and atol > 0.0):
         raise InvalidParameterError("tolerances must be positive")
@@ -394,7 +395,7 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     if not np.all(np.isfinite(f)):
         raise InvalidParameterError("rhs at the initial state must be finite")
     h = _initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
-    size, attempt, exponent, width = (
+    size, attempt, exponent, width, regrowth = (
         _dop853(rhs, y, f, t_end, rtol, atol) if linear is None
         else _exponential(rhs, t, y, f, t_end, rtol, atol, linear))
     ts = [t]
@@ -405,6 +406,7 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     Y[0] = y
     termination = REACHED_T_END
     n_rejected = 0
+    grow = _MAX_FACTOR  # the cap on the next factor; regrowth after a rejection
     stop_idx = np.array(stop_indices, dtype=np.intp)
     while t < t_end:
         h, t_new = size(t, h)
@@ -419,7 +421,7 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         err_norm, pieces = attempt(t, y, h, t_new)
         if err_norm is None or not math.isfinite(err_norm):
             n_rejected += 1
-            h *= 0.5
+            h, grow = 0.5 * h, regrowth
             continue
 
         if err_norm <= 1.0:
@@ -443,8 +445,9 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
             n_rejected += 1
 
         factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** exponent
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        h *= min(grow, max(_MIN_FACTOR, factor))
         h = min(h, max_step)
+        grow = regrowth if err_norm > 1.0 else _MAX_FACTOR
 
     N = len(ts)
     ts, ys, hs = np.asarray(ts), Y[:N].copy(), np.asarray(hs)
@@ -502,7 +505,7 @@ def _dop853(rhs, y0, f0, t_end, rtol, atol):
         abs_y = abs_new
         return err_norm, ((t_new, h, y_new, rec),)
 
-    return size, attempt, -0.125, len(rec)
+    return size, attempt, -0.125, len(rec), 1.0
 
 
 # --- exponential Runge-Kutta -----------------------------------------------
@@ -699,4 +702,4 @@ def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
             f, abs_y = None, abs_new
         return err_norm, ((t_mid, 0.5 * h, *first), (t_new, 0.5 * h, *second))
 
-    return size, attempt, -0.2, 3
+    return size, attempt, -0.2, 3, _MAX_FACTOR

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._quad import gauss_nodes_1d
+from ._quad import GAUSS_8_UNIT
 from ._rk import (BLOWUP_DETECTED, REACHED_T_END, STEP_UNDERFLOW,
                   RawTrajectory, integrate_adaptive)
 from .errors import EmptyTrajectoryError, InvalidParameterError, UnsupportedFamilyError
@@ -230,7 +230,7 @@ def _interval_ratios(traj: Trajectory,
     ts, n = traj.ts, len(zeros) - 1
     # np.sort, not np.unique (+1.7 MB RSS): a repeated cut is a width-0 piece
     cuts = np.sort(np.concatenate([zeros, ts[(ts > zeros[0]) & (ts < zeros[-1])]]))
-    x, wt = gauss_nodes_1d(0.0, 1.0, 8)
+    x, wt = GAUSS_8_UNIT
     width = np.diff(cuts)[:, None]
     Y = traj.eval((cuts[:-1, None] + width * x).ravel())[:, :3]
     pieces = wt @ (Y * Y).reshape(-1, 8, 3) * width

@@ -395,6 +395,21 @@ def test_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_ode_run_leaves_numpy_polynomial_out(tmp_path):
+    # the energy-rate ratios use literal Gauss nodes, so a blow-up run does not
+    # pay for loading numpy.polynomial (about 1 MB of resident memory)
+    src = os.path.dirname(os.path.dirname(bridgeosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from bridgeosc.cli import main; "
+         f"code = main(['run', '--builtin', 'figure13', '--out', {str(tmp_path)!r}]); "
+         "print(code, 'numpy.polynomial' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout
+
+
 _LINEAR = {"kind": "linear", "params": {}}
 _CUBIC = {"kind": "cubic", "params": {"epsilon": 0.1}}
 _SQUARE_GEOM = {"length_L": math.pi, "half_width_l": math.pi / 2}

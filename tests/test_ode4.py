@@ -361,6 +361,13 @@ def test_interval_ratios_are_exact_on_the_interpolant(fig12):
         assert got == pytest.approx((i_w / i_w2, i_w1 / i_w2), rel=1e-12, abs=0.0)
 
 
+def test_literal_gauss_rule_equals_leggauss_to_the_bit():
+    from bridgeosc._quad import GAUSS_8_UNIT, gauss_nodes_1d
+    for literal, computed in zip(GAUSS_8_UNIT, gauss_nodes_1d(0.0, 1.0, 8)):
+        assert literal.dtype == computed.dtype and literal.shape == (8,)
+        assert literal.tobytes() == computed.tobytes()
+
+
 def test_detect_blowup_memory_on_a_fresh_figure13_run(cubic1):
     import tracemalloc
     # the Gauss nodes import numpy.polynomial once per process, not per run

@@ -179,6 +179,7 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     K = np.empty((16, n))
     termination = REACHED_T_END
     n_rejected = 0
+    rejected = False  # the last attempt was
 
     def stages(lo, hi):
         # K[lo:hi]; the last stage input, or None on a non-finite input
@@ -201,6 +202,7 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         if y_new is None or not np.all(np.isfinite(K[:13])):
             n_rejected += 1
             h *= 0.5
+            rejected = True
             continue
 
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -213,6 +215,7 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         if not np.isfinite(err_norm):
             n_rejected += 1
             h *= 0.5
+            rejected = True
             continue
 
         if err_norm <= 1.0:
@@ -230,8 +233,11 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 
         factor = (_rk._MAX_FACTOR if err_norm == 0.0
                   else _rk._SAFETY * err_norm ** -0.125)
-        h *= min(_rk._MAX_FACTOR, max(_rk._MIN_FACTOR, factor))
+        # as in Hairer's DOP853, h does not grow right after a rejection
+        h *= min(1.0 if rejected else _rk._MAX_FACTOR,
+                 max(_rk._MIN_FACTOR, factor))
         h = min(h, max_step)
+        rejected = err_norm > 1.0
 
     rconts = []
     for (t, h, y, K), y_new in zip(kept, ys[1:]):
@@ -461,6 +467,89 @@ def test_step_loop_matches_reference_on_non_finite_stages():
                                         bad_calls=(26, 63), rtol=1e-8,
                                         atol=1e-8)
     assert raw.termination == REACHED_T_END and raw.n_rejected == 2
+
+
+# --- no step growth right after a rejection ---------------------------------
+# DOP853 caps the controller factor at 1 on the accepted step that follows a
+# rejected attempt; the exponential method keeps the plain rule.
+
+def _logged_attempts(monkeypatch, method):
+    """Each attempt of integrate_adaptive with the step method method
+    ("_dop853" or "_exponential"), as (h, err_norm); err_norm is None where
+    a value was not finite."""
+    log = []
+    make = getattr(_rk, method)
+
+    def logging(*args):
+        size, attempt, *rest = make(*args)
+
+        def logged(t, y, h, t_new):
+            err_norm, pieces = attempt(t, y, h, t_new)
+            log.append((h, err_norm))
+            return err_norm, pieces
+
+        return (size, logged, *rest)
+
+    monkeypatch.setattr(_rk, method, logging)
+    return log
+
+
+def _after_rejections(log):
+    """(h, the next attempt's h) of each accepted attempt that follows a
+    rejected one, and its rejections by kind (non-finite, error norm)."""
+    ok = [e is not None and e <= 1.0 for _, e in log]
+    pairs = [(log[i][0], log[i + 1][0]) for i in range(1, len(log) - 1)
+             if ok[i] and not ok[i - 1]]
+    return pairs, (sum(e is None for _, e in log),
+                   sum(e is not None and e > 1.0 for _, e in log))
+
+
+def _decay_with_nan_below_zero(t, y):
+    # y' = -y stays positive; stage inputs of a long step overshoot below 0
+    return -y if y[0] >= 0.0 else y * np.nan
+
+
+# kind: the rejections each run makes, 0 non-finite and 1 by the error norm
+@pytest.mark.parametrize("rhs, args, tol, kind", [
+    (_decay_with_nan_below_zero, (0.0, [1.0], 200.0), 1e-6, 0),
+    (bo.canonical(2.0, bo.make_nonlinearity("piecewise")).rhs(),
+     (0.0, [0.9, -3.1, 2.2, -0.4], 100.0), 1e-7, 1)],
+    ids=["nan-region", "error-norm"])
+def test_dop853_step_does_not_grow_right_after_a_rejection(monkeypatch, rhs,
+                                                           args, tol, kind):
+    log = _logged_attempts(monkeypatch, "_dop853")
+    raw = integrate_adaptive(rhs, *args, rtol=tol, atol=tol)
+    assert raw.termination == REACHED_T_END
+    pairs, rejections = _after_rejections(log)
+    assert rejections[kind] > 20
+    assert len(pairs) > 20
+    assert all(h_next <= h for h, h_next in pairs), pairs
+
+
+def _cubic_with_nan_outside_the_orbit(t, y):
+    # N of p'' = -p - p^3 / 2 from p = 1, v = 0, where |p| <= 1
+    return np.array([0.0, -0.5 * y[0] ** 3 if abs(y[0]) <= 1.0001 else np.nan])
+
+
+def _cubic_with_a_forcing_jump(t, y):
+    return np.array([0.0, -y[0] ** 3 + (np.sin(5.0 * t) if t > 3.0 else 0.0)])
+
+
+@pytest.mark.parametrize("rhs, y0, t_end, blocks", [
+    (_cubic_with_nan_outside_the_orbit, [1.0, 0.0], 20.0, OSCILLATOR_BLOCKS),
+    (_cubic_with_a_forcing_jump, [0.8, 0.0], 10.0,
+     _rk.LinearBlocks([[1.0]], [[0.3]]))],
+    ids=["nan-region", "error-norm"])
+def test_exponential_steps_keep_growing_after_a_rejection(monkeypatch, rhs, y0,
+                                                          t_end, blocks):
+    # the plain rule of the reference loop, bit for bit, and h does grow
+    # right after some rejection
+    log = _logged_attempts(monkeypatch, "_exponential")
+    raw = _assert_matches_reference_run(rhs, 0.0, y0, t_end, rtol=1e-6,
+                                        atol=1e-6, linear=blocks)
+    assert raw.termination == REACHED_T_END
+    pairs, _ = _after_rejections(log)
+    assert any(h_next > h for h, h_next in pairs), pairs
 
 
 def _modal_system(cfg, y0, switch):
@@ -697,6 +786,17 @@ def test_accepted_steps_match_scipy_dop853(monkeypatch, run):
     assert sol.status == int(traj.termination == BLOWUP_DETECTED)
     steps, ref = len(traj.ts) - 1, len(sol.t) - 1
     assert abs(steps - ref) <= 0.05 * ref, (steps, ref)
+
+
+def test_criterion_7_rejects_no_more_than_scipy_dop853(monkeypatch):
+    integrate = pytest.importorskip("scipy.integrate")
+    traj, (rhs, (t0, y0, t_end), kw) = _criterion_7(monkeypatch)
+    # no events, so scipy calls rhs once for the first slope, once for its
+    # initial step and 12 times per attempt
+    sol = integrate.solve_ivp(rhs, (t0, t_end), y0, method="DOP853",
+                              rtol=kw["rtol"], atol=kw["atol"])
+    ref = (sol.nfev - 2) // 12 - (len(sol.t) - 1)
+    assert traj.n_rejected <= 1.1 * ref, (traj.n_rejected, ref)
 
 
 def _assert_blowup_near_reference(report, sol):
