@@ -1,8 +1,8 @@
 """Scenario configs: parsing, builtins, and dispatch to the solvers.
 
-A scenario is {"name", "model", "parameters", "outputs"?}; runners write
-CSV/JSON/SVG artifacts into the output directory and return a one-line
-summary. Parameter validation happens before any file is written.
+A scenario is {"name", "model", "parameters", "outputs"?}. A runner solves
+and returns its one-line summary and its artifacts as (suffix, writer) pairs,
+which run_scenario writes last: a config rejected anywhere writes no file.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
@@ -17,9 +18,6 @@ import numpy as np
 from . import energy, ode4, plate, systems, truebeam
 from .io import svg_line_plot
 from .nonlin import nonlinearity_from_config
-
-MODELS = ("ode4", "coupled", "truesystem", "miosyst", "scanlan", "truebeam",
-          "modes", "flutter", "energy")
 
 
 @dataclass
@@ -39,12 +37,10 @@ class ScenarioResult:
 
 def parse_scenario(cfg: dict) -> Scenario:
     try:
-        name = cfg["name"]
-        model = cfg["model"]
-        parameters = cfg["parameters"]
+        name, model, parameters = cfg["name"], cfg["model"], cfg["parameters"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"scenario config missing required key: {exc}") from exc
-    if model not in MODELS:
+    if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if not isinstance(parameters, dict):
         raise ValueError("parameters must be an object")
@@ -64,27 +60,33 @@ def _record(cls, p: dict, **given):
 
 
 def _out_paths(sc: Scenario, out_dir: str) -> Dict[str, str]:
-    """Artifact paths: <name>.<ext>, or the first outputs entry's
-    <ext>_path, each required to resolve inside out_dir."""
+    """Artifact paths by suffix: <name>.<ext> or the first outputs entry's
+    <ext>_path, and _reduced.csv beside the .csv, all inside out_dir."""
     first = sc.outputs[0] if sc.outputs else {}
+    paths = {"." + ext: os.path.join(out_dir, first.get(f"{ext}_path")
+                                     or f"{sc.name}.{ext}")
+             for ext in ("csv", "svg", "json")}
+    paths["_reduced.csv"] = os.path.splitext(paths[".csv"])[0] + "_reduced.csv"
     root = os.path.realpath(out_dir)
-    paths = {}
-    for ext in ("csv", "svg", "json"):
-        path = os.path.join(out_dir, first.get(f"{ext}_path") or f"{sc.name}.{ext}")
+    for path in paths.values():
         if os.path.commonpath([root, os.path.realpath(path)]) != root:
             raise ValueError(f"output path {path!r} leaves the output directory")
-        paths[ext] = path
     return paths
 
 
-def _write_line(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _text(line: str):
+    return lambda path: Path(path).write_text(line + "\n")
 
 
-def _blowup_summary(report: ode4.BlowupReport, traj: ode4.Trajectory) -> str:
-    r_txt = "none" if report.R_est is None else f"{report.R_est:.6g}"
-    return f"R_est={r_txt} events={len(traj.events)}"
+def _plot(ts, series, labels, title: str):
+    return lambda path: svg_line_plot(path, ts, series, labels, title=title)
+
+
+def _blowup(traj: ode4.Trajectory) -> tuple:
+    """Summary text and .json artifact of the blow-up diagnostics of traj."""
+    report = ode4.detect_blowup(traj)
+    r = "none" if report.R_est is None else f"{report.R_est:.6g}"
+    return f"R_est={r} events={len(traj.events)}", (".json", _text(report.to_json()))
 
 
 def _family_from_config(p: dict) -> ode4.OdeFamily:
@@ -95,70 +97,55 @@ def _family_from_config(p: dict) -> ode4.OdeFamily:
     return ode4.OdeFamily(kind=kind, nl=nl, **kw)
 
 
-def _run_ode4(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
+def _run_ode4(sc: Scenario) -> tuple:
     p = sc.parameters
     family = _family_from_config(p)
     cfg = _record(ode4.IntegratorConfig, p)
     traj = ode4.integrate(family, [float(v) for v in p["state0"]], cfg)
-    report = ode4.detect_blowup(traj)
-    _write_line(out["json"], report.to_json())
-    traj.to_csv(out["csv"])
-    svg_line_plot(out["svg"], traj.ts, [traj.states[:, 0]], ["w"],
-                  title=sc.name)
-    return ScenarioResult(sc.name, f"termination={traj.termination} "
-                          f"{_blowup_summary(report, traj)}",
-                          [out["csv"], out["json"], out["svg"]])
+    blowup, report = _blowup(traj)
+    return (f"termination={traj.termination} {blowup}",
+            [(".csv", traj.to_csv), report,
+             (".svg", _plot(traj.ts, [traj.states[:, 0]], ["w"], sc.name))])
 
 
-def _run_system(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
+def _run_system(sc: Scenario) -> tuple:
     p = sc.parameters
     nl = nonlinearity_from_config(p["nl"])
     cfg = _record(ode4.IntegratorConfig, p)
     s0 = [float(v) for v in p["state0"]]
-    artifacts = [out["csv"], out["svg"]]
-    extra = ""
     if sc.model == "coupled":
-        traj = systems.integrate_coupled(_record(systems.McKennaParams, p),
-                                         nl, s0, cfg)
+        traj = systems.integrate_coupled(_record(systems.McKennaParams, p), nl, s0, cfg)
     elif sc.model == "truesystem":
-        traj = systems.integrate_truesystem(float(p.get("omega2", 3.0)), nl,
-                                            s0, cfg)
+        traj = systems.integrate_truesystem(float(p.get("omega2", 3.0)), nl, s0, cfg)
     else:
         params = _record(systems.MiosystParams, p)
         traj = systems.integrate_miosyst(params, nl, s0, cfg)
+    summary = f"termination={traj.termination}"
+    artifacts = [(".csv", traj.to_csv),
+                 (".svg", _plot(traj.ts, [traj.states[:, 0], traj.states[:, 2]],
+                                ["x", "y"], sc.name))]
+    if sc.model == "miosyst":
         reduced = systems.to_fourth_order(params, nl, traj)
-        report = ode4.detect_blowup(reduced)
-        _write_line(out["json"], report.to_json())
-        red_csv = os.path.splitext(out["csv"])[0] + "_reduced.csv"
-        reduced.to_csv(red_csv)
-        artifacts += [red_csv, out["json"]]
-        extra = " " + _blowup_summary(report, reduced)
-    traj.to_csv(out["csv"])
-    svg_line_plot(out["svg"], traj.ts,
-                  [traj.states[:, 0], traj.states[:, 2]], ["x", "y"],
-                  title=sc.name)
-    return ScenarioResult(sc.name, f"termination={traj.termination}{extra}",
-                          artifacts)
+        blowup, report = _blowup(reduced)
+        summary += " " + blowup
+        artifacts += [("_reduced.csv", reduced.to_csv), report]
+    return summary, artifacts
 
 
-def _run_scanlan(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
+def _run_scanlan(sc: Scenario) -> tuple:
     p = sc.parameters
-    sol = systems.solve_scanlan(_record(systems.ScanlanParams, p),
-                                float(p.get("theta0", 1.0)),
-                                float(p.get("thetad0", 0.0)),
-                                float(p["t_end"]),
-                                int(p.get("n_samples", 2001)))
-    _write_line(out["json"], json.dumps(
-        {"growth_exponent": sol.growth_exponent,
-         "roots": [[r.real, r.imag] for r in sol.roots]}, allow_nan=False))
-    sol.to_csv(out["csv"])
-    svg_line_plot(out["svg"], sol.ts, [sol.theta], ["theta"], title=sc.name)
-    return ScenarioResult(sc.name,
-                          f"growth_exponent={sol.growth_exponent:.6g}",
-                          [out["csv"], out["json"], out["svg"]])
+    sol = systems.solve_scanlan(
+        _record(systems.ScanlanParams, p), float(p.get("theta0", 1.0)),
+        float(p.get("thetad0", 0.0)), float(p["t_end"]), int(p.get("n_samples", 2001)))
+    payload = json.dumps({"growth_exponent": sol.growth_exponent,
+                          "roots": [[r.real, r.imag] for r in sol.roots]},
+                         allow_nan=False)
+    return (f"growth_exponent={sol.growth_exponent:.6g}",
+            [(".csv", sol.to_csv), (".json", _text(payload)),
+             (".svg", _plot(sol.ts, [sol.theta], ["theta"], sc.name))])
 
 
-def _run_modes(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
+def _run_modes(sc: Scenario) -> tuple:
     p = sc.parameters
     if "navier_S" in p:
         modes = plate.navier_square_search(int(p["navier_S"]))
@@ -170,11 +157,10 @@ def _run_modes(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
         worst = max(plate.verify_mode(geom, md, bc, 32).max_residual
                     for md in modes for bc in ("eigen1", "eigen2"))
         summary = f"{len(modes)} modes, max residual {worst:.3g}"
-    plate.write_modes_csv(out["csv"], modes)
-    return ScenarioResult(sc.name, summary, [out["csv"]])
+    return summary, [(".csv", lambda path: plate.write_modes_csv(path, modes))]
 
 
-def _run_flutter(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
+def _run_flutter(sc: Scenario) -> tuple:
     p = sc.parameters
     params = _record(energy.FlutterParams, p)
     vc = energy.flutter_speed(params)
@@ -185,64 +171,55 @@ def _run_flutter(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
         payload["V_c_doubled_width"] = energy.flutter_speed(doubled)
         # equal frequencies give V_c = 0 and no finite ratio
         payload["ratio"] = payload["V_c_doubled_width"] / vc if vc else None
-    _write_line(out["json"], json.dumps(payload, allow_nan=False))
-    return ScenarioResult(sc.name, f"V_c={vc:.6g}", [out["json"]])
+    return f"V_c={vc:.6g}", [(".json", _text(json.dumps(payload, allow_nan=False)))]
 
 
-def _run_energy(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
+def _run_energy(sc: Scenario) -> tuple:
     p = sc.parameters
-    ledger = energy.make_ledger(p["total_E"], p["schedule"])
-    payload = energy.ledger_report(ledger)
-    _write_line(out["json"], json.dumps(payload, allow_nan=False))
-    return ScenarioResult(sc.name,
-                          f"switch={payload['switch']} "
-                          f"active_modes={payload['active_modes']}",
-                          [out["json"]])
+    payload = energy.ledger_report(energy.make_ledger(p["total_E"], p["schedule"]))
+    return (f"switch={payload['switch']} active_modes={payload['active_modes']}",
+            [(".json", _text(json.dumps(payload, allow_nan=False)))])
 
 
-def _run_truebeam(sc: Scenario, out: Dict[str, str]) -> ScenarioResult:
+def _run_truebeam(sc: Scenario) -> tuple:
     p = sc.parameters
     geom = plate.PlateGeom(**{k: float(v) for k, v in p["geom"].items()})
     nl = nonlinearity_from_config(p["nl"])
-    forcing = None
-    if p.get("forcing"):
-        fc = p["forcing"]
-        forcing = _record(truebeam.GustForcing, fc, breakpoints=tuple(
-            (float(t), float(a)) for t, a in fc["breakpoints"]))
+    fc = p.get("forcing")
+    forcing = _record(truebeam.GustForcing, fc, breakpoints=tuple(
+        (float(t), float(a)) for t, a in fc["breakpoints"])) if fc else None
     cfg = _record(truebeam.TrueBeamConfig, p, geom=geom, nl=nl, forcing=forcing)
     M = cfg.modes_M
-
-    def arr(key):
-        vals = p.get("state0", {}).get(key, [])
-        out_v = np.zeros(M)
-        out_v[:len(vals)] = [float(v) for v in vals]
-        return out_v
-
-    state0 = truebeam.ModalState(0.0, arr("a"), arr("ad"), arr("b"), arr("bd"))
+    arrs = {key: np.zeros(M) for key in ("a", "ad", "b", "bd")}
+    for key, vals in p.get("state0", {}).items():
+        arrs[key][:len(vals)] = [float(v) for v in vals]
     traj = truebeam.integrate_truebeam(
-        cfg, state0, float(p["t_end"]), freeze_switch=p.get("freeze_switch"),
+        cfg, truebeam.ModalState(0.0, **arrs), float(p["t_end"]),
+        freeze_switch=p.get("freeze_switch"),
         **{k: float(p[k]) for k in ("rel_tol", "abs_tol") if k in p})
-    _write_line(out["json"], traj.events_json())
-    traj.to_csv(out["csv"])
-    svg_line_plot(out["svg"], traj.ts, [traj.ys[:, 0], traj.ys[:, 2 * M]],
-                  ["a1", "b1"], title=sc.name)
-    return ScenarioResult(sc.name,
-                          f"termination={traj.termination} "
-                          f"switch_events={len(traj.events)}",
-                          [out["csv"], out["json"], out["svg"]])
+    return (f"termination={traj.termination} switch_events={len(traj.events)}",
+            [(".csv", traj.to_csv), (".json", _text(traj.events_json())),
+             (".svg", _plot(traj.ts, [traj.ys[:, 0], traj.ys[:, 2 * M]],
+                            ["a1", "b1"], sc.name))])
 
 
-_RUNNERS = {
-    "ode4": _run_ode4,
-    "coupled": _run_system,
-    "truesystem": _run_system,
-    "miosyst": _run_system,
-    "scanlan": _run_scanlan,
-    "modes": _run_modes,
-    "flutter": _run_flutter,
-    "energy": _run_energy,
-    "truebeam": _run_truebeam,
+# model: (runner, records built from its parameters, its other keys)
+_MODELS = {
+    "ode4": (_run_ode4, [ode4.IntegratorConfig], ("family", "state0")),
+    "coupled": (_run_system, [ode4.IntegratorConfig, systems.McKennaParams],
+                ("nl", "state0")),
+    "truesystem": (_run_system, [ode4.IntegratorConfig], ("omega2", "nl", "state0")),
+    "miosyst": (_run_system, [ode4.IntegratorConfig, systems.MiosystParams],
+                ("nl", "state0")),
+    "scanlan": (_run_scanlan, [systems.ScanlanParams],
+                ("t_end", "theta0", "thetad0", "n_samples")),
+    "truebeam": (_run_truebeam, [truebeam.TrueBeamConfig],
+                 ("t_end", "state0", "rel_tol", "abs_tol", "freeze_switch")),
+    "modes": (_run_modes, [], ("navier_S", "geom", "m_max")),
+    "flutter": (_run_flutter, [energy.FlutterParams], ("doubling_check",)),
+    "energy": (_run_energy, [], ("total_E", "schedule")),
 }
+MODELS = tuple(_MODELS)
 
 
 def run_scenario(config: dict, out_dir: str) -> ScenarioResult:
@@ -250,7 +227,10 @@ def run_scenario(config: dict, out_dir: str) -> ScenarioResult:
     sc = parse_scenario(config)
     out = _out_paths(sc, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    return _RUNNERS[sc.model](sc, out)
+    summary, artifacts = _MODELS[sc.model][0](sc)
+    for suffix, write in artifacts:
+        write(out[suffix])
+    return ScenarioResult(sc.name, summary, [out[suffix] for suffix, _ in artifacts])
 
 
 BUILTINS: Dict[str, dict] = {
