@@ -16,6 +16,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import energy, ode4, plate, systems, truebeam
+from .errors import InvalidParameterError
 from .io import svg_line_plot
 from .nonlin import nonlinearity_from_config
 
@@ -57,6 +58,14 @@ def _record(cls, p: dict, **given):
     kw = {f.name: _CASTS[f.type](p[f.name]) for f in fields(cls)
           if f.name in p and f.name not in given}
     return cls(**kw, **given)
+
+
+def _check_read(what: str, given, records=(), keys=()) -> None:
+    """Reject each key of given that is neither a field of records nor in keys."""
+    known = {f.name for r in records for f in fields(r)}.union(keys)
+    unread = sorted(set(given) - known)
+    if unread:
+        raise InvalidParameterError(f"{what} does not read {unread}")
 
 
 def _out_paths(sc: Scenario, out_dir: str) -> Dict[str, str]:
@@ -186,12 +195,15 @@ def _run_truebeam(sc: Scenario) -> tuple:
     geom = plate.PlateGeom(**{k: float(v) for k, v in p["geom"].items()})
     nl = nonlinearity_from_config(p["nl"])
     fc = p.get("forcing")
+    _check_read("forcing", fc or {}, [truebeam.GustForcing])
     forcing = _record(truebeam.GustForcing, fc, breakpoints=tuple(
         (float(t), float(a)) for t, a in fc["breakpoints"])) if fc else None
     cfg = _record(truebeam.TrueBeamConfig, p, geom=geom, nl=nl, forcing=forcing)
     M = cfg.modes_M
     arrs = {key: np.zeros(M) for key in ("a", "ad", "b", "bd")}
-    for key, vals in p.get("state0", {}).items():
+    s0 = p.get("state0", {})
+    _check_read("state0", s0, keys=arrs)
+    for key, vals in s0.items():
         arrs[key][:len(vals)] = [float(v) for v in vals]
     traj = truebeam.integrate_truebeam(
         cfg, truebeam.ModalState(0.0, **arrs), float(p["t_end"]),
@@ -225,9 +237,11 @@ MODELS = tuple(_MODELS)
 def run_scenario(config: dict, out_dir: str) -> ScenarioResult:
     """Validate and execute one scenario; artifacts land in out_dir."""
     sc = parse_scenario(config)
+    run, records, keys = _MODELS[sc.model]
+    _check_read(sc.model, sc.parameters, records, keys)
     out = _out_paths(sc, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    summary, artifacts = _MODELS[sc.model][0](sc)
+    summary, artifacts = run(sc)
     for suffix, write in artifacts:
         write(out[suffix])
     return ScenarioResult(sc.name, summary, [out[suffix] for suffix, _ in artifacts])

@@ -294,20 +294,26 @@ def solve_scanlan(params: ScanlanParams, theta0: float, thetad0: float,
             "need finite theta0, thetad0 and t_end > 0, and n_samples >= 2")
     I = params.inertia_I
     c1 = 2.0 * params.zeta * params.omega_n * I - params.A_lift
-    c0 = params.omega_n ** 2 * I - params.B_lift
+    c0 = params.omega_n * params.omega_n * I - params.B_lift
     disc = cmath.sqrt(c1 * c1 - 4.0 * I * c0)
     r1 = (-c1 + disc) / (2.0 * I)
     r2 = (-c1 - disc) / (2.0 * I)
+    if not np.all(np.isfinite([c1, c0, r1, r2])):
+        raise InvalidParameterError("inertia_I, zeta, omega_n, A_lift and B_lift "
+                                    "give roots that overflow a float")
     ts = np.linspace(0.0, t_end, n_samples)
-    if abs(r1 - r2) > 1e-14 * max(1.0, abs(r1), abs(r2)):
-        c_a = (thetad0 - r2 * theta0) / (r1 - r2)
-        c_b = theta0 - c_a
-        th = c_a * np.exp(r1 * ts) + c_b * np.exp(r2 * ts)
-        thd = c_a * r1 * np.exp(r1 * ts) + c_b * r2 * np.exp(r2 * ts)
-    else:
-        c_a, c_b = theta0, thetad0 - r1 * theta0
-        th = (c_a + c_b * ts) * np.exp(r1 * ts)
-        thd = (c_b + r1 * (c_a + c_b * ts)) * np.exp(r1 * ts)
+    with np.errstate(all="ignore"):  # overflow is rejected below, not warned
+        if abs(r1 - r2) > 1e-14 * max(1.0, abs(r1), abs(r2)):
+            c_a = (thetad0 - r2 * theta0) / (r1 - r2)
+            c_b = theta0 - c_a
+            th = c_a * np.exp(r1 * ts) + c_b * np.exp(r2 * ts)
+            thd = c_a * r1 * np.exp(r1 * ts) + c_b * r2 * np.exp(r2 * ts)
+        else:
+            c_a, c_b = theta0, thetad0 - r1 * theta0
+            th = (c_a + c_b * ts) * np.exp(r1 * ts)
+            thd = (c_b + r1 * (c_a + c_b * ts)) * np.exp(r1 * ts)
+    if not (np.all(np.isfinite(th.real)) and np.all(np.isfinite(thd.real))):
+        raise InvalidParameterError("theta overflows a float before t_end")
     return ScanlanSolution(ts, th.real.astype(float), thd.real.astype(float),
                            (complex(r1), complex(r2)),
                            float(max(r1.real, r2.real)))

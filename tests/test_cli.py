@@ -496,11 +496,21 @@ def _with(run, **changes):
     _with("ode4", family={"nl": {"kind": "cubic",
                                        "params": {"d_cub": 1.0}}}),
     _with("ode4", family={"k2": 3.0}),
+    _with("ode4", rel_tl=1e-12),
+    _with("coupled", omega2=2.0),  # a key that truesystem reads
+    _with("truebeam", forcing={"profil": "vertical"}),
+    _with("truebeam", state0={"add": [0.1]}),
+    # finite settings whose closed form does not fit in a float
+    _with("scanlan", A_lift=0.0, omega_n=1e200),
+    _with("scanlan", A_lift=0.0, zeta=1e300, omega_n=1e10),
+    _with("scanlan", A_lift=0.0, zeta=0.0, B_lift=10.0, t_end=400.0),
 ], ids=["energy-nan", "energy-inf", "scanlan-nan", "scanlan-inf",
         "scanlan-theta0-nan", "modes-nan", "flutter-nan", "flutter-overflow",
         "flutter-speed-overflow", "coupled-nan",
         "truebeam-nan", "truebeam-inf", "truebeam-forcing-nan", "cubic-d_cub",
-        "canonical-k2"])
+        "canonical-k2", "ode4-rel_tl", "coupled-omega2", "truebeam-forcing-profil",
+        "truebeam-state0-add", "scanlan-omega_n-overflow", "scanlan-roots-overflow",
+        "scanlan-theta-overflow"])
 def test_rejected_settings_exit_3_and_write_nothing(tmp_path, run, parameters):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"name": "bad", "model": run.split("-")[0],
@@ -508,3 +518,19 @@ def test_rejected_settings_exit_3_and_write_nothing(tmp_path, run, parameters):
     out = tmp_path / "o"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_run_without_config_or_builtin_exits_2(tmp_path, capsys):
+    assert main(["run", "--out", str(tmp_path / "o")]) == 2
+    assert "config path or --builtin" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_over_a_single_value(tmp_path, capsys):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(_tiny_ode4_config("one")))
+    out = tmp_path / "o"
+    assert main(["sweep", str(cfg), "--param", "k_coef=3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("one_k_coef=3: ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "one_k_coef=3.csv", "one_k_coef=3.json", "one_k_coef=3.svg"]

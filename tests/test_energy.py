@@ -270,3 +270,9 @@ def test_stretching_energy():
 def test_plain_callable_rejects_derivatives():
     with pytest.raises(InvalidParameterError):
         energy.stretching_energy(lambda x1, x2: x1, (0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("m, L", [(0, math.pi), (1, 0.0)])
+def test_elongation_mode_needs_a_mode_and_a_length(m, L):
+    with pytest.raises(InvalidParameterError, match="m >= 1 and L > 0"):
+        energy.elongation_mode(1.0, m, L)

@@ -370,8 +370,6 @@ def test_literal_gauss_rule_equals_leggauss_to_the_bit():
 
 def test_detect_blowup_memory_on_a_fresh_figure13_run(cubic1):
     import tracemalloc
-    # the Gauss nodes import numpy.polynomial once per process, not per run
-    import numpy.polynomial.legendre  # noqa: F401
     traj = bo.integrate(bo.canonical(3.6, cubic1), [0.9, 0.0, 0.0, 0.0],
                         bo.IntegratorConfig(t_end=120.0))
     tracemalloc.start()
@@ -459,3 +457,12 @@ def test_r_est_secant_is_exact_on_reciprocal_growth(n_zeros):
     report = bo.detect_blowup(traj)
     assert report.blew_up
     assert abs(report.R_est - R) <= 1e-12 * R
+
+
+@pytest.mark.parametrize("ts, w", [
+    ([0.0, 1.0, 2.0, 3.0], [4.0, 3.0, 2.5, 2.0]),   # no zero, |w| shrinking
+    ([0.0, 1.0, 2.0, 3.0], [-1.0, 1.0, 1.0, 1.0]),  # one zero, then flat
+])
+def test_r_est_falls_back_to_the_end_time_without_growth_or_zeros(ts, w):
+    report = bo.detect_blowup(_blowup_trajectory(ts, w))
+    assert report.blew_up and report.R_est == 3.0

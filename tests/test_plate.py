@@ -117,3 +117,13 @@ def test_modes_csv(tmp_path):
     assert lines[0] == "family,m,n,lambda"
     assert lines[1].startswith("vertical,1,0,")
     assert len(lines) == 5
+
+
+def test_mode_and_family_guardrails():
+    geom = plate.PlateGeom(math.pi, 0.4)
+    with pytest.raises(InvalidParameterError, match="mode family"):
+        plate.Mode("bogus", 1, 0, 1.0, math.pi).eval(0.5, 0.0)
+    with pytest.raises(InvalidParameterError, match="m_max"):
+        plate.analytic_modes(geom, 0)
+    with pytest.raises(InvalidParameterError, match="navier_square"):
+        plate.navier_residuals(plate.vertical_mode(geom, 1))

@@ -1,10 +1,13 @@
 """Scenario parameters reach the solvers as the records whose fields they
 name: every field set in a config arrives at the solver entry unchanged."""
 import dataclasses
+import pathlib
+import re
 
 import pytest
 
 from bridgeosc import energy, ode4, plate, scenarios, systems, truebeam
+from bridgeosc.errors import InvalidParameterError
 from bridgeosc.nonlin import make_nonlinearity
 
 CUBIC = {"kind": "cubic", "params": {"epsilon": 0.5}}
@@ -123,12 +126,27 @@ def test_truebeam_config_forcing_and_tolerances(tmp_path, monkeypatch):
     assert calls[1][1] == {"freeze_switch": None}
 
 
-def test_unknown_flat_keys_are_ignored_but_nested_objects_reject_them(tmp_path):
+def test_unknown_keys_are_rejected_flat_and_nested(tmp_path):
     base = {"nl": CUBIC, "state0": [0.3, 0, 0.2, 0], "t_end": 0.5,
             "not_a_field": 1}
-    scenarios.run_scenario({"name": "c", "model": "coupled",
-                            "parameters": base}, str(tmp_path))
+    out = tmp_path / "o"
+    with pytest.raises(InvalidParameterError,
+                       match=r"coupled does not read \['not_a_field'\]"):
+        scenarios.run_scenario({"name": "c", "model": "coupled",
+                                "parameters": base}, str(out))
+    assert not out.exists()
     with pytest.raises(TypeError):
         scenarios.run_scenario({"name": "m", "model": "modes", "parameters": {
             "geom": {"length_L": 1.0, "half_width_l": 0.5, "bogus": 1}}},
             str(tmp_path))
+
+
+def test_readme_model_table_names_every_record_and_key():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = {model: row for model, row in re.findall(
+        r"^\| `(\w+)` \|(.*)$", readme.read_text(), re.MULTILINE)
+        if model in scenarios.MODELS}
+    assert set(rows) == set(scenarios.MODELS)
+    for model, (_, records, keys) in scenarios._MODELS.items():
+        for name in [r.__name__ for r in records] + list(keys):
+            assert f"`{name}`" in rows[model], (model, name)

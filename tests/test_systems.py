@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -316,3 +318,53 @@ def test_scanlan_rejects_non_finite_or_non_positive_t_end(t_end):
                               A_lift=0.5, B_lift=0.0)
     with pytest.raises(InvalidParameterError):
         systems.solve_scanlan(p, 1.0, 0.0, t_end, 5)
+
+
+@pytest.mark.parametrize("fields, t_end, names", [
+    ({"omega_n": 1e200}, 10.0, "omega_n"),           # omega_n^2 overflows
+    ({"zeta": 1e300, "omega_n": 1e10}, 10.0, "zeta"),  # so does the damping
+    ({"zeta": 0.0, "B_lift": 10.0}, 400.0, "t_end"),   # exp(3 t) past t = 236.6
+], ids=["omega_n", "damping", "theta"])
+def test_scanlan_closed_form_that_overflows_is_rejected_without_warning(
+        fields, t_end, names):
+    p = systems.ScanlanParams(**{"inertia_I": 1.0, "zeta": 0.05, "omega_n": 1.0,
+                                 "A_lift": 0.0, "B_lift": 0.0, **fields})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=names):
+            systems.solve_scanlan(p, 1.0, 0.0, t_end)
+
+
+def test_scanlan_growth_is_sampled_while_it_fits_a_float():
+    p = systems.ScanlanParams(inertia_I=1.0, zeta=0.0, omega_n=1.0,
+                              A_lift=0.0, B_lift=10.0)
+    sol = systems.solve_scanlan(p, 1.0, 0.0, 230.0)
+    assert sol.growth_exponent == 3.0 and np.isfinite(sol.theta).all()
+
+
+def test_systems_run_from_a_state_record_as_from_its_components():
+    nl = bo.make_nonlinearity("cubic", epsilon=1.0)
+    s0 = [0.3, 0.1, 0.2, -0.1]
+    for integrate in (
+            lambda s: systems.integrate_coupled(systems.McKennaParams(), nl, s,
+                                                _cfg(2.0, tol=1e-8)),
+            lambda s: systems.integrate_truesystem(3.0, nl, s, _cfg(2.0, tol=1e-8)),
+            lambda s: systems.integrate_miosyst(systems.MiosystParams(-1.0, 1.0),
+                                                nl, s, _cfg(2.0, tol=1e-8))):
+        bare = integrate(s0)
+        rec = integrate(systems.SysState(0.0, *s0))
+        assert np.array_equal(rec.ts, bare.ts) and np.array_equal(rec.ys, bare.ys)
+
+
+def test_first_integral_drift_is_zero_when_the_first_state_exceeds_cap(fig16):
+    params, nl, _c, _traj, reduced, _rep = fig16
+    assert np.max(np.abs(reduced.states[0])) > 0.5
+    assert systems.first_integral_drift(params, nl, reduced, cap=0.5) == (0.0, 0.0)
+
+
+def test_log_amplitude_fit_needs_three_peaks():
+    # critically damped: |theta| decays without a single peak
+    p = systems.ScanlanParams(inertia_I=1.0, zeta=1.0, omega_n=1.0,
+                              A_lift=0.0, B_lift=0.0)
+    with pytest.raises(InvalidParameterError, match="3 envelope peaks"):
+        systems.log_amplitude_fit(systems.solve_scanlan(p, 1.0, 0.0, 5.0, 51))

@@ -465,3 +465,28 @@ def test_projection_grid_and_its_convergence_error_are_recorded():
                               np.array([3.0, -0.6]), np.zeros(2))
     traj = truebeam.integrate_truebeam(kinked, st1, 0.05)
     assert traj.projection_grid == (64, 32) and traj.projection_error > 1e-8
+
+
+def test_record_validation_rejects_each_bad_field():
+    with pytest.raises(InvalidParameterError, match="profile_m"):
+        truebeam.GustForcing(breakpoints=((0.0, 1.0),), profile_m=0)
+    with pytest.raises(InvalidParameterError, match="threshold_Ebar"):
+        _cfg(Ebar=math.nan)
+    z = np.zeros(2)
+    with pytest.raises(InvalidParameterError, match="one length"):
+        truebeam.ModalState(0.0, z, z, np.zeros(3), z)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        truebeam.ModalState(0.0, z, z, np.array([0.0, math.nan]), z)
+    with pytest.raises(InvalidParameterError, match="M must be"):
+        truebeam.project_initial(None, None, SQUARE, 0)
+
+
+def test_integrate_truebeam_rejects_a_wrong_truncation_and_a_past_t_end():
+    cfg = _cfg(M=2)
+    with pytest.raises(InvalidParameterError, match="truncation"):
+        truebeam.integrate_truebeam(cfg, truebeam.project_initial(
+            None, None, NARROW, 1), 1.0)
+    later = truebeam.ModalState(2.0, *(np.zeros(2) for _ in range(4)))
+    for t_end in (2.0, 1.0):
+        with pytest.raises(InvalidParameterError, match="initial time"):
+            truebeam.integrate_truebeam(cfg, later, t_end)
