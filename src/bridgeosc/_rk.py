@@ -2,24 +2,26 @@
 8(5,3) with dense output, and an exponential Runge-Kutta method for
 semilinear systems.
 
-The controller, integrate_adaptive, owns the step size and its acceptance,
-rejects steps with non-finite values, and ends a run cleanly when a
-monitored component crosses a threshold or the step size underflows. The
+The controller, integrate_lanes, owns the step size and its acceptance,
+rejects steps with non-finite values, and ends a run cleanly at a threshold
+on monitored components, on step underflow or on its step budget. The
 Dormand-Prince method (Hairer's DOP853) propagates at eighth order, blends
 its embedded 5th- and 3rd-order error estimators and has a degree-7
-continuous extension: built for stiff amplitude growth near finite-time
-blow-up. As in Hairer's code, the three stages of that extension are left
-out of the step loop: a trajectory evaluates them, from the stages its steps
-kept, for the steps that something reads. Given the linear part of
-y' = L y + N(t, y) as damped 2x2 oscillator blocks, the five-stage
-exponential method of Hochbruck and Ostermann (stiff order 4) solves the
-linear flow exactly, so the step size follows N alone and not the stiffness
-of L. A trajectory's zeros of one component are bisected on the
-interpolant of each step that brackets one.
+continuous extension. As in Hairer's code, its three dense stages are left
+out of the step loop: a trajectory evaluates them for the steps something
+reads, one rhs call over those steps a stage. The method also steps many
+states as the lanes of one (L, n) state, each bit for bit its own run.
+Given the linear part of y' = L y + N(t, y) as damped 2x2 oscillator
+blocks, the five-stage exponential method of Hochbruck and Ostermann
+(stiff order 4) solves the linear flow exactly, so the step size follows N
+alone and not the stiffness of L. A trajectory's zeros of one component
+are bisected on the interpolant of each step that brackets one.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +32,8 @@ from .io import write_csv
 REACHED_T_END = "reached_t_end"
 BLOWUP_DETECTED = "blowup_detected"
 STEP_UNDERFLOW = "step_underflow"
+STEP_BUDGET = "step_budget"
+MAX_STEPS = 1_000_000  # default budget: ~850x the attempts of criterion 7's k = 2 run
 
 # Dormand-Prince 8(5,3), Hairer's DOP853. Stages 0-11 make the step; _A[12]
 # is _B, so stage 12 is the rhs at the new state (the next step's stage 0);
@@ -72,6 +76,7 @@ _A = [None] + [np.array(row) for row in (
      4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
      2.9475147891527724, -9.15095847217987])]
 _B = _A[12]
+_KEPT = [0, *range(5, 13)]  # the stages a step record keeps
 # the 5th- and 3rd-order error estimators
 _E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
                 -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
@@ -137,12 +142,14 @@ class RawTrajectory:
 
     ts          (N,) strictly increasing accepted times
     ys, states  (N, n) accepted states
-    termination one of reached_t_end / blowup_detected / step_underflow
+    termination how the run ended (ode4.TERMINATIONS)
     columns     CSV names of the n state columns, set by each subclass
 
     rcont is the (N-1, 8, n) array of the steps' contd8 coefficients, or a
     function returning those of given steps (sorted distinct indices): then
     a step's coefficients are built the first time it is read, and kept.
+    A DOP853 run builds them with its rhs: a pure function of (t, y) that
+    also takes y as (n, S) columns, t as (S,), each column as if alone.
     """
 
     columns: tuple = ()
@@ -306,6 +313,8 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
+            # 0.2, not DOP853's 1/8: 1/8 took figure12 from 199 to 197 steps
+            # but criterion 7's rejected steps from 3,805 to 4,197
             h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, max_step, t_end - t0)
 
@@ -313,21 +322,22 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
 def _dop853_dense(rhs, ts, ys, hs, recs):
     """The function returning the (S, 8, n) contd8 coefficients of S given
     steps of a _dop853 run, from its samples ts, ys, its step sizes hs and
-    its step records. It evaluates each step's three dense stages with the
-    step loop's operations, over K with rows 1-4 set to 0.0, then forms the
-    coefficients elementwise, the same operations as one step at a time."""
+    its step records. A dense stage is one rhs call on up to _EVAL_CHUNK
+    steps as columns; matmul makes each step's own products, bit for bit."""
     n = ys.shape[1]
-    K = np.zeros((16, n))
 
     def build(steps):
-        dk = np.empty((len(steps), 4, n))  # _D @ K of each step
-        for s, i in enumerate(steps.tolist()):
-            t, y, h = float(ts[i]), ys[i], float(hs[i])
-            K[0], K[5:13] = recs[i, 0], recs[i, 1:]
-            for j in range(13, 16):
-                K[j] = rhs(t + float(_C[j]) * h, y + h * _A[j].dot(K[:j]))
-            np.dot(_D, K, out=dk[s])
         rcont = np.empty((len(steps), 8, n))
+        dk = rcont[:, 4:]  # _D @ K of each step, then scaled by h
+        for lo in range(0, len(steps), _EVAL_CHUNK):
+            at = steps[lo:lo + _EVAL_CHUNK]
+            K = np.zeros((len(at), 16, n))  # stages 1-4 stay 0.0
+            K[:, 0], K[:, 5:13] = recs[at, 0], recs[at, 1:]
+            t, y, h = ts[at], ys[at], hs[at]
+            for j in range(13, 16):
+                u = y + h[:, None] * np.matmul(_A[j], K[:, :j])
+                K[:, j] = rhs(t + _C[j] * h, u.T).T
+            np.matmul(_D, K, out=dk[lo:lo + _EVAL_CHUNK])
         h = hs[steps, None]
         f0, f1 = recs[steps, 0], recs[steps, 8]
         y0, ydiff, c2, c3 = (rcont[:, j] for j in range(4))
@@ -338,174 +348,242 @@ def _dop853_dense(rhs, ts, ys, hs, recs):
         np.add(f1, f0, out=c3)
         c3 *= h
         np.subtract(ydiff + ydiff, c3, out=c3)  # 2*ydiff - h*(f1 + f0)
-        np.multiply(h[:, None], dk, out=rcont[:, 4:])
+        dk *= h[:, None]
         return rcont
 
     return build
 
 
+Lane = namedtuple("Lane", "t0 y0 t_end rtol atol max_step stop_threshold max_steps",
+                  defaults=(1e-10, 1e-10, np.inf, np.inf, MAX_STEPS))  # one state
+
+
 def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
                        max_step=np.inf, stop_indices=(), stop_threshold=np.inf,
-                       linear=None):
+                       linear=None, max_steps=MAX_STEPS):
     """Integrate y' = rhs(t, y) from t0 to t_end with adaptive steps.
 
     Terminates early with blowup_detected once max over stop_indices of |y_i|
-    reaches stop_threshold, or with step_underflow when the step size can no
-    longer advance t. Underflow before any accepted step raises
-    InvalidParameterError (inconsistent tolerances), as do a max_step that
-    is not positive and a non-finite rhs at the initial state.
+    reaches stop_threshold, with step_underflow when the step size can no
+    longer advance t, or with step_budget after max_steps attempts.
+    Underflow before any accepted step raises InvalidParameterError
+    (inconsistent tolerances), as do a max_step that is not positive, a
+    max_steps below 1 and a non-finite rhs at the initial state. With linear
+    (a LinearBlocks), the system is y' = L y + rhs(t, y), integrated by the
+    exponential stepper into an ExpTrajectory."""
+    lane = Lane(t0, y0, t_end, rtol, atol, max_step, stop_threshold, max_steps)
+    [run] = integrate_lanes(lambda lanes: rhs, [lane], stop_indices, linear)
+    if isinstance(run, InvalidParameterError):
+        raise run
+    return run
 
-    With linear (a LinearBlocks), the system is y' = L y + rhs(t, y) and the
-    exponential stepper integrates it, returning an ExpTrajectory. Else the
-    RawTrajectory keeps rhs and calls it again, three times for each step
-    whose interpolant is read, so rhs must be a pure function of (t, y).
 
-    This is the one step controller for both step methods (_dop853 and
-    _exponential). A method supplies size(t, h) -> (h, t_new), which fits a
-    proposed h to the method, and attempt(t, y, h, t_new) -> (err_norm,
-    pieces), where err_norm is None on a non-finite value. err_norm <= 1
-    accepts the pieces, each (t, h, y, record) for one stored step, and the
-    method then continues from the last of them. A method also names its
-    controller exponent, the number of rows of a step record and its cap on
-    the factor right after a rejection: 1 for _dop853, as in Hairer's DOP853.
-    """
-    if not (rtol > 0.0 and atol > 0.0):
-        raise InvalidParameterError("tolerances must be positive")
-    if not max_step > 0.0:
-        raise InvalidParameterError("max_step must be > 0")
-    y = np.array(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise InvalidParameterError("initial state must be finite")
-    n = y.size
-    t = float(t0)
-    t_end = float(t_end)
-    if not np.isfinite(t_end):
-        raise InvalidParameterError("t_end must be finite")
-    if t_end <= t:
-        raise InvalidParameterError("t_end must exceed t0")
-    if linear is not None:
-        k = np.asarray(linear.stiffness, dtype=float)
-        if k.ndim != 2 or 2 * k.size != n:
-            raise InvalidParameterError("linear blocks do not match the state")
-        linear = LinearBlocks(k, np.broadcast_to(
-            np.asarray(linear.damping, dtype=float), k.shape),
-            tuple(sorted(linear.kinks)))
+class _Stepping:
+    """A lane's settings, step state (grow caps the next factor) and steps:
+    state j and the record of step j in row j of Y and R, grown by doubling."""
 
-    f = np.asarray(rhs(t, y), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise InvalidParameterError("rhs at the initial state must be finite")
-    h = _initial_step(rhs, t, y, f, t_end, rtol, atol, max_step)
+    def __init__(self, index, lane, h, width):
+        self.index, self.lane, self.t, self.h, self.ts, self.hs = (
+            index, lane, lane.t0, h, [lane.t0], [])
+        self.grow, self.attempts, self.n_rejected = _MAX_FACTOR, 0, 0
+        self.end = None  # the termination, or the error that ended the lane
+        n = lane.y0.size
+        self.Y, self.R = np.empty((256, n)), np.empty((256, width, n))
+        self.Y[0] = lane.y0
+
+    def add(self, t, h, y, rec):
+        j = len(self.ts)
+        if j == len(self.Y):  # copied into buffers of twice the rows
+            grown = [np.empty((2 * j, *b.shape[1:])) for b in (self.Y, self.R)]
+            grown[0][:j], grown[1][:j] = self.Y, self.R
+            self.Y, self.R = grown
+        self.Y[j], self.R[j - 1] = y, rec
+        self.ts.append(t)
+        self.hs.append(h)
+
+    def result(self, rhs_of, blocks):  # the trajectory, or the error that ended it
+        if isinstance(self.end, InvalidParameterError):
+            return self.end
+        N = len(self.ts)
+        ts, ys, hs = np.asarray(self.ts), self.Y[:N].copy(), np.asarray(self.hs)
+        if blocks is None:
+            dense = _dop853_dense(rhs_of([self.index]), ts, ys, hs, self.R[:N - 1])
+            return RawTrajectory(ts, ys, dense, self.end, self.n_rejected)
+        return ExpTrajectory(ts, ys, hs, self.R[:N - 1].copy(), blocks, self.end,
+                             self.n_rejected)
+
+
+def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
+    """Integrate the Lane records lanes as the rows of one (L, n) state: a
+    stage is one call of rhs_of(idx), the rhs of lanes idx, on (n, L) columns
+    with t as (L,), or on one lane's bare (n,) state. Each lane keeps its own
+    t, h, control and termination, bit for bit its integrate_adaptive run,
+    held at h = 0 once ended; returns its trajectory or InvalidParameterError.
+
+    The step method (_dop853; _exponential for one lane given linear) gives
+    size(t, h, t_end) -> (h, t_new); attempt(t, y, h, t_new) -> (err_norm,
+    pieces), err_norm <= 1 accepting the (t, h, y, record) pieces and None
+    or NaN marking a non-finite value (over lanes: lists, y updated in
+    place); its control exponent; record rows; factor cap after a rejection."""
+    runs, lanes, starts = [None] * len(lanes), list(lanes), []
+    for b, lane in enumerate(lanes):
+        try:  # each lane starts as it does alone
+            y, t = np.array(lane.y0, dtype=float), float(lane.t0)
+            t_end = float(lane.t_end)
+            for ok, message in (  # in this order; NaN fails each
+                    (lane.rtol > 0.0 < lane.atol, "tolerances must be positive"),
+                    (lane.max_step > 0.0, "max_step must be > 0"),
+                    (np.all(np.isfinite(y)), "initial state must be finite"),
+                    (np.isfinite(t_end), "t_end must be finite"),
+                    (not t_end <= t, "t_end must exceed t0"),
+                    (lane.max_steps >= 1, "max_steps must be >= 1")):
+                if not ok:
+                    raise InvalidParameterError(message)
+            lanes[b] = lane = lane._replace(t0=t, y0=y, t_end=t_end)
+            if linear is not None:
+                k = np.asarray(linear.stiffness, dtype=float)
+                if k.ndim != 2 or 2 * k.size != y.size:
+                    raise InvalidParameterError("linear blocks do not match the state")
+                linear = LinearBlocks(k, np.broadcast_to(np.asarray(
+                    linear.damping, dtype=float), k.shape), tuple(sorted(linear.kinks)))
+            rhs = rhs_of([b])
+            f = np.asarray(rhs(t, y), dtype=float)
+            if not np.all(np.isfinite(f)):
+                raise InvalidParameterError("rhs at the initial state must be finite")
+            starts.append((b, float(_initial_step(rhs, t, y, f, t_end, lane.rtol,
+                                                  lane.atol, lane.max_step)), f))
+        except InvalidParameterError as exc:
+            runs[b] = exc
+    if not starts:
+        return runs
+    live, h0, f = map(list, zip(*starts))
+    lone, one = len(live) == 1, lanes[live[0]]
+    y, f, rtol, atol = (one.y0, f[0], one.rtol, one.atol) if lone else (
+        np.array([lanes[b].y0 for b in live]), np.array(f),  # tolerances (L, 1)
+        *np.array([(lanes[b].rtol, lanes[b].atol) for b in live]).T[:, :, None])
     size, attempt, exponent, width, regrowth = (
-        _dop853(rhs, y, f, t_end, rtol, atol) if linear is None
-        else _exponential(rhs, t, y, f, t_end, rtol, atol, linear))
-    ts = [t]
-    hs = []  # the sizes the stored steps were taken with
-    # row j: stored state j and the record of step j; grown by doubling, so
-    # a run holds no per-step arrays
-    Y, R = np.empty((256, n)), np.empty((256, width, n))
-    Y[0] = y
-    termination = REACHED_T_END
-    n_rejected = 0
-    grow = _MAX_FACTOR  # the cap on the next factor; regrowth after a rejection
-    stop_idx = np.array(stop_indices, dtype=np.intp)
-    while t < t_end:
-        h, t_new = size(t, h)
-        if not h > 1e-14 * max(1.0, abs(t)):  # NaN included
-            if len(ts) == 1:
-                raise InvalidParameterError(
-                    "step size underflow before any progress; tolerances "
-                    "are inconsistent with the problem scale")
-            termination = STEP_UNDERFLOW
-            break
-
-        err_norm, pieces = attempt(t, y, h, t_new)
-        if err_norm is None or not math.isfinite(err_norm):
-            n_rejected += 1
-            h, grow = 0.5 * h, regrowth
-            continue
-
-        if err_norm <= 1.0:
-            for t, h_piece, y, rec in pieces:
-                j = len(ts)
-                if j == len(Y):  # copied into buffers of twice the rows
-                    grown = [np.empty((2 * j, *b.shape[1:])) for b in (Y, R)]
-                    grown[0][:j], grown[1][:j] = Y, R
-                    Y, R = grown
-                Y[j], R[j - 1] = y, rec
-                ts.append(t)
-                hs.append(h_piece)
-                # a max over Python floats beats numpy's on a few entries
-                if (stop_idx.size and max(map(abs, y[stop_idx].tolist()))
-                        >= stop_threshold):
-                    termination = BLOWUP_DETECTED
-                    break
-            if termination == BLOWUP_DETECTED:
-                break
-        else:
-            n_rejected += 1
-
-        factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm ** exponent
-        h *= min(grow, max(_MIN_FACTOR, factor))
-        h = min(h, max_step)
-        grow = regrowth if err_norm > 1.0 else _MAX_FACTOR
-
-    N = len(ts)
-    ts, ys, hs = np.asarray(ts), Y[:N].copy(), np.asarray(hs)
-    if linear is None:
-        dense = _dop853_dense(rhs, ts, ys, hs, R[:N - 1])
-        return RawTrajectory(ts, ys, dense, termination, n_rejected)
-    return ExpTrajectory(ts, ys, hs, R[:N - 1].copy(), linear, termination,
-                         n_rejected)
+        _dop853(rhs_of(live), y, f, rtol, atol) if linear is None else
+        _exponential(rhs_of(live), one.t0, y, f, one.t_end, rtol, atol, linear))
+    active = [_Stepping(b, lanes[b], h, width) for b, h in zip(live, h0)]
+    stop_idx, ended = np.array(stop_indices, dtype=np.intp), 0
+    with np.errstate(all="ignore") if not lone else np.errstate():  # lanes hit inf/NaN
+        while True:
+            for run in active:
+                t = run.t
+                if run.end is None and not t < run.lane.t_end:
+                    run.end = REACHED_T_END
+                elif run.end is None:
+                    h, run.t_new = size(t, run.h, run.lane.t_end)
+                    if not h > 1e-14 * max(1.0, abs(t)):  # NaN included
+                        run.end = STEP_UNDERFLOW if len(run.ts) > 1 else \
+                            InvalidParameterError(
+                                "step size underflow before any progress; "
+                                "tolerances are inconsistent with the problem scale")
+                    elif run.attempts >= run.lane.max_steps:
+                        run.end = STEP_BUDGET
+                    else:
+                        run.h = h
+                        continue
+                if runs[run.index] is None:  # just ended: held from now on
+                    runs[run.index], run.h = run.result(rhs_of, linear), 0.0
+                    ended += 1
+            if ended == len(active):
+                return runs
+            if lone:  # run is the one lane; zip makes 1-tuples of its pair
+                errs, pieces = zip(attempt(run.t, y, run.h, run.t_new))
+            else:
+                errs, pieces = attempt([r.t for r in active], y, [r.h for r in active],
+                                       [r.t_new for r in active])
+            for run, err, accepted in zip(active, errs, pieces):
+                if run.end is not None:
+                    continue
+                run.attempts += 1
+                if err is None or not math.isfinite(err):
+                    run.n_rejected += 1
+                    run.h, run.grow = 0.5 * run.h, regrowth
+                    continue
+                if err <= 1.0:
+                    for t, h_piece, y_new, rec in accepted:
+                        run.add(t, h_piece, y_new, rec)
+                        # a max over Python floats beats numpy's on a few entries
+                        if (stop_idx.size and max(map(abs, y_new[stop_idx].tolist()))
+                                >= run.lane.stop_threshold):
+                            run.end = BLOWUP_DETECTED
+                            break
+                    run.t = t
+                    if lone:
+                        y = y_new
+                else:
+                    run.n_rejected += 1
+                factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** exponent
+                run.h = min(run.h * min(run.grow, max(_MIN_FACTOR, factor)),
+                            run.lane.max_step)
+                run.grow = regrowth if err > 1.0 else _MAX_FACTOR
 
 
-def _dop853(rhs, y0, f0, t_end, rtol, atol):
-    """The Dormand-Prince 8(5,3) step method of integrate_adaptive. A step is
-    rejected when a stage input or value is not finite. Its record is the
-    stages that the dense stages and _D read, K[0] and K[5] .. K[12], from
-    which _dop853_dense builds the step's interpolant."""
-    n = y0.size
-    K = np.empty((13, n))
-    K[0] = f0
-    K_flat, K_err = K.reshape(-1), K[:12]  # views
-    # x * 0.0 is 0.0 for finite x and NaN for inf or NaN, so a dot product
-    # with zeros is 0.0 exactly when every entry is finite (and is several
-    # times cheaper than isfinite().all() on a handful of entries)
+def _dop853(rhs, y0, f0, rtol, atol):
+    """The Dormand-Prince 8(5,3) step method, on one state (n,) or on lanes
+    (L, n) with per-lane tolerances; a non-finite stage input or value rejects
+    (a lane's) step. A record is K[0] and K[5] .. K[12], read by contd8."""
+    lanes, n = y0.ndim == 2, y0.shape[-1]
+    K = np.empty((*y0.shape[:-1], 13, n))
+    K[..., 0, :] = f0
+    K_in = K.transpose(1, 2, 0) if lanes else K  # stage i as rhs returns it
+    K_flat, K_err = K.reshape(*y0.shape[:-1], -1), K[..., :12, :]  # views
+    # row.dot(stages) is the cheapest call; matmul makes it per lane, bitwise
+    mix = (lambda row: partial(np.matmul, row)) if lanes else (lambda row: row.dot)
+    # x * 0.0 is NaN for inf or NaN x, so a dot product with zeros is 0.0 (per
+    # lane) when all is finite, faster than isfinite().all() on a few entries
     zeros, zeros_K = np.zeros(n), np.zeros(13 * n)
-    # stage i: (i, c_i, the earlier stages, tableau row), in order;
-    # row.dot(stages) is the cheapest numpy call for these small products.
-    # A step's stages end on stage 12, whose input is the new state.
-    step = [(i, float(_C[i]), K[:i], _A[i]) for i in range(1, 13)]
-    rec = np.empty((9, n))
-    abs_y = np.abs(y0)
+    # stage i: (i, c_i, earlier stages, row product); stage 12 is at the new state
+    step = [(i, float(_C[i]), K[..., :i, :], mix(_A[i])) for i in range(1, 13)]
+    e5_of, e3_of = mix(_E5), mix(_E3)
+    rec, abs_y = np.empty((9, n)), np.abs(y0)
 
-    def size(t, h):
+    def size(t, h, t_end):
         h = min(h, t_end - t)
         return h, t + h
 
     def attempt(t, y, h, t_new):
         nonlocal abs_y
-        for i, c, k_prev, a in step:
-            y_new = y + h * a.dot(k_prev)
-            if y_new.dot(zeros) != 0.0:
+        t_arr, h_arr = (np.array(t), np.array(h)) if lanes else (t, h)  # lists if lanes
+        h_col = h_arr[:, None] if lanes else h
+        bad = 0.0  # per lane: NaN once a value is not finite
+        for i, c, k_prev, stage_sum in step:
+            y_new = y + h_col * stage_sum(k_prev)
+            if lanes:
+                bad = bad + y_new.dot(zeros)
+                K_in[i] = rhs(t_arr + c * h_arr, y_new.T)
+            elif y_new.dot(zeros) != 0.0:
                 return None, None
-            K[i] = rhs(t + c * h, y_new)
-        if K_flat.dot(zeros_K) != 0.0:
+            else:
+                K[i] = rhs(t + c * h, y_new)
+        finite = K_flat.dot(zeros_K)
+        if not lanes and finite != 0.0:
             return None, None
         abs_new = np.abs(y_new)
         sc = atol + rtol * np.maximum(abs_y, abs_new)
-        e5, e3 = _E5.dot(K_err) / sc, _E3.dot(K_err) / sc
+        e5, e3 = e5_of(K_err) / sc, e3_of(K_err) / sc
+        if lanes:  # a lane's sums run along its row, as when alone
+            s5, s3 = np.add.reduce(e5 * e5, axis=1), np.add.reduce(e3 * e3, axis=1)
+            den = s5 + 0.01 * s3
+            err = np.where(den == 0, 0.0, h_arr * s5 / np.sqrt(den * n)) + bad + finite
+            ok, kept = (err <= 1.0)[:, None], K[:, _KEPT]
+            for to, new in ((K[:, 0], K[:, 12]), (abs_y, abs_new), (y, y_new)):
+                np.copyto(to, new, where=ok)
+            return err.tolist(), [acc and ((t_new[j], h[j], y_new[j], kept[j]),)
+                                  for j, acc in enumerate(ok[:, 0].tolist())]
         # == np.sum(e ** 2) bitwise: the same pairwise sum over n
         s5, s3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
         den = s5 + 0.01 * s3
         err_norm = h * s5 / math.sqrt(den * n) if den else 0.0
         if not err_norm <= 1.0:
             return err_norm, None
-        rec[0], rec[1:] = K[0], K[5:]
+        rec[0], rec[1:], abs_y = K[0], K[5:], abs_new
         K[0] = K[12]  # FSAL: stage 12 is the next step's stage 0
-        abs_y = abs_new
         return err_norm, ((t_new, h, y_new, rec),)
 
-    return size, attempt, -0.125, len(rec), 1.0
+    return size, attempt, -0.125, len(_KEPT), 1.0
 
 
 # --- exponential Runge-Kutta -----------------------------------------------
@@ -658,7 +736,7 @@ def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
         out = np.asarray(rhs(ti, ui), dtype=float)
         return out if out.dot(zeros) == 0.0 else None
 
-    def size(t, h):
+    def size(t, h, _t_end):
         while t >= stops[0]:
             stops.pop(0)
         if not h > 0.0:  # no rung; the controller's underflow rule ends the run

@@ -13,10 +13,12 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from typing import List, Optional, Tuple
 
 from .errors import InvalidParameterError
-from .scenarios import BUILTINS, list_builtins, run_scenario
+from .scenarios import (BUILTINS, check_scenario, integrate_ode4, list_builtins,
+                        run_scenario)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -30,11 +32,11 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _run(config: dict, out_dir: str) -> Tuple[int, str]:
+def _run(config: dict, out_dir: str, integrated=None) -> Tuple[int, str]:
     """(exit code, summary line or error message) of one scenario run;
     printing is left to the caller."""
     try:
-        result = run_scenario(config, out_dir)
+        result = run_scenario(config, out_dir, integrated)
     except (ValueError, KeyError, TypeError) as exc:
         if isinstance(exc, InvalidParameterError):
             return EXIT_PRECONDITION, f"precondition violation: {exc}"
@@ -42,6 +44,12 @@ def _run(config: dict, out_dir: str) -> Tuple[int, str]:
     except Exception as exc:  # pragma: no cover - defensive
         return EXIT_RUNTIME, f"runtime failure: {exc}"
     return EXIT_OK, f"{result.name}: {result.summary}"
+
+
+def _run_batch(configs: List[dict], out_dir: str) -> List[Tuple[int, str]]:
+    """_run of each config, the ode4 ones integrated as lanes of one state."""
+    return [_run(c, out_dir, traj) for c, traj in
+            zip(configs, integrate_ode4(configs))]
 
 
 def _report(outcome: Tuple[int, str]) -> int:
@@ -144,14 +152,24 @@ def _cmd_sweep(args) -> int:
         label = f"{v:g}" if float(f"{v:g}") == v else repr(v)
         pt["name"] = f"{base_name}_{name.replace('.', '-')}={label}"
         points.append(pt)
-    # workers only return their outcome; this process prints the lines, in
-    # point order, so parallel points cannot interleave on stdout
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = pool.map(_run, points, [out_dir] * len(points))
-            codes = [_report(o) for o in outcomes]
-    else:
-        codes = [_report(_run(pt, out_dir)) for pt in points]
+    writers = {}  # by path: two points writing one file would overwrite it
+    for pt in points:
+        try:
+            paths = check_scenario(pt, out_dir)[1].values()
+        except (ValueError, KeyError, TypeError):
+            continue  # the point reports it when it runs
+        for path in map(os.path.realpath, paths):
+            if writers.setdefault(path, pt["name"]) != pt["name"]:
+                print(f"sweep points {writers[path]} and {pt['name']} both write "
+                      f"{path}", file=sys.stderr)
+                return EXIT_PARSE
+    # --jobs N: N contiguous batches, one per worker; only this process prints
+    jobs = max(1, min(args.jobs, len(points)))
+    cuts = [len(points) * j // jobs for j in range(jobs + 1)]
+    batches = [points[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        done = (pool.map if pool else map)(_run_batch, batches, [out_dir] * jobs)
+        codes = [_report(o) for batch in done for o in batch]
     return max(codes) if codes else EXIT_OK
 
 

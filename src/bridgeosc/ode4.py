@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _rk
 from ._quad import GAUSS_8_UNIT
-from ._rk import (BLOWUP_DETECTED, REACHED_T_END, STEP_UNDERFLOW,
-                  RawTrajectory, integrate_adaptive)
+from ._rk import (BLOWUP_DETECTED, MAX_STEPS, REACHED_T_END, STEP_BUDGET,
+                  STEP_UNDERFLOW, Lane, RawTrajectory, integrate_adaptive)
 from .errors import EmptyTrajectoryError, InvalidParameterError, UnsupportedFamilyError
 from .nonlin import Nonlinearity
 
@@ -25,7 +27,7 @@ from .nonlin import Nonlinearity
 FAMILY_KINDS = {"canonical": ("nl", "k_coef"), "rocard_wave": ("alpha_r", "beta_r"),
                 "pedestrian_wave": ("nl", "gamma_p", "c_speed", "delta_damp"),
                 "general": ("a3", "k2", "b1", "c0", "q_exp")}
-TERMINATIONS = (REACHED_T_END, BLOWUP_DETECTED, STEP_UNDERFLOW)
+TERMINATIONS = (REACHED_T_END, BLOWUP_DETECTED, STEP_UNDERFLOW, STEP_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class OdeFamily:
             raise InvalidParameterError("pedestrian_wave needs gamma_p > 0")
 
     def rhs(self):
-        """First-order system derivative for (w, w', w'', w''')."""
+        """First-order system derivative for (w, w', w'', w'''); run on a
+        record of (L,) arrays, it takes L families' states as (4, L) columns."""
         kind = self.kind
         if kind == "canonical":
             k, f = self.k_coef, self.nl.f
@@ -85,11 +88,22 @@ class OdeFamily:
         else:
             a, k, b, c, q = self.a3, self.k2, self.b1, self.c0, self.q_exp
             def deriv(t, y):
-                w = y[0]
+                w = y[0]  # np.power: on one float, ** rounds apart from arrays
                 return np.array([y[1], y[2], y[3],
                                  -a * y[3] - k * y[2] - b * y[1] - c * w
-                                 - abs(w) ** q * w])
+                                 - np.power(abs(w), q) * w])
         return deriv
+
+
+def _merged(records):
+    """records' fields as keywords: a shared value, else an (L,) array."""
+    def merged(name, values):
+        if all(v == values[0] for v in values):
+            return values[0]
+        return (Nonlinearity(**_merged(values)) if name == "nl"
+                else np.array(values, dtype=float))
+    return {f.name: merged(f.name, [getattr(r, f.name) for r in records])
+            for f in fields(records[0])}
 
 
 def canonical(k: float, nl: Nonlinearity) -> OdeFamily:
@@ -136,6 +150,7 @@ class IntegratorConfig:
     abs_tol: float = 1e-10
     max_step: float = np.inf
     blowup_threshold: float = 1e6
+    max_steps: int = MAX_STEPS  # attempts before a run ends as step_budget
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -147,6 +162,8 @@ class IntegratorConfig:
             raise InvalidParameterError("blowup_threshold must exceed 1")
         if not self.max_step > 0.0:
             raise InvalidParameterError("max_step must be > 0")
+        if not self.max_steps >= 1:
+            raise InvalidParameterError("max_steps must be >= 1")
 
 
 class Trajectory(RawTrajectory):
@@ -156,7 +173,7 @@ class Trajectory(RawTrajectory):
     samples      the same rows as a list of State4
     events       zero-crossing times of w, each bracketed by samples of
                  opposite sign
-    termination  reached_t_end | blowup_detected | step_underflow
+    termination  how the run ended, one of TERMINATIONS
     """
 
     ZERO_TOL = 1e-12
@@ -188,13 +205,38 @@ def _initial_state(state0, record=State4) -> Tuple[float, np.ndarray]:
 
 def integrate(family: OdeFamily, state0, cfg: IntegratorConfig) -> Trajectory:
     """Adaptively integrate the family from state0 until cfg.t_end, the
-    blow-up threshold, or step underflow."""
+    blow-up threshold, step underflow or the step budget."""
     t0, y0 = _initial_state(state0)
     raw = integrate_adaptive(family.rhs(), t0, y0, cfg.t_end,
                              rtol=cfg.rel_tol, atol=cfg.abs_tol,
                              max_step=cfg.max_step, stop_indices=(0,),
-                             stop_threshold=cfg.blowup_threshold)
+                             stop_threshold=cfg.blowup_threshold,
+                             max_steps=cfg.max_steps)
     return Trajectory(raw)
+
+
+def integrate_lanes(runs) -> list:
+    """integrate(family, state0, cfg) of each triple of runs, as lanes of
+    one DOP853 state for runs of one family kind, force law and exponent,
+    each bit for bit its integrate() run: its Trajectory or its error."""
+    out, groups = [None] * len(runs), {}
+    for i, (family, state0, cfg) in enumerate(runs):
+        try:
+            lane = Lane(*_initial_state(state0), cfg.t_end, cfg.rel_tol, cfg.abs_tol,
+                        cfg.max_step, cfg.blowup_threshold, cfg.max_steps)
+            nl = family.nl  # np.power over an array of exponents rounds apart
+            groups.setdefault((family.kind, family.q_exp, nl and (nl.kind, nl.p_exp)),
+                              []).append((i, family, lane))
+        except InvalidParameterError as exc:
+            out[i] = exc
+    for members in groups.values():
+        at, families, lanes = zip(*members)
+        def rhs_of(cols, families=families):
+            return OdeFamily.rhs(SimpleNamespace(
+                **_merged([families[c] for c in cols])))
+        for i, raw in zip(at, _rk.integrate_lanes(rhs_of, lanes, (0,))):
+            out[i] = raw if isinstance(raw, InvalidParameterError) else Trajectory(raw)
+    return out
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,11 @@ def parse_scenario(cfg: dict) -> Scenario:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if not isinstance(parameters, dict):
         raise ValueError("parameters must be an object")
-    return Scenario(str(name), model, parameters, list(cfg.get("outputs", [])))
+    outputs = cfg.get("outputs", [])
+    if not (isinstance(outputs, list) and len(outputs) <= 1
+            and all(isinstance(o, dict) for o in outputs)):
+        raise ValueError("outputs must be a list of at most one object")
+    return Scenario(str(name), model, parameters, outputs)
 
 
 _CASTS = {"float": float, "int": int, "str": str}
@@ -69,17 +73,20 @@ def _check_read(what: str, given, records=(), keys=()) -> None:
 
 
 def _out_paths(sc: Scenario, out_dir: str) -> Dict[str, str]:
-    """Artifact paths by suffix: <name>.<ext> or the first outputs entry's
-    <ext>_path, and _reduced.csv beside the .csv, all inside out_dir."""
-    first = sc.outputs[0] if sc.outputs else {}
-    paths = {"." + ext: os.path.join(out_dir, first.get(f"{ext}_path")
-                                     or f"{sc.name}.{ext}")
-             for ext in ("csv", "svg", "json")}
+    """Artifact paths by suffix (<name>.<ext> or the outputs entry's <ext>_path,
+    _reduced.csv beside the .csv), each in out_dir or a directory there."""
+    given, exts = (sc.outputs or [{}])[0], ("csv", "svg", "json")
+    _check_read("outputs", given, keys=[f"{ext}_path" for ext in exts])
+    paths = {"." + ext: os.path.join(out_dir, given.get(f"{ext}_path")
+                                     or f"{sc.name}.{ext}") for ext in exts}
     paths["_reduced.csv"] = os.path.splitext(paths[".csv"])[0] + "_reduced.csv"
     root = os.path.realpath(out_dir)
     for path in paths.values():
-        if os.path.commonpath([root, os.path.realpath(path)]) != root:
+        where = os.path.dirname(os.path.realpath(path))
+        if os.path.commonpath([root, where]) != root:
             raise ValueError(f"output path {path!r} leaves the output directory")
+        if where != root and not os.path.isdir(where):
+            raise ValueError(f"output path {path!r} is in no existing directory")
     return paths
 
 
@@ -98,19 +105,19 @@ def _blowup(traj: ode4.Trajectory) -> tuple:
     return f"R_est={r} events={len(traj.events)}", (".json", _text(report.to_json()))
 
 
-def _family_from_config(p: dict) -> ode4.OdeFamily:
+def _ode4_run(p: dict) -> tuple:
+    """The (family, state0, cfg) of an ode4 scenario's parameters."""
     fam = p["family"]
-    kind = fam["kind"]
     nl = nonlinearity_from_config(fam["nl"]) if "nl" in fam else None
     kw = {k: float(v) for k, v in fam.items() if k not in ("kind", "nl")}
-    return ode4.OdeFamily(kind=kind, nl=nl, **kw)
+    return (ode4.OdeFamily(kind=fam["kind"], nl=nl, **kw),
+            [float(v) for v in p["state0"]], _record(ode4.IntegratorConfig, p))
 
 
-def _run_ode4(sc: Scenario) -> tuple:
-    p = sc.parameters
-    family = _family_from_config(p)
-    cfg = _record(ode4.IntegratorConfig, p)
-    traj = ode4.integrate(family, [float(v) for v in p["state0"]], cfg)
+def _run_ode4(sc: Scenario, traj=None) -> tuple:
+    if isinstance(traj, Exception):
+        raise traj
+    traj = traj or ode4.integrate(*_ode4_run(sc.parameters))
     blowup, report = _blowup(traj)
     return (f"termination={traj.termination} {blowup}",
             [(".csv", traj.to_csv), report,
@@ -234,14 +241,36 @@ _MODELS = {
 MODELS = tuple(_MODELS)
 
 
-def run_scenario(config: dict, out_dir: str) -> ScenarioResult:
-    """Validate and execute one scenario; artifacts land in out_dir."""
+def check_scenario(config: dict, out_dir: str) -> tuple:
+    """(scenario, artifact paths by suffix) of config, once its checks pass."""
     sc = parse_scenario(config)
-    run, records, keys = _MODELS[sc.model]
-    _check_read(sc.model, sc.parameters, records, keys)
-    out = _out_paths(sc, out_dir)
+    _check_read(sc.model, sc.parameters, *_MODELS[sc.model][1:])
+    return sc, _out_paths(sc, out_dir)
+
+
+def integrate_ode4(configs: List[dict]) -> list:
+    """Per config, run_scenario's integrated: an ode4 run's trajectory, all
+    from one ode4.integrate_lanes call, or the exception it meets; or None."""
+    out, runs = [None] * len(configs), {}
+    for i, config in enumerate(configs):
+        try:
+            sc = parse_scenario(config)  # run_scenario makes the other checks
+            if sc.model == "ode4":
+                runs[i] = _ode4_run(sc.parameters)
+        except Exception as exc:  # run_scenario raises it where it meets it
+            out[i] = exc
+    for i, traj in zip(runs, ode4.integrate_lanes(list(runs.values()))):
+        out[i] = traj
+    return out
+
+
+def run_scenario(config: dict, out_dir: str, integrated=None) -> ScenarioResult:
+    """Validate and execute one scenario (an ode4 one may come integrated,
+    see integrate_ode4); artifacts land in out_dir."""
+    sc, out = check_scenario(config, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    summary, artifacts = run(sc)
+    run = _MODELS[sc.model][0]
+    summary, artifacts = run(sc) if integrated is None else run(sc, integrated)
     for suffix, write in artifacts:
         write(out[suffix])
     return ScenarioResult(sc.name, summary, [out[suffix] for suffix, _ in artifacts])

@@ -534,3 +534,105 @@ def test_sweep_over_a_single_value(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("one_k_coef=3: ")
     assert sorted(p.name for p in out.iterdir()) == [
         "one_k_coef=3.csv", "one_k_coef=3.json", "one_k_coef=3.svg"]
+
+
+def _blowup_sweep_config(name):
+    """A canonical cubic config whose k grid mixes blow-up and not."""
+    return {"name": name, "model": "ode4", "parameters": {
+        "family": {"kind": "canonical", "k_coef": 2.5,
+                   "nl": {"kind": "cubic", "params": {"epsilon": 1.0}}},
+        "state0": [1.0, 0.0, 0.0, 0.0], "t_end": 20.0,
+        "rel_tol": 1e-9, "abs_tol": 1e-9}}
+
+
+def _files(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def test_sweep_artifacts_equal_across_jobs_and_single_runs(tmp_path, capsys):
+    # the ode4 points step as lanes of one state (--jobs 1) or of one state
+    # per worker (--jobs 2); each point's files are those of its own run
+    cfg = tmp_path / "ln.json"
+    cfg.write_text(json.dumps(_blowup_sweep_config("ln")))
+    spec = "family.k_coef=2.5:3.7:0.3"
+    outs = {}
+    for jobs in ("1", "2"):
+        assert main(["sweep", str(cfg), "--param", spec, "--jobs", jobs,
+                     "--out", str(tmp_path / jobs)]) == 0
+        outs[jobs] = capsys.readouterr().out
+    one = tmp_path / "one"
+    lines = []
+    for k in ("2.5", "2.8", "3.1", "3.4", "3.7"):
+        point = _blowup_sweep_config(f"ln_family-k_coef={k}")
+        point["parameters"]["family"]["k_coef"] = float(k)
+        (tmp_path / "pt.json").write_text(json.dumps(point))
+        assert main(["run", str(tmp_path / "pt.json"), "--out", str(one)]) == 0
+        lines.append(capsys.readouterr().out)
+    assert outs["1"] == outs["2"] == "".join(lines)
+    assert {"blowup_detected", "reached_t_end"} <= set(
+        re.findall(r"termination=(\w+)", outs["1"]))
+    assert len(_files(one)) == 15
+    assert _files(tmp_path / "1") == _files(tmp_path / "2") == _files(one)
+
+
+def test_sweep_point_with_inconsistent_tolerances_fails_alone(tmp_path, capsys):
+    # k = 1e280 cannot be stepped at tolerance 1e-13: that point is exit 3,
+    # the lane beside it runs to the end and writes its files
+    cfg_dict = _tiny_ode4_config("tol")
+    cfg_dict["parameters"].update(state0=[1.0, 0.0, 1.0, 0.0], t_end=1.0,
+                                  rel_tol=1e-13, abs_tol=1e-13)
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    out = tmp_path / "o"
+    assert main(["sweep", str(cfg), "--param", "k_coef=3:1e280:1e280",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("tol_k_coef=3: termination=reached_t_end")
+    assert captured.err.strip() == (
+        "precondition violation: step size underflow before any progress; "
+        "tolerances are inconsistent with the problem scale")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "tol_k_coef=3.csv", "tol_k_coef=3.json", "tol_k_coef=3.svg"]
+
+
+@pytest.mark.parametrize("outputs, code", [
+    ([{"cvs_path": "typo.csv"}], 3),
+    ([{"csv_path": "a.csv"}, {"csv_path": "b.csv"}], 2),
+    ({"csv_path": "a.csv"}, 2),
+    ([{"csv_path": "p.csv", "svg_path": "nodir/p.svg"}], 2),
+], ids=["unknown-key", "second-entry", "not-a-list", "missing-directory"])
+def test_outputs_entries_are_checked_before_anything_is_written(
+        tmp_path, outputs, code):
+    cfg_dict = _tiny_ode4_config("part")
+    cfg_dict["outputs"] = outputs
+    cfg = tmp_path / "part.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == code
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_points_writing_one_path_are_refused(tmp_path, capsys):
+    cfg_dict = _tiny_ode4_config("same")
+    cfg_dict["outputs"] = [{"csv_path": "same.csv"}]
+    cfg = tmp_path / "same.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    out = tmp_path / "o"
+    for jobs in ("1", "2"):
+        assert main(["sweep", str(cfg), "--param", "k_coef=2:3:1",
+                     "--jobs", jobs, "--out", str(out)]) == 2
+        assert "same_k_coef=2 and same_k_coef=3 both write" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_step_budget_from_a_scenario_config(tmp_path, capsys):
+    cfg_dict = _tiny_ode4_config("budget")
+    cfg_dict["parameters"].update(t_end=1e300, max_steps=120)
+    cfg = tmp_path / "budget.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "budget: termination=step_budget R_est=none")
+    assert len((out / "budget.csv").read_text().splitlines()) <= 1 + 121

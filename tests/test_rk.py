@@ -166,7 +166,7 @@ def test_non_finite_t_end_rejected(t_end, rhs, linear):
 
 def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
                                   max_step=np.inf, stop_indices=(),
-                                  stop_threshold=np.inf):
+                                  stop_threshold=np.inf, max_steps=_rk.MAX_STEPS):
     y = np.array(y0, dtype=float)
     n = y.size
     t = float(t0)
@@ -180,6 +180,7 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     termination = REACHED_T_END
     n_rejected = 0
     rejected = False  # the last attempt was
+    attempts = 0
 
     def stages(lo, hi):
         # K[lo:hi]; the last stage input, or None on a non-finite input
@@ -196,6 +197,10 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         if h <= 1e-14 * max(1.0, abs(t)):
             termination = STEP_UNDERFLOW
             break
+        if attempts == max_steps:
+            termination = _rk.STEP_BUDGET
+            break
+        attempts += 1
 
         K[0] = f
         y_new = stages(1, 13)
@@ -372,16 +377,26 @@ def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
 
 
 class _CountingRhs:
-    """rhs wrapper counting its calls; returns NaN on the given (1-based)
-    calls, to spoil chosen stages."""
+    """rhs wrapper counting the states it evaluates, a call on (n, S)
+    columns as S; returns NaN for the given (1-based) evaluations, to spoil
+    chosen stages."""
 
     def __init__(self, fun, bad_calls=()):
         self.fun, self.bad_calls, self.calls = fun, set(bad_calls), 0
 
     def __call__(self, t, y):
-        self.calls += 1
+        first = self.calls + 1
+        self.calls += 1 if np.ndim(y) == 1 else np.shape(y)[1]
         out = self.fun(t, y)
-        return out * np.nan if self.calls in self.bad_calls else out
+        spoiled = [c - first for c in range(first, self.calls + 1)
+                   if c in self.bad_calls]
+        if not spoiled:
+            return out
+        out = np.array(out, dtype=float)
+        if out.ndim == 1:
+            return out * np.nan
+        out[:, spoiled] = np.nan
+        return out
 
 
 def _assert_same_run(raw, ref, fields=("ts", "ys", "_rcont")):
@@ -563,6 +578,8 @@ def _modal_system(cfg, y0, switch):
     c = np.broadcast_to(blocks.damping, k.shape)
 
     def full(t, y):
+        if y.ndim == 2:  # (n, S) columns, as the dense stages ask, one at a time
+            return np.stack([full(*arg) for arg in zip(t, y.T)], axis=1)
         p, v = y.reshape(2, 2, M)[:, 0], y.reshape(2, 2, M)[:, 1]
         return np.stack([v, -k * p - c * v], axis=1).reshape(-1) + nonlinear(t, y)
 
