@@ -7,15 +7,14 @@ rejects steps with non-finite values, and ends a run cleanly at a threshold
 on monitored components, on step underflow or on its step budget. The
 Dormand-Prince method (Hairer's DOP853) propagates at eighth order, blends
 its embedded 5th- and 3rd-order error estimators and has a degree-7
-continuous extension. As in Hairer's code, its three dense stages are left
-out of the step loop: a trajectory evaluates them for the steps something
-reads, one rhs call over those steps a stage. The method also steps many
-states as the lanes of one (L, n) state, each bit for bit its own run.
-Given the linear part of y' = L y + N(t, y) as damped 2x2 oscillator
-blocks, the five-stage exponential method of Hochbruck and Ostermann
-(stiff order 4) solves the linear flow exactly, so the step size follows N
-alone and not the stiffness of L. A trajectory's zeros of one component
-are bisected on the interpolant of each step that brackets one.
+continuous extension, whose three stages are left out of the step loop as in
+Hairer's code: a trajectory evaluates them for the steps something reads,
+one rhs call over those steps a stage. It also steps states as the lanes of
+one (L, n) state, each bit for bit its own run. Given the linear part of
+y' = L y + N(t, y) as damped 2x2 oscillator blocks, the five-stage
+exponential method of Hochbruck and Ostermann (stiff order 4) solves the
+linear flow exactly, so the step size follows N alone and not the stiffness
+of L. Zeros of a component are bisected on each bracketing step's interpolant.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ REACHED_T_END = "reached_t_end"
 BLOWUP_DETECTED = "blowup_detected"
 STEP_UNDERFLOW = "step_underflow"
 STEP_BUDGET = "step_budget"
-MAX_STEPS = 1_000_000  # default budget: ~850x the attempts of criterion 7's k = 2 run
+MAX_STEPS = 1_000_000  # attempts of any run: ~850x criterion 7's k = 2 run
 
 # Dormand-Prince 8(5,3), Hairer's DOP853. Stages 0-11 make the step; _A[12]
 # is _B, so stage 12 is the rhs at the new state (the next step's stage 0);
@@ -354,24 +353,21 @@ def _dop853_dense(rhs, ts, ys, hs, recs):
     return build
 
 
-Lane = namedtuple("Lane", "t0 y0 t_end rtol atol max_step stop_threshold max_steps",
-                  defaults=(1e-10, 1e-10, np.inf, np.inf, MAX_STEPS))  # one state
+Lane = namedtuple("Lane", "t0 y0 t_end rtol atol max_step stop_threshold",
+                  defaults=(1e-10, 1e-10, np.inf, np.inf))  # one state's run
 
 
 def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
                        max_step=np.inf, stop_indices=(), stop_threshold=np.inf,
-                       linear=None, max_steps=MAX_STEPS):
-    """Integrate y' = rhs(t, y) from t0 to t_end with adaptive steps.
-
-    Terminates early with blowup_detected once max over stop_indices of |y_i|
-    reaches stop_threshold, with step_underflow when the step size can no
-    longer advance t, or with step_budget after max_steps attempts.
-    Underflow before any accepted step raises InvalidParameterError
-    (inconsistent tolerances), as do a max_step that is not positive, a
-    max_steps below 1 and a non-finite rhs at the initial state. With linear
-    (a LinearBlocks), the system is y' = L y + rhs(t, y), integrated by the
-    exponential stepper into an ExpTrajectory."""
-    lane = Lane(t0, y0, t_end, rtol, atol, max_step, stop_threshold, max_steps)
+                       linear=None):
+    """Integrate y' = rhs(t, y) from t0 to t_end with adaptive steps; with
+    linear (a LinearBlocks), y' = L y + rhs(t, y) by the exponential stepper
+    into an ExpTrajectory. Ends early with blowup_detected once max over
+    stop_indices of |y_i| reaches stop_threshold, with step_underflow when h
+    can no longer advance t, or with step_budget after MAX_STEPS attempts.
+    Underflow before any accepted step (inconsistent tolerances), a max_step
+    that is not positive or a non-finite rhs at y0 raise InvalidParameterError."""
+    lane = Lane(t0, y0, t_end, rtol, atol, max_step, stop_threshold)
     [run] = integrate_lanes(lambda lanes: rhs, [lane], stop_indices, linear)
     if isinstance(run, InvalidParameterError):
         raise run
@@ -379,17 +375,37 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 
 
 class _Stepping:
-    """A lane's settings, step state (grow caps the next factor) and steps:
-    state j and the record of step j in row j of Y and R, grown by doubling."""
+    """A lane's settings, step state, end (its termination or error) and
+    steps: state j and the record of step j in row j of Y and R, grown by doubling."""
+
+    __slots__ = ("index", "t", "h", "t_new", "t_end", "max_step", "threshold",
+                 "grow", "attempts", "n_rejected", "end", "ts", "hs", "Y", "R")
 
     def __init__(self, index, lane, h, width):
-        self.index, self.lane, self.t, self.h, self.ts, self.hs = (
-            index, lane, lane.t0, h, [lane.t0], [])
-        self.grow, self.attempts, self.n_rejected = _MAX_FACTOR, 0, 0
-        self.end = None  # the termination, or the error that ended the lane
-        n = lane.y0.size
+        self.index, self.t, self.h, self.t_new, self.t_end = (
+            index, lane.t0, h, lane.t0, lane.t_end)
+        self.max_step, self.threshold = lane.max_step, lane.stop_threshold
+        self.grow, self.attempts, self.n_rejected, self.end = _MAX_FACTOR, 0, 0, None
+        self.ts, self.hs, n = [lane.t0], [], lane.y0.size
         self.Y, self.R = np.empty((256, n)), np.empty((256, width, n))
         self.Y[0] = lane.y0
+
+    def sized(self, size, budget):
+        """Whether the lane makes another attempt, h and t_new set by the
+        method's size; else it ends at t_end, on underflow or on budget."""
+        t = self.t
+        if not t < self.t_end:
+            self.end = REACHED_T_END
+        else:
+            self.h, self.t_new = size(t, self.h, self.t_end)
+            if not self.h > 1e-14 * max(1.0, abs(t)):  # NaN included
+                self.end = STEP_UNDERFLOW if len(self.ts) > 1 else \
+                    InvalidParameterError(
+                        "step size underflow before any progress; "
+                        "tolerances are inconsistent with the problem scale")
+            elif self.attempts == budget:
+                self.end = STEP_BUDGET
+        return self.end is None
 
     def add(self, t, h, y, rec):
         j = len(self.ts)
@@ -419,13 +435,12 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
     with t as (L,), or on one lane's bare (n,) state. Each lane keeps its own
     t, h, control and termination, bit for bit its integrate_adaptive run,
     held at h = 0 once ended; returns its trajectory or InvalidParameterError.
-
     The step method (_dop853; _exponential for one lane given linear) gives
     size(t, h, t_end) -> (h, t_new); attempt(t, y, h, t_new) -> (err_norm,
     pieces), err_norm <= 1 accepting the (t, h, y, record) pieces and None
     or NaN marking a non-finite value (over lanes: lists, y updated in
     place); its control exponent; record rows; factor cap after a rejection."""
-    runs, lanes, starts = [None] * len(lanes), list(lanes), []
+    runs, lanes, starts, budget = [None] * len(lanes), list(lanes), [], MAX_STEPS
     for b, lane in enumerate(lanes):
         try:  # each lane starts as it does alone
             y, t = np.array(lane.y0, dtype=float), float(lane.t0)
@@ -435,8 +450,7 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                     (lane.max_step > 0.0, "max_step must be > 0"),
                     (np.all(np.isfinite(y)), "initial state must be finite"),
                     (np.isfinite(t_end), "t_end must be finite"),
-                    (not t_end <= t, "t_end must exceed t0"),
-                    (lane.max_steps >= 1, "max_steps must be >= 1")):
+                    (not t_end <= t, "t_end must exceed t0")):
                 if not ok:
                     raise InvalidParameterError(message)
             lanes[b] = lane = lane._replace(t0=t, y0=y, t_end=t_end)
@@ -465,49 +479,30 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
         _dop853(rhs_of(live), y, f, rtol, atol) if linear is None else
         _exponential(rhs_of(live), one.t0, y, f, one.t_end, rtol, atol, linear))
     active = [_Stepping(b, lanes[b], h, width) for b, h in zip(live, h0)]
-    stop_idx, ended = np.array(stop_indices, dtype=np.intp), 0
+    stop_idx = np.array(stop_indices, dtype=np.intp)
+    going = len(active)
+    for run in active:
+        if not run.sized(size, budget):
+            runs[run.index], run.h = run.result(rhs_of, linear), 0.0
+            going -= 1
     with np.errstate(all="ignore") if not lone else np.errstate():  # lanes hit inf/NaN
-        while True:
-            for run in active:
-                t = run.t
-                if run.end is None and not t < run.lane.t_end:
-                    run.end = REACHED_T_END
-                elif run.end is None:
-                    h, run.t_new = size(t, run.h, run.lane.t_end)
-                    if not h > 1e-14 * max(1.0, abs(t)):  # NaN included
-                        run.end = STEP_UNDERFLOW if len(run.ts) > 1 else \
-                            InvalidParameterError(
-                                "step size underflow before any progress; "
-                                "tolerances are inconsistent with the problem scale")
-                    elif run.attempts >= run.lane.max_steps:
-                        run.end = STEP_BUDGET
-                    else:
-                        run.h = h
-                        continue
-                if runs[run.index] is None:  # just ended: held from now on
-                    runs[run.index], run.h = run.result(rhs_of, linear), 0.0
-                    ended += 1
-            if ended == len(active):
-                return runs
+        while going:
             if lone:  # run is the one lane; zip makes 1-tuples of its pair
                 errs, pieces = zip(attempt(run.t, y, run.h, run.t_new))
             else:
                 errs, pieces = attempt([r.t for r in active], y, [r.h for r in active],
                                        [r.t_new for r in active])
+            # one pass: each lane's control, then the size of its next attempt
             for run, err, accepted in zip(active, errs, pieces):
                 if run.end is not None:
                     continue
                 run.attempts += 1
-                if err is None or not math.isfinite(err):
-                    run.n_rejected += 1
-                    run.h, run.grow = 0.5 * run.h, regrowth
-                    continue
-                if err <= 1.0:
-                    for t, h_piece, y_new, rec in accepted:
-                        run.add(t, h_piece, y_new, rec)
+                if err is not None and err <= 1.0:
+                    for t, h, y_new, rec in accepted:
+                        run.add(t, h, y_new, rec)
                         # a max over Python floats beats numpy's on a few entries
                         if (stop_idx.size and max(map(abs, y_new[stop_idx].tolist()))
-                                >= run.lane.stop_threshold):
+                                >= run.threshold):
                             run.end = BLOWUP_DETECTED
                             break
                     run.t = t
@@ -515,10 +510,18 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                         y = y_new
                 else:
                     run.n_rejected += 1
-                factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** exponent
-                run.h = min(run.h * min(run.grow, max(_MIN_FACTOR, factor)),
-                            run.lane.max_step)
-                run.grow = regrowth if err > 1.0 else _MAX_FACTOR
+                if err is None or not math.isfinite(err):
+                    run.h, run.grow = 0.5 * run.h, regrowth
+                else:
+                    factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** exponent
+                    run.h = min(run.h * min(run.grow, max(_MIN_FACTOR, factor)),
+                                run.max_step)
+                    run.grow = regrowth if err > 1.0 else _MAX_FACTOR
+                if run.end is None and run.sized(size, budget):
+                    continue
+                runs[run.index], run.h = run.result(rhs_of, linear), 0.0  # held
+                going -= 1
+    return runs
 
 
 def _dop853(rhs, y0, f0, rtol, atol):
@@ -546,33 +549,16 @@ def _dop853(rhs, y0, f0, rtol, atol):
 
     def attempt(t, y, h, t_new):
         nonlocal abs_y
-        t_arr, h_arr = (np.array(t), np.array(h)) if lanes else (t, h)  # lists if lanes
-        h_col = h_arr[:, None] if lanes else h
-        bad = 0.0  # per lane: NaN once a value is not finite
         for i, c, k_prev, stage_sum in step:
-            y_new = y + h_col * stage_sum(k_prev)
-            if lanes:
-                bad = bad + y_new.dot(zeros)
-                K_in[i] = rhs(t_arr + c * h_arr, y_new.T)
-            elif y_new.dot(zeros) != 0.0:
+            y_new = y + h * stage_sum(k_prev)
+            if y_new.dot(zeros) != 0.0:
                 return None, None
-            else:
-                K[i] = rhs(t + c * h, y_new)
-        finite = K_flat.dot(zeros_K)
-        if not lanes and finite != 0.0:
+            K[i] = rhs(t + c * h, y_new)
+        if K_flat.dot(zeros_K) != 0.0:
             return None, None
         abs_new = np.abs(y_new)
         sc = atol + rtol * np.maximum(abs_y, abs_new)
         e5, e3 = e5_of(K_err) / sc, e3_of(K_err) / sc
-        if lanes:  # a lane's sums run along its row, as when alone
-            s5, s3 = np.add.reduce(e5 * e5, axis=1), np.add.reduce(e3 * e3, axis=1)
-            den = s5 + 0.01 * s3
-            err = np.where(den == 0, 0.0, h_arr * s5 / np.sqrt(den * n)) + bad + finite
-            ok, kept = (err <= 1.0)[:, None], K[:, _KEPT]
-            for to, new in ((K[:, 0], K[:, 12]), (abs_y, abs_new), (y, y_new)):
-                np.copyto(to, new, where=ok)
-            return err.tolist(), [acc and ((t_new[j], h[j], y_new[j], kept[j]),)
-                                  for j, acc in enumerate(ok[:, 0].tolist())]
         # == np.sum(e ** 2) bitwise: the same pairwise sum over n
         s5, s3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
         den = s5 + 0.01 * s3
@@ -583,7 +569,28 @@ def _dop853(rhs, y0, f0, rtol, atol):
         K[0] = K[12]  # FSAL: stage 12 is the next step's stage 0
         return err_norm, ((t_new, h, y_new, rec),)
 
-    return size, attempt, -0.125, len(_KEPT), 1.0
+    def attempt_lanes(t, y, h, t_new):  # t, h, t_new lists; y updated in place
+        t_arr, h_arr = np.array(t), np.array(h)
+        h_col, bad = h_arr[:, None], 0.0  # bad: per lane, NaN once not finite
+        for i, c, k_prev, stage_sum in step:
+            y_new = y + h_col * stage_sum(k_prev)
+            bad = bad + y_new.dot(zeros)
+            K_in[i] = rhs(t_arr + c * h_arr, y_new.T)
+        abs_new = np.abs(y_new)
+        sc = atol + rtol * np.maximum(abs_y, abs_new)
+        e5, e3 = e5_of(K_err) / sc, e3_of(K_err) / sc
+        # a lane's sums run along its row, as when alone
+        s5, s3 = np.add.reduce(e5 * e5, axis=1), np.add.reduce(e3 * e3, axis=1)
+        den = s5 + 0.01 * s3
+        err = (np.where(den == 0, 0.0, h_arr * s5 / np.sqrt(den * n))
+               + bad + K_flat.dot(zeros_K))
+        ok, kept = (err <= 1.0)[:, None], K[:, _KEPT]
+        for to, new in ((K[:, 0], K[:, 12]), (abs_y, abs_new), (y, y_new)):
+            np.copyto(to, new, where=ok)
+        return err.tolist(), [acc and ((t_new[j], h[j], y_new[j], kept[j]),)
+                              for j, acc in enumerate(ok[:, 0].tolist())]
+
+    return size, attempt_lanes if lanes else attempt, -0.125, len(_KEPT), 1.0
 
 
 # --- exponential Runge-Kutta -----------------------------------------------

@@ -17,14 +17,16 @@ from contextlib import nullcontext
 from typing import List, Optional, Tuple
 
 from .errors import InvalidParameterError
-from .scenarios import (BUILTINS, check_scenario, integrate_ode4, list_builtins,
-                        run_scenario)
+from .scenarios import (BUILTINS, integrate_ode4, list_builtins, out_paths,
+                        parse_scenario, run_scenario)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 MAX_SWEEP_POINTS = 100_000
+# points of a sweep batch: its lanes are in memory until it writes
+BATCH_POINTS = 16
 
 
 def _load_config(path: str) -> dict:
@@ -155,7 +157,7 @@ def _cmd_sweep(args) -> int:
     writers = {}  # by path: two points writing one file would overwrite it
     for pt in points:
         try:
-            paths = check_scenario(pt, out_dir)[1].values()
+            paths = out_paths(parse_scenario(pt), out_dir).values()
         except (ValueError, KeyError, TypeError):
             continue  # the point reports it when it runs
         for path in map(os.path.realpath, paths):
@@ -163,12 +165,14 @@ def _cmd_sweep(args) -> int:
                 print(f"sweep points {writers[path]} and {pt['name']} both write "
                       f"{path}", file=sys.stderr)
                 return EXIT_PARSE
-    # --jobs N: N contiguous batches, one per worker; only this process prints
+    # contiguous batches, at most BATCH_POINTS and at least one per worker,
+    # handed out one at a time; only this process prints, batch by batch
     jobs = max(1, min(args.jobs, len(points)))
-    cuts = [len(points) * j // jobs for j in range(jobs + 1)]
-    batches = [points[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    size = min(BATCH_POINTS, -(-len(points) // jobs))
+    batches = [points[lo:lo + size] for lo in range(0, len(points), size)]
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        done = (pool.map if pool else map)(_run_batch, batches, [out_dir] * jobs)
+        done = (pool.map if pool else map)(_run_batch, batches,
+                                           [out_dir] * len(batches))
         codes = [_report(o) for batch in done for o in batch]
     return max(codes) if codes else EXIT_OK
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _rk
 from ._quad import GAUSS_8_UNIT
-from ._rk import (BLOWUP_DETECTED, MAX_STEPS, REACHED_T_END, STEP_BUDGET,
-                  STEP_UNDERFLOW, Lane, RawTrajectory, integrate_adaptive)
+from ._rk import (BLOWUP_DETECTED, REACHED_T_END, STEP_BUDGET, STEP_UNDERFLOW,
+                  Lane, RawTrajectory, integrate_adaptive)
 from .errors import EmptyTrajectoryError, InvalidParameterError, UnsupportedFamilyError
 from .nonlin import Nonlinearity
 
@@ -96,14 +96,14 @@ class OdeFamily:
 
 
 def _merged(records):
-    """records' fields as keywords: a shared value, else an (L,) array."""
-    def merged(name, values):
+    """A record of records' fields: each a shared value, else an (L,) array."""
+    def merged(name):
+        values = [getattr(r, name) for r in records]
         if all(v == values[0] for v in values):
             return values[0]
-        return (Nonlinearity(**_merged(values)) if name == "nl"
+        return (Nonlinearity(**vars(_merged(values))) if name == "nl"
                 else np.array(values, dtype=float))
-    return {f.name: merged(f.name, [getattr(r, f.name) for r in records])
-            for f in fields(records[0])}
+    return SimpleNamespace(**{f.name: merged(f.name) for f in fields(records[0])})
 
 
 def canonical(k: float, nl: Nonlinearity) -> OdeFamily:
@@ -150,7 +150,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-10
     max_step: float = np.inf
     blowup_threshold: float = 1e6
-    max_steps: int = MAX_STEPS  # attempts before a run ends as step_budget
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -162,8 +161,6 @@ class IntegratorConfig:
             raise InvalidParameterError("blowup_threshold must exceed 1")
         if not self.max_step > 0.0:
             raise InvalidParameterError("max_step must be > 0")
-        if not self.max_steps >= 1:
-            raise InvalidParameterError("max_steps must be >= 1")
 
 
 class Trajectory(RawTrajectory):
@@ -210,8 +207,7 @@ def integrate(family: OdeFamily, state0, cfg: IntegratorConfig) -> Trajectory:
     raw = integrate_adaptive(family.rhs(), t0, y0, cfg.t_end,
                              rtol=cfg.rel_tol, atol=cfg.abs_tol,
                              max_step=cfg.max_step, stop_indices=(0,),
-                             stop_threshold=cfg.blowup_threshold,
-                             max_steps=cfg.max_steps)
+                             stop_threshold=cfg.blowup_threshold)
     return Trajectory(raw)
 
 
@@ -223,7 +219,7 @@ def integrate_lanes(runs) -> list:
     for i, (family, state0, cfg) in enumerate(runs):
         try:
             lane = Lane(*_initial_state(state0), cfg.t_end, cfg.rel_tol, cfg.abs_tol,
-                        cfg.max_step, cfg.blowup_threshold, cfg.max_steps)
+                        cfg.max_step, cfg.blowup_threshold)
             nl = family.nl  # np.power over an array of exponents rounds apart
             groups.setdefault((family.kind, family.q_exp, nl and (nl.kind, nl.p_exp)),
                               []).append((i, family, lane))
@@ -232,8 +228,7 @@ def integrate_lanes(runs) -> list:
     for members in groups.values():
         at, families, lanes = zip(*members)
         def rhs_of(cols, families=families):
-            return OdeFamily.rhs(SimpleNamespace(
-                **_merged([families[c] for c in cols])))
+            return OdeFamily.rhs(_merged([families[c] for c in cols]))
         for i, raw in zip(at, _rk.integrate_lanes(rhs_of, lanes, (0,))):
             out[i] = raw if isinstance(raw, InvalidParameterError) else Trajectory(raw)
     return out

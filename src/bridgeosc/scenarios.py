@@ -72,7 +72,7 @@ def _check_read(what: str, given, records=(), keys=()) -> None:
         raise InvalidParameterError(f"{what} does not read {unread}")
 
 
-def _out_paths(sc: Scenario, out_dir: str) -> Dict[str, str]:
+def out_paths(sc: Scenario, out_dir: str) -> Dict[str, str]:
     """Artifact paths by suffix (<name>.<ext> or the outputs entry's <ext>_path,
     _reduced.csv beside the .csv), each in out_dir or a directory there."""
     given, exts = (sc.outputs or [{}])[0], ("csv", "svg", "json")
@@ -241,35 +241,29 @@ _MODELS = {
 MODELS = tuple(_MODELS)
 
 
-def check_scenario(config: dict, out_dir: str) -> tuple:
-    """(scenario, artifact paths by suffix) of config, once its checks pass."""
-    sc = parse_scenario(config)
-    _check_read(sc.model, sc.parameters, *_MODELS[sc.model][1:])
-    return sc, _out_paths(sc, out_dir)
-
-
 def integrate_ode4(configs: List[dict]) -> list:
-    """Per config, run_scenario's integrated: an ode4 run's trajectory, all
-    from one ode4.integrate_lanes call, or the exception it meets; or None."""
-    out, runs = [None] * len(configs), {}
+    """Per config, run_scenario's integrated: an ode4 run's trajectory or its
+    InvalidParameterError, all from one ode4.integrate_lanes call, else None."""
+    runs = {}
     for i, config in enumerate(configs):
-        try:
-            sc = parse_scenario(config)  # run_scenario makes the other checks
+        try:  # run_scenario makes the other checks, and meets these errors again
+            sc = parse_scenario(config)
             if sc.model == "ode4":
                 runs[i] = _ode4_run(sc.parameters)
-        except Exception as exc:  # run_scenario raises it where it meets it
-            out[i] = exc
-    for i, traj in zip(runs, ode4.integrate_lanes(list(runs.values()))):
-        out[i] = traj
-    return out
+        except Exception:
+            pass
+    done = dict(zip(runs, ode4.integrate_lanes(list(runs.values()))))
+    return [done.get(i) for i in range(len(configs))]
 
 
 def run_scenario(config: dict, out_dir: str, integrated=None) -> ScenarioResult:
     """Validate and execute one scenario (an ode4 one may come integrated,
     see integrate_ode4); artifacts land in out_dir."""
-    sc, out = check_scenario(config, out_dir)
+    sc = parse_scenario(config)
+    run, records, keys = _MODELS[sc.model]
+    _check_read(sc.model, sc.parameters, records, keys)
+    out = out_paths(sc, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    run = _MODELS[sc.model][0]
     summary, artifacts = run(sc) if integrated is None else run(sc, integrated)
     for suffix, write in artifacts:
         write(out[suffix])

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import bridgeosc
+from bridgeosc import _rk, cli
 from bridgeosc.cli import main
 from bridgeosc.scenarios import BUILTINS, list_builtins
 
@@ -575,6 +576,33 @@ def test_sweep_artifacts_equal_across_jobs_and_single_runs(tmp_path, capsys):
     assert _files(tmp_path / "1") == _files(tmp_path / "2") == _files(one)
 
 
+def test_sweep_longer_than_a_batch(tmp_path, capsys, monkeypatch):
+    # 20 points: batches of BATCH_POINTS and the rest (--jobs 1), or one per
+    # worker (--jobs 3); each point's files are those of a batch of one
+    cfg = tmp_path / "many.json"
+    cfg.write_text(json.dumps(_tiny_ode4_config("many")))
+    spec = "k_coef=2:3.9:0.1"
+    outs = {}
+    for jobs in ("3", "1"):
+        assert main(["sweep", str(cfg), "--param", spec, "--jobs", jobs,
+                     "--out", str(tmp_path / jobs)]) == 0
+        outs[jobs] = capsys.readouterr().out
+    sizes = []  # in-process batches only: a worker cannot unpickle the spy
+    real_batch = cli._run_batch
+    monkeypatch.setattr(cli, "_run_batch", lambda configs, out_dir: (
+        sizes.append(len(configs)) or real_batch(configs, out_dir)))
+    full = cli.BATCH_POINTS
+    for batch in (full, 1):
+        monkeypatch.setattr(cli, "BATCH_POINTS", batch)
+        assert main(["sweep", str(cfg), "--param", spec, "--out",
+                     str(tmp_path / f"b{batch}")]) == 0
+        assert capsys.readouterr().out == outs["3"] == outs["1"]
+    assert sizes == [full, 20 - full] + [1] * 20
+    assert len(outs["1"].splitlines()) == 20 and len(_files(tmp_path / "1")) == 60
+    assert _files(tmp_path / "1") == _files(tmp_path / "3") == _files(
+        tmp_path / f"b{full}") == _files(tmp_path / "b1")
+
+
 def test_sweep_point_with_inconsistent_tolerances_fails_alone(tmp_path, capsys):
     # k = 1e280 cannot be stepped at tolerance 1e-13: that point is exit 3,
     # the lane beside it runs to the end and writes its files
@@ -626,13 +654,21 @@ def test_sweep_points_writing_one_path_are_refused(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_step_budget_from_a_scenario_config(tmp_path, capsys):
-    cfg_dict = _tiny_ode4_config("budget")
-    cfg_dict["parameters"].update(t_end=1e300, max_steps=120)
+@pytest.mark.parametrize("model", ["ode4", "coupled", "truesystem"])
+def test_step_budget_ends_an_endless_scenario(tmp_path, capsys, monkeypatch, model):
+    monkeypatch.setattr(_rk, "MAX_STEPS", 120)
     cfg = tmp_path / "budget.json"
-    cfg.write_text(json.dumps(cfg_dict))
+    cfg.write_text(json.dumps({"name": "budget", "model": model, "parameters": dict(
+        MODEL_RUNS[model][0], t_end=1e300)}))
     out = tmp_path / "o"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
-    assert capsys.readouterr().out.startswith(
-        "budget: termination=step_budget R_est=none")
+    assert capsys.readouterr().out.startswith("budget: termination=step_budget")
     assert len((out / "budget.csv").read_text().splitlines()) <= 1 + 121
+
+
+def test_step_budget_is_not_a_scenario_key(tmp_path):
+    cfg_dict = _tiny_ode4_config("budget")
+    cfg_dict["parameters"]["max_steps"] = 100
+    cfg = tmp_path / "budget.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3

@@ -166,7 +166,7 @@ def test_non_finite_t_end_rejected(t_end, rhs, linear):
 
 def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
                                   max_step=np.inf, stop_indices=(),
-                                  stop_threshold=np.inf, max_steps=_rk.MAX_STEPS):
+                                  stop_threshold=np.inf):
     y = np.array(y0, dtype=float)
     n = y.size
     t = float(t0)
@@ -180,7 +180,6 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     termination = REACHED_T_END
     n_rejected = 0
     rejected = False  # the last attempt was
-    attempts = 0
 
     def stages(lo, hi):
         # K[lo:hi]; the last stage input, or None on a non-finite input
@@ -197,10 +196,6 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
         if h <= 1e-14 * max(1.0, abs(t)):
             termination = STEP_UNDERFLOW
             break
-        if attempts == max_steps:
-            termination = _rk.STEP_BUDGET
-            break
-        attempts += 1
 
         K[0] = f
         y_new = stages(1, 13)

@@ -12,7 +12,7 @@ from bridgeosc.nonlin import make_nonlinearity
 
 CUBIC = {"kind": "cubic", "params": {"epsilon": 0.5}}
 INTEGRATOR = {"t_end": 2.5, "rel_tol": 1e-7, "abs_tol": 1e-8,
-              "max_step": 0.25, "blowup_threshold": 1e4, "max_steps": 5000}
+              "max_step": 0.25, "blowup_threshold": 1e4}
 
 
 class _Reached(Exception):
