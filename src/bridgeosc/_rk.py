@@ -375,22 +375,27 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 
 
 class _Stepping:
-    """A lane's settings, step state, end (its termination or error) and
+    """A lane's settings, step state, end (termination or error), start rhs f and
     steps: state j and the record of step j in row j of Y and R, grown by doubling."""
 
-    __slots__ = ("index", "t", "h", "t_new", "t_end", "max_step", "threshold",
-                 "grow", "attempts", "n_rejected", "end", "ts", "hs", "Y", "R")
+    __slots__ = ("index", "lane", "t", "h", "t_new", "t_end", "max_step", "threshold",
+                 "grow", "attempts", "n_rejected", "end", "ts", "hs", "Y", "R", "f")
 
-    def __init__(self, index, lane, h, width):
-        self.index, self.t, self.h, self.t_new, self.t_end = (
-            index, lane.t0, h, lane.t0, lane.t_end)
+    def __init__(self, index, lane, h, f):
+        self.index, self.lane, self.t, self.h, self.t_new, self.t_end = (
+            index, lane, lane.t0, h, lane.t0, lane.t_end)
         self.max_step, self.threshold = lane.max_step, lane.stop_threshold
         self.grow, self.attempts, self.n_rejected, self.end = _MAX_FACTOR, 0, 0, None
-        self.ts, self.hs, n = [lane.t0], [], lane.y0.size
-        self.Y, self.R = np.empty((256, n)), np.empty((256, width, n))
+        self.ts, self.hs, self.f, n = [lane.t0], [], f, lane.y0.size
+        self.Y, self.R = np.empty((256, n)), np.empty((256, 0, n))
         self.Y[0] = lane.y0
 
-    def sized(self, size, budget):
+    def last(self):
+        """Last state, rhs there (start f or last record's stage 12), rtol, atol."""
+        j, lane = len(self.ts) - 1, self.lane
+        return self.Y[j], self.R[j - 1, -1] if j else self.f, lane.rtol, lane.atol
+
+    def sized(self, size):
         """Whether the lane makes another attempt, h and t_new set by the
         method's size; else it ends at t_end, on underflow or on budget."""
         t = self.t
@@ -403,13 +408,15 @@ class _Stepping:
                     InvalidParameterError(
                         "step size underflow before any progress; "
                         "tolerances are inconsistent with the problem scale")
-            elif self.attempts == budget:
+            elif self.attempts == MAX_STEPS:
                 self.end = STEP_BUDGET
         return self.end is None
 
     def add(self, t, h, y, rec):
         j = len(self.ts)
-        if j == len(self.Y):  # copied into buffers of twice the rows
+        if j == 1:  # the first record shapes R's rows
+            self.R = np.empty((len(self.Y), *rec.shape))
+        elif j == len(self.Y):  # copied into buffers of twice the rows
             grown = [np.empty((2 * j, *b.shape[1:])) for b in (self.Y, self.R)]
             grown[0][:j], grown[1][:j] = self.Y, self.R
             self.Y, self.R = grown
@@ -420,27 +427,26 @@ class _Stepping:
     def result(self, rhs_of, blocks):  # the trajectory, or the error that ended it
         if isinstance(self.end, InvalidParameterError):
             return self.end
-        N = len(self.ts)
-        ts, ys, hs = np.asarray(self.ts), self.Y[:N].copy(), np.asarray(self.hs)
+        ts, hs = np.asarray(self.ts), np.asarray(self.hs)
+        ys, recs = self.Y[:len(ts)].copy(), self.R[:len(hs)]
         if blocks is None:
-            dense = _dop853_dense(rhs_of([self.index]), ts, ys, hs, self.R[:N - 1])
+            dense = _dop853_dense(rhs_of([self.index]), ts, ys, hs, recs)
             return RawTrajectory(ts, ys, dense, self.end, self.n_rejected)
-        return ExpTrajectory(ts, ys, hs, self.R[:N - 1].copy(), blocks, self.end,
-                             self.n_rejected)
+        return ExpTrajectory(ts, ys, hs, recs.copy(), blocks, self.end, self.n_rejected)
 
 
 def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
     """Integrate the Lane records lanes as the rows of one (L, n) state: a
     stage is one call of rhs_of(idx), the rhs of lanes idx, on (n, L) columns
     with t as (L,), or on one lane's bare (n,) state. Each lane keeps its own
-    t, h, control and termination, bit for bit its integrate_adaptive run,
-    held at h = 0 once ended; returns its trajectory or InvalidParameterError.
+    t, h, control and termination, bit for bit its integrate_adaptive run, and
+    leaves the state when it ends; returns its trajectory or InvalidParameterError.
     The step method (_dop853; _exponential for one lane given linear) gives
     size(t, h, t_end) -> (h, t_new); attempt(t, y, h, t_new) -> (err_norm,
     pieces), err_norm <= 1 accepting the (t, h, y, record) pieces and None
     or NaN marking a non-finite value (over lanes: lists, y updated in
-    place); its control exponent; record rows; factor cap after a rejection."""
-    runs, lanes, starts, budget = [None] * len(lanes), list(lanes), [], MAX_STEPS
+    place); its control exponent; factor cap after a rejection."""
+    runs, live = [None] * len(lanes), []
     for b, lane in enumerate(lanes):
         try:  # each lane starts as it does alone
             y, t = np.array(lane.y0, dtype=float), float(lane.t0)
@@ -453,49 +459,33 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                     (not t_end <= t, "t_end must exceed t0")):
                 if not ok:
                     raise InvalidParameterError(message)
-            lanes[b] = lane = lane._replace(t0=t, y0=y, t_end=t_end)
+            lane = lane._replace(t0=t, y0=y, t_end=t_end)
             if linear is not None:
                 k = np.asarray(linear.stiffness, dtype=float)
                 if k.ndim != 2 or 2 * k.size != y.size:
                     raise InvalidParameterError("linear blocks do not match the state")
                 linear = LinearBlocks(k, np.broadcast_to(np.asarray(
-                    linear.damping, dtype=float), k.shape), tuple(sorted(linear.kinks)))
+                    linear.damping, dtype=float), k.shape), tuple(linear.kinks))
             rhs = rhs_of([b])
             f = np.asarray(rhs(t, y), dtype=float)
             if not np.all(np.isfinite(f)):
                 raise InvalidParameterError("rhs at the initial state must be finite")
-            starts.append((b, float(_initial_step(rhs, t, y, f, t_end, lane.rtol,
-                                                  lane.atol, lane.max_step)), f))
+            live.append(_Stepping(b, lane, float(_initial_step(
+                rhs, t, y, f, t_end, lane.rtol, lane.atol, lane.max_step)), f))
         except InvalidParameterError as exc:
             runs[b] = exc
-    if not starts:
-        return runs
-    live, h0, f = map(list, zip(*starts))
-    lone, one = len(live) == 1, lanes[live[0]]
-    y, f, rtol, atol = (one.y0, f[0], one.rtol, one.atol) if lone else (
-        np.array([lanes[b].y0 for b in live]), np.array(f),  # tolerances (L, 1)
-        *np.array([(lanes[b].rtol, lanes[b].atol) for b in live]).T[:, :, None])
-    size, attempt, exponent, width, regrowth = (
-        _dop853(rhs_of(live), y, f, rtol, atol) if linear is None else
-        _exponential(rhs_of(live), one.t0, y, f, one.t_end, rtol, atol, linear))
-    active = [_Stepping(b, lanes[b], h, width) for b, h in zip(live, h0)]
-    stop_idx = np.array(stop_indices, dtype=np.intp)
-    going = len(active)
-    for run in active:
-        if not run.sized(size, budget):
-            runs[run.index], run.h = run.result(rhs_of, linear), 0.0
-            going -= 1
-    with np.errstate(all="ignore") if not lone else np.errstate():  # lanes hit inf/NaN
-        while going:
-            if lone:  # run is the one lane; zip makes 1-tuples of its pair
-                errs, pieces = zip(attempt(run.t, y, run.h, run.t_new))
-            else:
-                errs, pieces = attempt([r.t for r in active], y, [r.h for r in active],
-                                       [r.t_new for r in active])
-            # one pass: each lane's control, then the size of its next attempt
-            for run, err, accepted in zip(active, errs, pieces):
-                if run.end is not None:
-                    continue
+    stop_idx, errs, pieces = np.array(stop_indices, dtype=np.intp), (), ()
+    with np.errstate(all="ignore") if len(live) > 1 else np.errstate():  # inf/NaN
+        while live:
+            if not errs:  # at the start and once a lane has ended
+                lone, one, idx = len(live) == 1, live[0], [run.index for run in live]
+                y, f, rtol, atol = one.last() if lone else (  # tolerances (L, 1)
+                    np.array(c).reshape(len(live), -1)
+                    for c in zip(*map(_Stepping.last, live)))
+                size, attempt, exponent, regrowth = (
+                    _dop853(rhs_of(idx), y, f, rtol, atol) if linear is None else
+                    _exponential(rhs_of(idx), y, f, rtol, atol, linear))
+            for run, err, accepted in zip(live, errs, pieces):  # each lane's control
                 run.attempts += 1
                 if err is not None and err <= 1.0:
                     for t, h, y_new, rec in accepted:
@@ -517,10 +507,18 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                     run.h = min(run.h * min(run.grow, max(_MIN_FACTOR, factor)),
                                 run.max_step)
                     run.grow = regrowth if err > 1.0 else _MAX_FACTOR
-                if run.end is None and run.sized(size, budget):
+            ended = False
+            for run in live:  # each lane's next size (after a rebuild, the one it has)
+                if run.end is None and run.sized(size):
                     continue
-                runs[run.index], run.h = run.result(rhs_of, linear), 0.0  # held
-                going -= 1
+                runs[run.index], ended = run.result(rhs_of, linear), True
+            if ended:  # the ended lanes leave
+                live, errs = [run for run in live if run.end is None], ()
+            elif lone:  # zip makes 1-tuples of the one lane's pair
+                errs, pieces = zip(attempt(one.t, y, one.h, one.t_new))
+            else:
+                errs, pieces = attempt([r.t for r in live], y, [r.h for r in live],
+                                       [r.t_new for r in live])
     return runs
 
 
@@ -590,7 +588,7 @@ def _dop853(rhs, y0, f0, rtol, atol):
         return err.tolist(), [acc and ((t_new[j], h[j], y_new[j], kept[j]),)
                               for j, acc in enumerate(ok[:, 0].tolist())]
 
-    return size, attempt_lanes if lanes else attempt, -0.125, len(_KEPT), 1.0
+    return size, attempt_lanes if lanes else attempt, -0.125, 1.0
 
 
 # --- exponential Runge-Kutta -----------------------------------------------
@@ -718,7 +716,7 @@ def _ho5_step(stage, mats, t, y, f, h, t_new, swap):
     return _exp_step_end((e, p1, p2, p3), y, step, h, 1.0, swap), step
 
 
-def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
+def _exponential(rhs, y0, f0, rtol, atol, blocks):
     """Hochbruck and Ostermann's exponential step method of
     integrate_adaptive, with step doubling: each attempt takes one step of
     size h and two of size h/2, and an accepted attempt stores the two half
@@ -727,14 +725,9 @@ def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
     ladder of _RUNGS sizes per octave and cuts a step short at a kink or at
     t_end; the phi functions and step matrices are cached by step size, so
     a run computes those of each of its few distinct sizes once."""
-    n = y0.size
-    stops = [tk for tk in blocks.kinks if t0 < tk < t_end] + [t_end]
-    swap = _swap(blocks)
-    zeros = np.zeros(n)
+    n, swap, zeros = y0.size, _swap(blocks), np.zeros(y0.size)
     phis, mats = {}, {}  # phi matrices by tau, step matrices by step size
-    # N at the step start (None until the first attempt from a new state)
-    # and |y| there
-    f, abs_y = f0, np.abs(y0)
+    f, abs_y = f0, np.abs(y0)  # N at the step start (None: not evaluated yet), |y|
 
     def stage(ti, ui):
         # u.dot(zeros) is 0.0 exactly when every entry of u is finite
@@ -743,16 +736,15 @@ def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
         out = np.asarray(rhs(ti, ui), dtype=float)
         return out if out.dot(zeros) == 0.0 else None
 
-    def size(t, h, _t_end):
-        while t >= stops[0]:
-            stops.pop(0)
+    def size(t, h, t_end):
+        stop = min([tk for tk in blocks.kinks if tk > t] + [t_end])
         if not h > 0.0:  # no rung; the controller's underflow rule ends the run
             return h, t + h
         rung = math.floor(_RUNGS * math.log2(h))
         if _rung(rung) > h:  # log2 rounded up
             rung -= 1
         h = _rung(rung)
-        return (h, t + h) if h < stops[0] - t else (stops[0] - t, stops[0])
+        return (h, t + h) if h < stop - t else (stop - t, stop)
 
     def matrices(h):
         """The step matrices at h/2 and h. 0.25 h and 0.5 h are exact
@@ -787,4 +779,4 @@ def _exponential(rhs, t0, y0, f0, t_end, rtol, atol, blocks):
             f, abs_y = None, abs_new
         return err_norm, ((t_mid, 0.5 * h, *first), (t_new, 0.5 * h, *second))
 
-    return size, attempt, -0.2, 3, _MAX_FACTOR
+    return size, attempt, -0.2, _MAX_FACTOR

@@ -25,7 +25,7 @@ EXIT_RUNTIME = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 MAX_SWEEP_POINTS = 100_000
-# points of a sweep batch: its lanes are in memory until it writes
+# points of a sweep batch: its trajectories are in memory until it writes
 BATCH_POINTS = 16
 
 

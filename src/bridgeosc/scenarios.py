@@ -52,15 +52,23 @@ def parse_scenario(cfg: dict) -> Scenario:
     return Scenario(str(name), model, parameters, outputs)
 
 
-_CASTS = {"float": float, "int": int, "str": str}
+def _int(p: dict, key: str, default=None) -> int:
+    """p[key] (or default) as an int: 7 or 7.0, but not 1.7, inf or NaN."""
+    value = p.get(key, default)
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise InvalidParameterError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+_CASTS = {"float": float, "str": str}
 
 
 def _record(cls, p: dict, **given):
     """cls built from the entries of p named like its fields, each cast by
     the field's annotated type; given entries pass as they are, and fields
     absent from both keep the dataclass default."""
-    kw = {f.name: _CASTS[f.type](p[f.name]) for f in fields(cls)
-          if f.name in p and f.name not in given}
+    kw = {f.name: _int(p, f.name) if f.type == "int" else _CASTS[f.type](p[f.name])
+          for f in fields(cls) if f.name in p and f.name not in given}
     return cls(**kw, **given)
 
 
@@ -152,7 +160,7 @@ def _run_scanlan(sc: Scenario) -> tuple:
     p = sc.parameters
     sol = systems.solve_scanlan(
         _record(systems.ScanlanParams, p), float(p.get("theta0", 1.0)),
-        float(p.get("thetad0", 0.0)), float(p["t_end"]), int(p.get("n_samples", 2001)))
+        float(p.get("thetad0", 0.0)), float(p["t_end"]), _int(p, "n_samples", 2001))
     payload = json.dumps({"growth_exponent": sol.growth_exponent,
                           "roots": [[r.real, r.imag] for r in sol.roots]},
                          allow_nan=False)
@@ -164,12 +172,12 @@ def _run_scanlan(sc: Scenario) -> tuple:
 def _run_modes(sc: Scenario) -> tuple:
     p = sc.parameters
     if "navier_S" in p:
-        modes = plate.navier_square_search(int(p["navier_S"]))
+        modes = plate.navier_square_search(_int(p, "navier_S"))
         summary = (f"navier S={p['navier_S']}: {len(modes)} modes "
                    + " ".join(f"({m.m_index},{m.n_index})" for m in modes))
     else:
         geom = plate.PlateGeom(**{k: float(v) for k, v in p["geom"].items()})
-        modes = plate.analytic_modes(geom, int(p.get("m_max", 4)))
+        modes = plate.analytic_modes(geom, _int(p, "m_max", 4))
         worst = max(plate.verify_mode(geom, md, bc, 32).max_residual
                     for md in modes for bc in ("eigen1", "eigen2"))
         summary = f"{len(modes)} modes, max residual {worst:.3g}"

@@ -521,6 +521,25 @@ def test_rejected_settings_exit_3_and_write_nothing(tmp_path, run, parameters):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("run, key, fraction", [
+    ("truebeam", "modes_M", 1.7), ("scanlan", "n_samples", 10.9),
+    ("modes-geom", "m_max", 2.5), ("modes", "navier_S", 25.5)])
+def test_int_settings_are_checked_not_truncated(tmp_path, run, key, fraction):
+    # a fraction or 1e400 (inf) is exit 3 with nothing written; an integral
+    # float writes what the int writes
+    params, cfg = MODEL_RUNS[run][0], tmp_path / "cfg.json"
+    for text, code in ((repr(fraction), 3), ("1e400", 3),
+                       (str(int(fraction)), 0), (f"{int(fraction)}.0", 0)):
+        cfg.write_text(json.dumps({"name": "m", "model": run.split("-")[0],
+                                   "parameters": {**params, key: "V"}})
+                       .replace('"V"', text))
+        out = tmp_path / text
+        assert main(["run", str(cfg), "--out", str(out)]) == code, text
+        assert code == 0 or not out.exists() or not any(out.iterdir())
+    assert _files(tmp_path / str(int(fraction))) == _files(
+        tmp_path / f"{int(fraction)}.0")
+
+
 def test_run_without_config_or_builtin_exits_2(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
     assert "config path or --builtin" in capsys.readouterr().err

@@ -152,6 +152,56 @@ def test_rk_lanes_of_a_plain_rhs_and_their_dense_stages():
     assert [0, 1, 2] in seen and all([j] in seen for j in range(3))
 
 
+def _counted(log):
+    """rhs_of for lanes 0-2 of _oscillators and a lane 3 of y'' = y^3, which
+    blows up near t = 1.85, logging each evaluation's t by lane in log; the
+    cube is y * y * y, as ** 3 on a column rounds apart from a scalar's."""
+    def rhs_of(cols):
+        k, c = np.array([[1.0, 4.0, 9.0, 0.0], [0.0, 0.0, 0.0, 1.0]])[:, cols]
+        k, c = (k[0], c[0]) if len(cols) == 1 else (k, c)
+
+        def rhs(t, y):
+            columns = np.shape(y)[1:] or (1,)
+            for j, tj in zip(np.broadcast_to(cols, columns).tolist(),
+                             np.broadcast_to(t, columns).tolist()):
+                log.setdefault(j, []).append(tj)
+            return np.array([y[1], -k * y[0] + c * (y[0] * y[0] * y[0])])
+        return rhs
+    return rhs_of
+
+
+def test_no_lane_is_stepped_after_it_ends():
+    # each lane's rhs evaluations while stepping are those of its own run,
+    # at the same times: none once it has ended
+    lanes = [Lane(0.0, [1.0, 0.0], t_end) for t_end in (2.0, 5.0, 9.0)]
+    lanes.append(Lane(0.0, [1.0, 0.0], 9.0, stop_threshold=1e3))
+    batch = {}
+    runs = integrate_lanes(_counted(batch), lanes, (0,))
+    assert [run.termination for run in runs] == [
+        "reached_t_end", "reached_t_end", "reached_t_end", "blowup_detected"]
+    for j, lane in enumerate(lanes):
+        alone = {}
+        integrate_adaptive(_counted(alone)([j]), *lane[:3],
+                           stop_indices=(0,), stop_threshold=lane.stop_threshold)
+        assert len(batch[j]) == len(alone[j]), j
+        assert batch[j] == alone[j], j
+
+
+def test_a_batch_that_shrinks_to_one_lane():
+    # figure12-like lanes blow up by t = 8 beside one lane to t = 60; the
+    # long lane then steps alone, as a bare state
+    fig12 = bo.canonical(3.0, bo.make_nonlinearity("cubic", epsilon=1.0))
+    runs = [(fig12, [0.9 + 0.1 * j, 0.0, 0.0, 0.0],
+             bo.IntegratorConfig(t_end=20.0, rel_tol=1e-9, abs_tol=1e-9))
+            for j in range(3)]
+    runs.append((fig12, [0.1, 0.0, 0.0, 0.0],
+                 bo.IntegratorConfig(t_end=60.0, rel_tol=1e-9, abs_tol=1e-9)))
+    lanes = _assert_lanes_equal_their_runs(runs)
+    assert [lane.termination for lane in lanes] == ["blowup_detected"] * 3 + [
+        "reached_t_end"]
+    assert all(lane.events for lane in lanes)
+
+
 def test_step_budget_ends_a_run_that_would_not_end(monkeypatch):
     monkeypatch.setattr(_rk, "MAX_STEPS", 300)
     linear = bo.make_nonlinearity("linear")
