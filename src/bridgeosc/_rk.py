@@ -700,20 +700,20 @@ def _ho5_step(stage, mats, t, y, f, h, t_new, swap):
         0.5 * p1f_h + _apply(p2_h, n2 - f, swap)))
     if n3 is None:
         return None
-    n23 = n2 + n3
-    n4 = stage(t_new, _apply(e, y, swap) + h * (
-        _apply(p1, f, swap) + _apply(p2, n23 - 2.0 * f, swap)))
+    ey, p1f, d23 = _apply(e, y, swap), _apply(p1, f, swap), n2 + n3 - 2.0 * f
+    n4 = stage(t_new, ey + h * (p1f + _apply(p2, d23, swap)))
     if n4 is None:
         return None
     n5 = stage(t_mid, ey_h + h * (
-        0.5 * p1f_h + _apply(a52, n23 - 2.0 * f, swap)
-        + _apply(a54, n4 - f, swap)))
+        0.5 * p1f_h + _apply(a52, d23, swap) + _apply(a54, n4 - f, swap)))
     if n5 is None:
         return None
     # weights phi_1 - 3 phi_2 + 4 phi_3, -phi_2 + 4 phi_3 and 4 phi_2 - 8 phi_3
     # on f, n4 and n5, regrouped by powers of theta for the interpolant
-    step = np.array([f, 4.0 * n5 - 3.0 * f - n4, 4.0 * (f - 2.0 * n5 + n4)])
-    return _exp_step_end((e, p1, p2, p3), y, step, h, 1.0, swap), step
+    d1, d2 = 4.0 * n5 - 3.0 * f - n4, 4.0 * (f - 2.0 * n5 + n4)
+    # _exp_step_end at theta = 1, whose theta factors are exactly 1.0
+    return (ey + h * (p1f + _apply(p2, d1, swap) + _apply(p3, d2, swap)),
+            np.array([f, d1, d2]))
 
 
 def _exponential(rhs, y0, f0, rtol, atol, blocks):
@@ -748,9 +748,16 @@ def _exponential(rhs, y0, f0, rtol, atol, blocks):
 
     def matrices(h):
         """The step matrices at h/2 and h. 0.25 h and 0.5 h are exact
-        scalings, so a tau shared by two step sizes has one entry."""
+        scalings, so a tau shared by two step sizes has one entry. A rung
+        of the ladder brings the phis of all rungs of its octave in one
+        batch; a step cut short at a kink or t_end brings its own."""
         taus = [tau for tau in (0.25 * h, 0.5 * h, h) if tau not in phis]
         if taus:
+            octave = math.frexp(h)[1] - 1  # 2^octave <= h < 2^(octave + 1)
+            if math.ldexp(h, -octave) in _LADDER:
+                rungs = [math.ldexp(x, octave) for x in _LADDER]
+                taus = [tau for hk in rungs for tau in (0.25 * hk, 0.5 * hk, hk)
+                        if tau not in phis]
             phis.update(zip(taus, np.moveaxis(_phi_matrices(
                 blocks, np.array(taus)[:, None, None]), 2, 0)))
         for hk in (0.5 * h, h):

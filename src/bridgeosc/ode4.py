@@ -106,6 +106,16 @@ def _merged(records):
     return SimpleNamespace(**{f.name: merged(f.name) for f in fields(records[0])})
 
 
+def _narrowed(record, cols):
+    """record = _merged(records) at the lanes cols: each (L,) array indexed
+    by cols (an array of equal entries rounds as the one value would)."""
+    def narrowed(value):
+        if isinstance(value, Nonlinearity):
+            return Nonlinearity(**vars(_narrowed(value, cols)))
+        return value[cols] if isinstance(value, np.ndarray) else value
+    return SimpleNamespace(**{k: narrowed(v) for k, v in vars(record).items()})
+
+
 def canonical(k: float, nl: Nonlinearity) -> OdeFamily:
     return OdeFamily(kind="canonical", k_coef=k, nl=nl)
 
@@ -227,8 +237,11 @@ def integrate_lanes(runs) -> list:
             out[i] = exc
     for members in groups.values():
         at, families, lanes = zip(*members)
-        def rhs_of(cols, families=families):
-            return OdeFamily.rhs(_merged([families[c] for c in cols]))
+        merged = _merged(families)
+        def rhs_of(cols, families=families, merged=merged):
+            if len(cols) == 1:  # the family itself, which _merged would copy
+                return families[cols[0]].rhs()
+            return OdeFamily.rhs(_narrowed(merged, cols))
         for i, raw in zip(at, _rk.integrate_lanes(rhs_of, lanes, (0,))):
             out[i] = raw if isinstance(raw, InvalidParameterError) else Trajectory(raw)
     return out

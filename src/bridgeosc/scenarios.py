@@ -52,11 +52,20 @@ def parse_scenario(cfg: dict) -> Scenario:
     return Scenario(str(name), model, parameters, outputs)
 
 
+# the range of each int key, which bounds the work and memory of a run
+_INT_RANGES = {"modes_M": (1, 64), "profile_m": (1, 1000), "m_max": (1, 1000),
+               "n_samples": (2, 10**6), "navier_S": (2, 10**12)}
+
+
 def _int(p: dict, key: str, default=None) -> int:
-    """p[key] (or default) as an int: 7 or 7.0, but not 1.7, inf or NaN."""
+    """p[key] (or default) as an int in key's _INT_RANGES entry: 7 or 7.0,
+    but not 1.7, inf or NaN."""
     value = p.get(key, default)
     if not (isinstance(value, int) or float(value).is_integer()):
         raise InvalidParameterError(f"{key} must be an integer, got {value!r}")
+    lo, hi = _INT_RANGES[key]
+    if not lo <= int(value) <= hi:
+        raise InvalidParameterError(f"{key} must be from {lo} to {hi}")
     return int(value)
 
 

@@ -9,6 +9,7 @@ energy alone, so its flip times are located independently of the state.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -58,7 +59,25 @@ class GustForcing:
         """(2, K) breakpoint times and values, built on first use."""
         return np.array(self.breakpoints, dtype=float).T.copy()
 
+    @functools.cached_property
+    def _pieces(self) -> tuple:
+        """Breakpoint times, values and the slopes between, as Python floats."""
+        tp, ap = self._table.tolist()
+        return tp, ap, [(a1 - a0) / (t1 - t0)
+                        for t0, t1, a0, a1 in zip(tp, tp[1:], ap, ap[1:])]
+
     def amp(self, t):
+        if isinstance(t, float) and math.isfinite(t):  # numpy float64 too
+            # np.interp's own arithmetic, without its call overhead
+            tp, ap, slopes = self._pieces
+            j = bisect.bisect_right(tp, t) - 1
+            if j < 0:
+                return ap[0]
+            if j == len(slopes) or tp[j] == t:
+                return ap[j]
+            value = slopes[j] * (t - tp[j]) + ap[j]
+            if value == value:  # else np.interp's way round a NaN
+                return value
         return np.interp(t, *self._table)
 
     def profile_values(self, geom: PlateGeom, x1, x2):

@@ -540,6 +540,34 @@ def test_int_settings_are_checked_not_truncated(tmp_path, run, key, fraction):
         tmp_path / f"{int(fraction)}.0")
 
 
+@pytest.mark.parametrize("run, key", [
+    ("truebeam", "modes_M"), ("truebeam", "profile_m"), ("scanlan", "n_samples"),
+    ("modes-geom", "m_max"), ("modes", "navier_S")])
+def test_int_settings_out_of_their_range_exit_3_before_the_run(
+        tmp_path, monkeypatch, run, key):
+    # navier_S = 10^30 would search ~10^15 values of m, and a 401-digit
+    # modes_M would fail in numpy: each is refused before any solver runs
+    from bridgeosc import plate, systems, truebeam
+    from bridgeosc.scenarios import _INT_RANGES
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the solver ran")
+
+    for module, name in ((plate, "navier_square_search"), (plate, "analytic_modes"),
+                         (systems, "solve_scanlan"), (truebeam, "integrate_truebeam")):
+        monkeypatch.setattr(module, name, refuse)
+    lo, hi = _INT_RANGES[key]
+    for value in (lo - 1, hi + 1, 10 ** 30, 10 ** 400):
+        _, params = _with(run, **({"forcing": {key: value}} if key == "profile_m"
+                                  else {key: value}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"name": "m", "model": run.split("-")[0],
+                                   "parameters": params}))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3, value
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_without_config_or_builtin_exits_2(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
     assert "config path or --builtin" in capsys.readouterr().err

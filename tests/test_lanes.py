@@ -202,6 +202,30 @@ def test_a_batch_that_shrinks_to_one_lane():
     assert all(lane.events for lane in lanes)
 
 
+def test_a_group_merges_its_families_once(monkeypatch):
+    # lanes of two groups end one by one: each step-method rebuild narrows
+    # the group's one merged record to the lanes left, bit for bit, also
+    # once the lanes left share their force law (j >= 3) and k (j >= 4)
+    merges, merged = [], ode4._merged
+
+    def counted(records):
+        if isinstance(records[0], ode4.OdeFamily):
+            merges.append(len(records))
+        return merged(records)
+
+    runs = [(bo.canonical(2.0 + 0.25 * (j < 4), _nl("cubic", 1.0 + (j < 3))),
+             [0.5 + 0.1 * j, 0.0, 0.0, 0.0], bo.IntegratorConfig(t_end=1.0 + j))
+            for j in range(6)]
+    runs += [(bo.general(0.1, 2.0, 0.05 * j, 1.0, 1.5), [0.3, 0.0, 0.0, 0.0],
+              bo.IntegratorConfig(t_end=2.0 + j)) for j in range(3)]
+    monkeypatch.setattr(ode4, "_merged", counted)
+    lanes = ode4.integrate_lanes(runs)
+    assert merges == [6, 3]
+    monkeypatch.undo()
+    for lane, run in zip(lanes, runs):
+        _assert_same_run(lane, ode4.integrate(*run))
+
+
 def test_step_budget_ends_a_run_that_would_not_end(monkeypatch):
     monkeypatch.setattr(_rk, "MAX_STEPS", 300)
     linear = bo.make_nonlinearity("linear")

@@ -259,6 +259,34 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 # also after the last one of a run that then underflows, and the
 # controller leaves that call out.
 
+def _reference_ho5_step(stage, mats, t, y, f, h, t_new, swap):
+    """One Hochbruck-Ostermann step as _rk._ho5_step, each product formed
+    where the method's formulas name it and the step end read from the
+    interpolant at theta = 1."""
+    apply = _rk._apply
+    e_h, p1_h, p2_h, e, p1, p2, p3, a52, a54 = mats
+    ey_h = apply(e_h, y, swap)
+    p1f_h = apply(p1_h, f, swap)
+    t_mid = t + 0.5 * h
+    n2 = stage(t_mid, ey_h + (0.5 * h) * p1f_h)
+    if n2 is None:
+        return None
+    n3 = stage(t_mid, ey_h + h * (0.5 * p1f_h + apply(p2_h, n2 - f, swap)))
+    if n3 is None:
+        return None
+    n23 = n2 + n3
+    n4 = stage(t_new, apply(e, y, swap) + h * (
+        apply(p1, f, swap) + apply(p2, n23 - 2.0 * f, swap)))
+    if n4 is None:
+        return None
+    n5 = stage(t_mid, ey_h + h * (
+        0.5 * p1f_h + apply(a52, n23 - 2.0 * f, swap) + apply(a54, n4 - f, swap)))
+    if n5 is None:
+        return None
+    step = np.array([f, 4.0 * n5 - 3.0 * f - n4, 4.0 * (f - 2.0 * n5 + n4)])
+    return _rk._exp_step_end((e, p1, p2, p3), y, step, h, 1.0, swap), step
+
+
 def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
                                      atol=1e-10, max_step=np.inf,
                                      stop_indices=(), stop_threshold=np.inf,
@@ -324,11 +352,11 @@ def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
                                                         phi_of_rung[r])
             halves, mats = mats_of_rung[rung - R], mats_of_rung[rung]
         t_mid = t + 0.5 * h
-        full = _rk._ho5_step(stage, mats, t, y, f, h, t_new, swap)
-        first = full and _rk._ho5_step(stage, halves, t, y, f, 0.5 * h, t_mid,
-                                       swap)
+        full = _reference_ho5_step(stage, mats, t, y, f, h, t_new, swap)
+        first = full and _reference_ho5_step(stage, halves, t, y, f, 0.5 * h,
+                                             t_mid, swap)
         f_mid = first and stage(t_mid, first[0])
-        second = None if f_mid is None else _rk._ho5_step(
+        second = None if f_mid is None else _reference_ho5_step(
             stage, halves, t_mid, first[0], f_mid, 0.5 * h, t_new, swap)
         if second is None:
             n_rejected += 1

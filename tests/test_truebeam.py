@@ -451,6 +451,69 @@ def test_steps_do_not_grow_with_the_mode_count():
     assert steps[8] <= 2 * steps[1], steps
 
 
+def test_phi_builds_of_a_switching_run_come_an_octave_at_a_time(monkeypatch):
+    # the benchmark's M = 8 switching run: each ladder rung brings the phis of
+    # its whole octave, so a run of a few octaves, with its steps cut short at
+    # the ramp's kinks and the flips, and its samples, takes few phi builds
+    from bridgeosc import _rk
+    calls, phi_matrices = [], _rk._phi_matrices
+
+    def counted(blocks, tau):
+        calls.append(tau.size)
+        return phi_matrices(blocks, tau)
+
+    monkeypatch.setattr(_rk, "_phi_matrices", counted)
+    M = 8
+    cfg = _cfg(nl=bo.make_nonlinearity("cubic", epsilon=1.0), Ebar=1.25, M=M,
+               delta=0.5, forcing=truebeam.GustForcing(
+                   breakpoints=((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))))
+    a, b = np.zeros(M), np.zeros(M)
+    a[0], b[0] = 1.0, 1.0
+    traj = truebeam.integrate_truebeam(
+        cfg, truebeam.ModalState(0.0, a, np.zeros(M), b, np.zeros(M)), 3.0)
+    assert traj.termination == "reached_t_end" and len(traj.events) == 2
+    assert len(calls) <= 30, calls
+    assert max(calls) >= 3 * _rk._RUNGS  # an octave's h, h/2 and h/4 at once
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_gust_amp_on_floats_is_np_interp_bit_for_bit(monkeypatch, count):
+    rng = np.random.default_rng(count)
+    tp = np.cumsum(rng.uniform(0.05, 2.0, count)) - 1.0
+    ap = 10.0 * rng.standard_normal(count)
+    gust = truebeam.GustForcing(breakpoints=tuple(zip(tp.tolist(), ap.tolist())))
+    span = tp[-1] - tp[0] + 1.0
+    ts = np.concatenate([rng.uniform(tp[0] - span, tp[-1] + span, 4000), tp,
+                         np.nextafter(tp, -np.inf), np.nextafter(tp, np.inf)])
+    want = [np.interp(t, tp, ap) for t in ts]
+    interp, interp_calls = np.interp, []
+
+    def counted(*args):
+        interp_calls.append(args[0])
+        return interp(*args)
+
+    monkeypatch.setattr(np, "interp", counted)
+    for t, w in zip(ts.tolist(), want):  # Python floats, then numpy float64
+        assert np.float64(gust.amp(t)).tobytes() == w.tobytes(), t
+    for t, w in zip(ts, want):
+        assert np.float64(gust.amp(t)).tobytes() == w.tobytes(), t
+    assert interp_calls == []  # no finite float went through np.interp
+    # arrays and non-finite times are np.interp's
+    assert gust.amp(ts).tobytes() == np.array(want).tobytes()
+    for t in (-math.inf, math.inf, math.nan):
+        assert np.float64(gust.amp(t)).tobytes() == interp(t, tp, ap).tobytes()
+    # np.interp gives one breakpoint's value at NaN too
+    assert math.isnan(gust.amp(math.nan)) == (count > 1)
+
+
+def test_gust_amp_takes_np_interp_way_round_a_nan():
+    # t - t_0 overflows, so slope * (t - t_0) is 0 * inf: np.interp then
+    # interpolates from the right end, and so does amp
+    tp, ap = [-1e308, 1.5e308], [5.0, 5.0]
+    gust = truebeam.GustForcing(breakpoints=tuple(zip(tp, ap)))
+    assert gust.amp(1e308) == np.interp(1e308, tp, ap) == 5.0
+
+
 def test_projection_grid_and_its_convergence_error_are_recorded():
     smooth = _cfg(geom=SQUARE, nl=bo.make_nonlinearity("cubic", epsilon=0.5),
                   M=2)
