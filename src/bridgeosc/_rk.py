@@ -10,7 +10,9 @@ its embedded 5th- and 3rd-order error estimators and has a degree-7
 continuous extension, whose three stages are left out of the step loop as in
 Hairer's code: a trajectory evaluates them for the steps something reads,
 one rhs call over those steps a stage. It also steps states as the lanes of
-one (L, n) state, each bit for bit its own run. Given the linear part of
+one (L, n) state, each bit for bit its own run. One state or lane, one
+non-finite rule: an attempt evaluates all 12 stages, and any non-finite
+stage input or stage then rejects it. Given the linear part of
 y' = L y + N(t, y) as damped 2x2 oscillator blocks, the five-stage
 exponential method of Hochbruck and Ostermann (stiff order 4) solves the
 linear flow exactly, so the step size follows N alone and not the stiffness
@@ -149,6 +151,8 @@ class RawTrajectory:
     a step's coefficients are built the first time it is read, and kept.
     A DOP853 run builds them with its rhs: a pure function of (t, y) that
     also takes y as (n, S) columns, t as (S,), each column as if alone.
+    The stepper may call it on the non-finite stage inputs of an attempt
+    that it then rejects, and it must return there without raising.
     """
 
     columns: tuple = ()
@@ -445,14 +449,17 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
     size(t, h, t_end) -> (h, t_new); attempt(t, y, h, t_new) -> (err_norm,
     pieces), err_norm <= 1 accepting the (t, h, y, record) pieces and None
     or NaN marking a non-finite value (over lanes: lists, y updated in
-    place); its control exponent; factor cap after a rejection."""
+    place); its control exponent; factor cap after a rejection. _dop853
+    marks it by one rule for a lone and a batched lane: after all 12
+    stages, any non-finite stage input or stage."""
     runs, live = [None] * len(lanes), []
     for b, lane in enumerate(lanes):
         try:  # each lane starts as it does alone
             y, t = np.array(lane.y0, dtype=float), float(lane.t0)
             t_end = float(lane.t_end)
             for ok, message in (  # in this order; NaN fails each
-                    (lane.rtol > 0.0 < lane.atol, "tolerances must be positive"),
+                    (0.0 < lane.rtol < np.inf and 0.0 < lane.atol < np.inf,
+                     "tolerances must be finite and positive"),
                     (lane.max_step > 0.0, "max_step must be > 0"),
                     (np.all(np.isfinite(y)), "initial state must be finite"),
                     (np.isfinite(t_end), "t_end must be finite"),
@@ -474,8 +481,8 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                 rhs, t, y, f, t_end, lane.rtol, lane.atol, lane.max_step)), f))
         except InvalidParameterError as exc:
             runs[b] = exc
-    stop_idx, errs, pieces = np.array(stop_indices, dtype=np.intp), (), ()
-    with np.errstate(all="ignore") if len(live) > 1 else np.errstate():  # inf/NaN
+    stop, errs, pieces = np.array(stop_indices, dtype=np.intp).tolist(), (), ()
+    with np.errstate(all="ignore"):  # a rejected attempt's stages may be inf/NaN
         while live:
             if not errs:  # at the start and once a lane has ended
                 lone, one, idx = len(live) == 1, live[0], [run.index for run in live]
@@ -490,9 +497,10 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                 if err is not None and err <= 1.0:
                     for t, h, y_new, rec in accepted:
                         run.add(t, h, y_new, rec)
-                        # a max over Python floats beats numpy's on a few entries
-                        if (stop_idx.size and max(map(abs, y_new[stop_idx].tolist()))
-                                >= run.threshold):
+                        # the stop components as Python floats, from one
+                        # tolist: their max beats numpy's on a few entries
+                        if stop and max(map(abs, map(y_new.tolist().__getitem__, stop))
+                                        ) >= run.threshold:
                             run.end = BLOWUP_DETECTED
                             break
                     run.t = t
@@ -524,8 +532,10 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
 
 def _dop853(rhs, y0, f0, rtol, atol):
     """The Dormand-Prince 8(5,3) step method, on one state (n,) or on lanes
-    (L, n) with per-lane tolerances; a non-finite stage input or value rejects
-    (a lane's) step. A record is K[0] and K[5] .. K[12], read by contd8."""
+    (L, n) with per-lane tolerances. Every attempt evaluates its 12 stages;
+    one check after the last then rejects (a lane's) step if any stage
+    input or stage is not finite. A record is K[0] and K[5] .. K[12], read
+    by contd8."""
     lanes, n = y0.ndim == 2, y0.shape[-1]
     K = np.empty((*y0.shape[:-1], 13, n))
     K[..., 0, :] = f0
@@ -535,11 +545,15 @@ def _dop853(rhs, y0, f0, rtol, atol):
     mix = (lambda row: partial(np.matmul, row)) if lanes else (lambda row: row.dot)
     # x * 0.0 is NaN for inf or NaN x, so a dot product with zeros is 0.0 (per
     # lane) when all is finite, faster than isfinite().all() on a few entries
-    zeros, zeros_K = np.zeros(n), np.zeros(13 * n)
-    # stage i: (i, c_i, earlier stages, row product); stage 12 is at the new state
-    step = [(i, float(_C[i]), K[..., :i, :], mix(_A[i])) for i in range(1, 13)]
+    zeros, zeros_K, zeros_U = np.zeros(n), np.zeros(13 * n), np.zeros(12 * n)
+    U_flat = np.empty(12 * n)  # one state's stage inputs 1-12, the last its new state
+    U = U_flat.reshape(12, n)
+    # stage i: (i, c_i, earlier stages, row product, input row); stage 12 is
+    # at the new state
+    step = [(i, float(_C[i]), K[..., :i, :], mix(_A[i]), U[i - 1]) for i in range(1, 13)]
     e5_of, e3_of = mix(_E5), mix(_E3)
     rec, abs_y = np.empty((9, n)), np.abs(y0)
+    E = np.empty((2, n))  # one state's 5th- and 3rd-order error estimates
 
     def size(t, h, t_end):
         h = min(h, t_end - t)
@@ -547,30 +561,37 @@ def _dop853(rhs, y0, f0, rtol, atol):
 
     def attempt(t, y, h, t_new):
         nonlocal abs_y
-        for i, c, k_prev, stage_sum in step:
-            y_new = y + h * stage_sum(k_prev)
-            if y_new.dot(zeros) != 0.0:
-                return None, None
-            K[i] = rhs(t + c * h, y_new)
-        if K_flat.dot(zeros_K) != 0.0:
+        h_arr = np.array(h)  # a 0-d array multiplies faster than a float
+        for i, c, k_prev, stage_sum, u in step:
+            stage_sum(k_prev, u)  # then h * u + y, bitwise y + h * (A_i . K)
+            u *= h_arr
+            u += y
+            K[i] = rhs(t + c * h, u)
+        # every stage is in, so the rule is attempt_lanes': any non-finite
+        # stage input or stage rejects
+        if U_flat.dot(zeros_U) + K_flat.dot(zeros_K) != 0.0:
             return None, None
+        y_new = U[11]
         abs_new = np.abs(y_new)
         sc = atol + rtol * np.maximum(abs_y, abs_new)
-        e5, e3 = e5_of(K_err) / sc, e3_of(K_err) / sc
-        # == np.sum(e ** 2) bitwise: the same pairwise sum over n
-        s5, s3 = float(np.add.reduce(e5 * e5)), float(np.add.reduce(e3 * e3))
+        e5_of(K_err, E[0])
+        e3_of(K_err, E[1])
+        np.divide(E, sc, out=E)
+        np.multiply(E, E, out=E)
+        # == np.sum(e ** 2) of each bitwise: a row's pairwise sum, as alone
+        s5, s3 = np.add.reduce(E, axis=1).tolist()
         den = s5 + 0.01 * s3
         err_norm = h * s5 / math.sqrt(den * n) if den else 0.0
         if not err_norm <= 1.0:
             return err_norm, None
         rec[0], rec[1:], abs_y = K[0], K[5:], abs_new
         K[0] = K[12]  # FSAL: stage 12 is the next step's stage 0
-        return err_norm, ((t_new, h, y_new, rec),)
+        return err_norm, ((t_new, h, y_new.copy(), rec),)  # U is overwritten
 
     def attempt_lanes(t, y, h, t_new):  # t, h, t_new lists; y updated in place
         t_arr, h_arr = np.array(t), np.array(h)
         h_col, bad = h_arr[:, None], 0.0  # bad: per lane, NaN once not finite
-        for i, c, k_prev, stage_sum in step:
+        for i, c, k_prev, stage_sum, _ in step:
             y_new = y + h_col * stage_sum(k_prev)
             bad = bad + y_new.dot(zeros)
             K_in[i] = rhs(t_arr + c * h_arr, y_new.T)

@@ -69,28 +69,30 @@ class OdeFamily:
 
     def rhs(self):
         """First-order system derivative for (w, w', w'', w'''); run on a
-        record of (L,) arrays, it takes L families' states as (4, L) columns."""
+        record of (L,) arrays, it takes L families' states as (4, L) columns.
+        A bare (4,) state is read as Python floats, with the same arithmetic."""
         kind = self.kind
         if kind == "canonical":
             k, f = self.k_coef, self.nl.f
             def deriv(t, y):
-                return np.array([y[1], y[2], y[3], -k * y[2] - f(y[0])])
+                w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
+                return np.array([w1, w2, w3, -k * w2 - f(w)])
         elif kind == "rocard_wave":
             al, be = self.alpha_r, self.beta_r
             def deriv(t, y):
-                return np.array([y[1], y[2], y[3],
-                                 (al * y[0] + be) * y[2] - y[0]])
+                w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
+                return np.array([w1, w2, w3, (al * w + be) * w2 - w])
         elif kind == "pedestrian_wave":
             g, c, d, f = self.gamma_p, self.c_speed, self.delta_damp, self.nl.f
             def deriv(t, y):
-                return np.array([y[1], y[2], y[3],
-                                 (-c * c * y[2] - d * c * y[1] - f(y[0])) / g])
+                w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
+                return np.array([w1, w2, w3, (-c * c * w2 - d * c * w1 - f(w)) / g])
         else:
             a, k, b, c, q = self.a3, self.k2, self.b1, self.c0, self.q_exp
             def deriv(t, y):
-                w = y[0]  # np.power: on one float, ** rounds apart from arrays
-                return np.array([y[1], y[2], y[3],
-                                 -a * y[3] - k * y[2] - b * y[1] - c * w
+                w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
+                # np.power: on one float, ** rounds apart from arrays
+                return np.array([w1, w2, w3, -a * w3 - k * w2 - b * w1 - c * w
                                  - np.power(abs(w), q) * w])
         return deriv
 
@@ -165,8 +167,8 @@ class IntegratorConfig:
         # written so that NaN fails every check
         if not np.isfinite(self.t_end):
             raise InvalidParameterError("t_end must be finite")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise InvalidParameterError("tolerances must be > 0")
+        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
+            raise InvalidParameterError("tolerances must be finite and positive")
         if not self.blowup_threshold > 1.0:
             raise InvalidParameterError("blowup_threshold must exceed 1")
         if not self.max_step > 0.0:

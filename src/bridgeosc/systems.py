@@ -115,7 +115,7 @@ def integrate_coupled(params: McKennaParams, nl: Nonlinearity, s0,
     m, ell, f = params.mass_m, params.half_width_l, nl.f
 
     def rhs(t, s):
-        th, thd, y, yd = s
+        th, thd, y, yd = s.tolist() if s.ndim == 1 else s
         st, ct = np.sin(th), np.cos(th)
         f_minus = f(y - ell * st)
         f_plus = f(y + ell * st)
@@ -132,7 +132,7 @@ def integrate_truesystem(omega2: float, nl: Nonlinearity, s0,
     f = nl.f
 
     def rhs(t, s):
-        x, xd, y, yd = s
+        x, xd, y, yd = s.tolist() if s.ndim == 1 else s
         f_plus = f(y + x)
         f_minus = f(y - x)
         return np.array([xd, omega2 * (f_minus - f_plus), yd, -(f_plus + f_minus)])
@@ -149,7 +149,7 @@ def integrate_miosyst(params: MiosystParams, nl: Nonlinearity, s0,
     beta, delta, f = params.beta, params.delta, nl.f
 
     def rhs(t, s):
-        x, xd, y, yd = s
+        x, xd, y, yd = s.tolist() if s.ndim == 1 else s
         fw = f(y - x)
         z = y + x
         return np.array([xd, fw - beta * z, yd, fw - delta * z])

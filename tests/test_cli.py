@@ -315,6 +315,21 @@ def test_non_finite_integrator_inputs_exit_3(tmp_path, key, value):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("run", ["ode4", "miosyst", "truebeam"])
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+def test_infinite_tolerance_exits_3_and_names_it(tmp_path, capsys, run, key):
+    # 1e999 parses as inf; it was exit 3 with "step size underflow before
+    # any progress", which points away from the setting
+    text = json.dumps({"name": "tol", "model": run,
+                       "parameters": {**MODEL_RUNS[run][0], key: 1.5e-7}})
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(text.replace("1.5e-07", "1e999"))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert "tolerances must be finite and positive" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("freeze", [0, 2])
 def test_truebeam_freeze_switch_outside_plus_minus_one_exits_3(tmp_path, freeze):
     cfg = tmp_path / "fz.json"

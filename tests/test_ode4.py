@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bridgeosc as bo
+from bridgeosc import systems
 from bridgeosc.errors import (EmptyTrajectoryError, InvalidParameterError,
                               UnsupportedFamilyError)
 
@@ -23,6 +25,62 @@ def test_family_rhs_algebra():
     gen = bo.general(1.0, 2.0, 3.0, 4.0, 2.0).rhs()(0.0, y)
     assert np.allclose(gen, [-1.0, 2.0, 3.0,
                              -3.0 - 4.0 - (-3.0) - 2.0 - 0.25 * 0.5])
+
+
+class _Handed(Exception):
+    """Carries the rhs a systems integrator hands its stepper."""
+
+
+def _handed_rhs(integrate, *args):
+    """The rhs that integrate(*args) hands its stepper, which is not run."""
+    def hand(rhs, *rest, **kwargs):
+        raise _Handed(rhs)
+    with mock.patch.object(systems, "integrate_adaptive", hand):
+        with pytest.raises(_Handed) as handed:
+            integrate(*args)
+    return handed.value.args[0]
+
+
+_S0, _CFG = [0.1, 0.0, 0.2, 0.0], bo.IntegratorConfig(t_end=1.0)
+# name -> the rhs under a force law (miosyst reads only the cubic laws)
+_RHS = {
+    "canonical": lambda nl: bo.canonical(2.0, nl).rhs(),
+    "rocard_wave": lambda nl: bo.rocard_wave(0.3, -1.2).rhs(),
+    "pedestrian_wave": lambda nl: bo.pedestrian_wave(1.5, 0.8, 0.2, nl).rhs(),
+    "general": lambda nl: bo.general(0.1, 2.0, 0.3, 1.0, 1.5).rhs(),
+    "coupled": lambda nl: _handed_rhs(systems.integrate_coupled,
+                                      systems.McKennaParams(1.3, 0.7), nl, _S0, _CFG),
+    "truesystem": lambda nl: _handed_rhs(systems.integrate_truesystem, 1.7, nl,
+                                         _S0, _CFG),
+    "miosyst": lambda nl: _handed_rhs(systems.integrate_miosyst,
+                                      systems.MiosystParams(-1.0, 1.0), nl, _S0, _CFG)}
+_LAWS = {"linear": {}, "cubic": {"epsilon": 0.7}, "power": {"epsilon": 0.5, "p_exp": 2.5},
+         "piecewise": {}, "exponential": {"a_coef": 0.5, "b_coef": 0.8},
+         "mckenna_cubic": {"sigma_f": 1.0, "c_quad": 0.3, "d_cub": 0.6}}
+_ENTRY = st.one_of(st.floats(-1e3, 1e3),
+                   st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -1e200]))
+
+
+@pytest.mark.parametrize("name", sorted(_RHS))
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(sorted(_LAWS)), y=st.lists(_ENTRY, min_size=4, max_size=4),
+       t=st.floats(-10.0, 10.0))
+def test_bare_state_rhs_equals_its_column_bit_for_bit(name, law, y, t):
+    # a bare state is read as Python floats, a column as (1,) arrays; a lone
+    # lane's rhs also sees the non-finite stage inputs of rejected attempts,
+    # and returns there without raising
+    if name == "miosyst" and law not in ("cubic", "mckenna_cubic"):
+        law = "cubic"
+    rhs = _RHS[name](bo.make_nonlinearity(law, **_LAWS[law]))
+    y = np.array(y)
+    with np.errstate(all="ignore"):  # as while stepping
+        bare, column = rhs(t, y), rhs(np.array([t]), y[:, None])
+    assert bare.shape == (4,) and column.shape == (4, 1)
+    # NaN's sign bit can differ between float and array arithmetic (the
+    # coupled rhs at theta = inf, y = NaN); any NaN rejects an attempt alike
+    nan = np.isnan(bare)
+    assert np.array_equal(nan, np.isnan(column[:, 0]))
+    assert bare[~nan].tobytes() == column[~nan, 0].tobytes()
 
 
 def test_family_validation():
@@ -43,6 +101,14 @@ def test_integrator_config_validation():
         bo.IntegratorConfig(t_end=1.0, max_step=0.0)
     with pytest.raises(InvalidParameterError):
         bo.State4(0.0, np.inf, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-8])
+def test_integrator_config_tolerances_must_be_finite_and_positive(key, value):
+    with pytest.raises(InvalidParameterError,
+                       match="tolerances must be finite and positive"):
+        bo.IntegratorConfig(t_end=1.0, **{key: value})
 
 
 def test_zero_state_is_equilibrium():

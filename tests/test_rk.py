@@ -91,6 +91,18 @@ def test_rejects_bad_inputs(rhs, linear):
 
 
 @both_methods
+@pytest.mark.parametrize("key", ["rtol", "atol"])
+def test_non_finite_tolerances_are_named(rhs, linear, key):
+    # an infinite tolerance made every error norm 0 and then a NaN step
+    # size, reported as step size underflow before any progress
+    for value in (np.inf, np.nan, -np.inf):
+        with pytest.raises(InvalidParameterError,
+                           match="tolerances must be finite and positive"):
+            integrate_adaptive(rhs, 0.0, [1.0, 0.0], 1.0, linear=linear,
+                               **{key: value})
+
+
+@both_methods
 def test_non_finite_initial_slope_rejected(rhs, linear):
     # a NaN slope made the first step size NaN, and halving a rejected NaN
     # step never ended the run
@@ -182,13 +194,14 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
     rejected = False  # the last attempt was
 
     def stages(lo, hi):
-        # K[lo:hi]; the last stage input, or None on a non-finite input
+        # K[lo:hi], every stage evaluated; the last stage input, or None
+        # if any stage input is not finite
+        finite = True
         for i in range(lo, hi):
             yi = y + h * _rk._A[i].dot(K[:i])
-            if not np.all(np.isfinite(yi)):
-                return None
+            finite = finite and np.all(np.isfinite(yi))
             K[i] = rhs(t + _rk._C[i] * h, yi)
-        return yi
+        return yi if finite else None
 
     stop_indices = tuple(stop_indices)
     while t < t_end:
@@ -474,7 +487,10 @@ def test_step_loop_matches_reference_on_criterion_7_run(monkeypatch):
     cfg = bo.IntegratorConfig(t_end=500.0, rel_tol=1e-7, abs_tol=1e-7,
                               blowup_threshold=1e300)
     traj = bo.integrate(bo.canonical(2.0, pw), [0.9, -3.1, 2.2, -0.4], cfg)
-    assert traj.termination == REACHED_T_END and len(traj.ts) > 1000
+    assert traj.termination == REACHED_T_END
+    # accepted and rejected steps as literals, so that no edit of the
+    # reference loop can hide a change of steps
+    assert (len(traj.ts) - 1, traj.n_rejected) == (1004, 169)
     _assert_matches_reference(calls)
 
 
@@ -487,6 +503,9 @@ def test_step_loop_matches_reference_on_figure12_run(monkeypatch, threshold,
     cfg = bo.IntegratorConfig(t_end=20.0, blowup_threshold=threshold)
     traj = bo.integrate(bo.canonical(3.0, cubic), [1.0, 0.0, 0.0, 0.0], cfg)
     assert traj.termination == termination
+    # accepted and rejected steps, as literals like the criterion-7 run's
+    assert (len(traj.ts) - 1, traj.n_rejected) == {
+        BLOWUP_DETECTED: (199, 55), STEP_UNDERFLOW: (728, 211)}[termination]
     _assert_matches_reference(calls)
 
 
@@ -496,11 +515,11 @@ def test_step_loop_matches_reference_with_max_step():
 
 
 def test_step_loop_matches_reference_on_non_finite_stages():
-    # call 2 + 12 j + i computes K[i] of attempt j + 1 while every attempt is
-    # accepted; the dense stages come after the loop. 26 spoils K[12] of
-    # attempt 2 (caught by the check on K), and 63 spoils K[1] of attempt 6
-    # (caught on the next stage's input, before the rhs sees it), which cuts
-    # it to 1 call
+    # call 2 + 12 j + i computes K[i] of attempt j + 1, as every attempt
+    # evaluates its 12 stages; the dense stages come after the loop. 26
+    # spoils K[12] of attempt 2, and 63 spoils K[1] of attempt 6, whose
+    # later stage inputs and stages are then NaN: the rhs still sees them,
+    # and the check after stage 12 rejects each attempt
     raw = _assert_matches_reference_run(rhs_oscillator, 0.0, [1.0, 0.0], 10.0,
                                         bad_calls=(26, 63), rtol=1e-8,
                                         atol=1e-8)
@@ -562,6 +581,43 @@ def test_dop853_step_does_not_grow_right_after_a_rejection(monkeypatch, rhs,
     assert rejections[kind] > 20
     assert len(pairs) > 20
     assert all(h_next <= h for h, h_next in pairs), pairs
+
+
+def _column_by_column(funs):
+    """rhs_of for _rk.integrate_lanes from one bare-state rhs per lane:
+    a call on (n, S) columns evaluates each column alone, in order."""
+    def rhs_of(cols):
+        def rhs(t, y):
+            if y.ndim == 1:
+                return funs[cols[0]](t, y)
+            shape = y.shape[1:]
+            return np.column_stack([funs[c](tj, yj) for c, tj, yj in zip(
+                np.broadcast_to(cols, shape).tolist(),
+                np.broadcast_to(t, shape).tolist(), y.T)])
+        return rhs
+    return rhs_of
+
+
+@pytest.mark.parametrize("make, args, tol", [
+    (lambda: _CountingRhs(_decay_with_nan_below_zero), (0.0, [1.0], 200.0), 1e-6),
+    (lambda: _CountingRhs(rhs_oscillator, bad_calls=(26, 63)),
+     (0.0, [1.0, 0.0], 10.0), 1e-8)],
+    ids=["nan-region", "spoiled-calls"])
+def test_lone_run_equals_its_lane_of_a_batch(make, args, tol):
+    # a lone lane and a batched one reject by one rule, all 12 stages
+    # evaluated first, so they take the same steps and make the same rhs
+    # calls; the other lane runs longer, so this one is batched to its end
+    t0, y0, t_end = args
+    alone_rhs, lane_rhs = make(), make()
+    alone = integrate_adaptive(alone_rhs, *args, rtol=tol, atol=tol)
+    lanes = [_rk.Lane(t0, y0, t_end, tol, tol),
+             _rk.Lane(t0, [0.5 * v for v in y0], 2.0 * t_end, tol, tol)]
+    run, other = _rk.integrate_lanes(_column_by_column([lane_rhs, make()]), lanes)
+    assert run.termination == other.termination == REACHED_T_END
+    assert run.n_rejected == alone.n_rejected > 0
+    for name in ("ts", "ys"):
+        assert getattr(run, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert lane_rhs.calls == alone_rhs.calls
 
 
 def _cubic_with_nan_outside_the_orbit(t, y):
