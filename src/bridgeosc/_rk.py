@@ -10,13 +10,13 @@ its embedded 5th- and 3rd-order error estimators and has a degree-7
 continuous extension, whose three stages are left out of the step loop as in
 Hairer's code: a trajectory evaluates them for the steps something reads,
 one rhs call over those steps a stage. It also steps states as the lanes of
-one (L, n) state, each bit for bit its own run. One state or lane, one
-non-finite rule: an attempt evaluates all 12 stages, and any non-finite
-stage input or stage then rejects it. Given the linear part of
+one (L, n) state, each bit for bit its own run. Given the linear part of
 y' = L y + N(t, y) as damped 2x2 oscillator blocks, the five-stage
 exponential method of Hochbruck and Ostermann (stiff order 4) solves the
 linear flow exactly, so the step size follows N alone and not the stiffness
-of L. Zeros of a component are bisected on each bracketing step's interpolant.
+of L. Both methods keep one non-finite rule: an attempt evaluates all its
+stages, and any non-finite stage input or stage then rejects it. Zeros of a
+component are bisected on each bracketing step's interpolant.
 """
 from __future__ import annotations
 
@@ -445,14 +445,19 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
     with t as (L,), or on one lane's bare (n,) state. Each lane keeps its own
     t, h, control and termination, bit for bit its integrate_adaptive run, and
     leaves the state when it ends; returns its trajectory or InvalidParameterError.
-    The step method (_dop853; _exponential for one lane given linear) gives
-    size(t, h, t_end) -> (h, t_new); attempt(t, y, h, t_new) -> (err_norm,
-    pieces), err_norm <= 1 accepting the (t, h, y, record) pieces and None
-    or NaN marking a non-finite value (over lanes: lists, y updated in
-    place); its control exponent; factor cap after a rejection. _dop853
-    marks it by one rule for a lone and a batched lane: after all 12
-    stages, any non-finite stage input or stage."""
+    The step method (_dop853, or _exponential given linear, for one lane
+    only) gives size(t, h, t_end) -> (h, t_new); attempt(t, y, h, t_new) ->
+    (err_norm, pieces), err_norm <= 1 accepting the (t, h, y, record) pieces
+    and None or NaN marking a non-finite value (over lanes: lists, y updated
+    in place); its control exponent; factor cap after a rejection. Both mark
+    it by one rule: any non-finite stage input or stage, once all are in."""
     runs, live = [None] * len(lanes), []
+    if linear is not None:
+        k = np.asarray(linear.stiffness, dtype=float)
+        if len(lanes) != 1 or k.ndim != 2 or 2 * k.size != np.size(lanes[0].y0):
+            raise InvalidParameterError("linear blocks take one lane and match its state")
+        linear = LinearBlocks(k, np.broadcast_to(np.asarray(
+            linear.damping, dtype=float), k.shape), tuple(linear.kinks))
     for b, lane in enumerate(lanes):
         try:  # each lane starts as it does alone
             y, t = np.array(lane.y0, dtype=float), float(lane.t0)
@@ -467,12 +472,6 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                 if not ok:
                     raise InvalidParameterError(message)
             lane = lane._replace(t0=t, y0=y, t_end=t_end)
-            if linear is not None:
-                k = np.asarray(linear.stiffness, dtype=float)
-                if k.ndim != 2 or 2 * k.size != y.size:
-                    raise InvalidParameterError("linear blocks do not match the state")
-                linear = LinearBlocks(k, np.broadcast_to(np.asarray(
-                    linear.damping, dtype=float), k.shape), tuple(linear.kinks))
             rhs = rhs_of([b])
             f = np.asarray(rhs(t, y), dtype=float)
             if not np.all(np.isfinite(f)):
@@ -704,31 +703,24 @@ def _ho5_matrices(half, whole):
     return e_h, p1_h, p2_h, e, p1, p2, p3, a52, 0.25 * p2_h - a52
 
 
-def _ho5_step(stage, mats, t, y, f, h, t_new, swap):
+def _ho5_step(N, mats, t, y, f, h, t_new, swap, rows):
     """One step of Hochbruck and Ostermann's five-stage exponential method
     (stiff order 4) from (t, y), f = N(t, y), to t_new = t + h, with mats
-    from _ho5_matrices and stage(t, u) the value of N, or None where u or
-    N is not finite. Returns the new state and the step's interpolation
-    data (f, D1, D2), or None on a non-finite stage."""
+    from _ho5_matrices; its 4 stage inputs, then N there, go unchecked to
+    the (8, n) rows. Returns the new state and the interpolation data (f, D1, D2)."""
     e_h, p1_h, p2_h, e, p1, p2, p3, a52, a54 = mats
-    ey_h = _apply(e_h, y, swap)
-    p1f_h = _apply(p1_h, f, swap)
-    t_mid = t + 0.5 * h
-    n2 = stage(t_mid, ey_h + (0.5 * h) * p1f_h)
-    if n2 is None:
-        return None
-    n3 = stage(t_mid, ey_h + h * (
-        0.5 * p1f_h + _apply(p2_h, n2 - f, swap)))
-    if n3 is None:
-        return None
+    u2, u3, u4, u5, n2, n3, n4, n5 = rows
+    ey_h, p1f_h, t_mid = _apply(e_h, y, swap), _apply(p1_h, f, swap), t + 0.5 * h
+    np.add(ey_h, (0.5 * h) * p1f_h, out=u2)
+    n2[...] = N(t_mid, u2)
+    np.add(ey_h, h * (0.5 * p1f_h + _apply(p2_h, n2 - f, swap)), out=u3)
+    n3[...] = N(t_mid, u3)
     ey, p1f, d23 = _apply(e, y, swap), _apply(p1, f, swap), n2 + n3 - 2.0 * f
-    n4 = stage(t_new, ey + h * (p1f + _apply(p2, d23, swap)))
-    if n4 is None:
-        return None
-    n5 = stage(t_mid, ey_h + h * (
-        0.5 * p1f_h + _apply(a52, d23, swap) + _apply(a54, n4 - f, swap)))
-    if n5 is None:
-        return None
+    np.add(ey, h * (p1f + _apply(p2, d23, swap)), out=u4)
+    n4[...] = N(t_new, u4)
+    np.add(ey_h, h * (0.5 * p1f_h + _apply(a52, d23, swap)
+                      + _apply(a54, n4 - f, swap)), out=u5)
+    n5[...] = N(t_mid, u5)
     # weights phi_1 - 3 phi_2 + 4 phi_3, -phi_2 + 4 phi_3 and 4 phi_2 - 8 phi_3
     # on f, n4 and n5, regrouped by powers of theta for the interpolant
     d1, d2 = 4.0 * n5 - 3.0 * f - n4, 4.0 * (f - 2.0 * n5 + n4)
@@ -745,17 +737,13 @@ def _exponential(rhs, y0, f0, rtol, atol, blocks):
     its interpolation data (N at its start, D1, D2). size rounds h down to a
     ladder of _RUNGS sizes per octave and cuts a step short at a kink or at
     t_end; the phi functions and step matrices are cached by step size, so
-    a run computes those of each of its few distinct sizes once."""
-    n, swap, zeros = y0.size, _swap(blocks), np.zeros(y0.size)
+    a run computes those of each of its few distinct sizes once. An attempt
+    evaluates all its 13 stages (and N at its start after an accepted one)
+    and is rejected by _dop853's one non-finite check."""
+    n, swap, zeros = y0.size, _swap(blocks), np.zeros(27 * y0.size)
     phis, mats = {}, {}  # phi matrices by tau, step matrices by step size
-    f, abs_y = f0, np.abs(y0)  # N at the step start (None: not evaluated yet), |y|
-
-    def stage(ti, ui):
-        # u.dot(zeros) is 0.0 exactly when every entry of u is finite
-        if ui.dot(zeros) != 0.0:
-            return None
-        out = np.asarray(rhs(ti, ui), dtype=float)
-        return out if out.dot(zeros) == 0.0 else None
+    S = np.empty((27, n))  # N at the step start, then each stage input and stage
+    S[0], stale, abs_y = f0, False, np.abs(y0)
 
     def size(t, h, t_end):
         stop = min([tk for tk in blocks.kinks if tk > t] + [t_end])
@@ -787,24 +775,23 @@ def _exponential(rhs, y0, f0, rtol, atol, blocks):
         return mats[0.5 * h], mats[h]
 
     def attempt(t, y, h, t_new):
-        nonlocal f, abs_y
-        if f is None:
-            f = np.asarray(rhs(t, y), dtype=float)
+        nonlocal stale, abs_y
+        if stale:
+            S[0], stale = rhs(t, y), False
         halves, whole = matrices(h)
         t_mid = t + 0.5 * h
-        full = _ho5_step(stage, whole, t, y, f, h, t_new, swap)
-        first = full and _ho5_step(stage, halves, t, y, f, 0.5 * h, t_mid, swap)
-        f_mid = first and stage(t_mid, first[0])
-        second = None if f_mid is None else _ho5_step(
-            stage, halves, t_mid, first[0], f_mid, 0.5 * h, t_new, swap)
-        if second is None:
+        full, _ = _ho5_step(rhs, whole, t, y, S[0], h, t_new, swap, S[1:9])
+        first = _ho5_step(rhs, halves, t, y, S[0], 0.5 * h, t_mid, swap, S[9:17])
+        S[17], S[18] = first[0], rhs(t_mid, first[0])
+        second = _ho5_step(rhs, halves, t_mid, first[0], S[18], 0.5 * h, t_new,
+                           swap, S[19:])
+        if S.reshape(-1).dot(zeros) != 0.0:  # x * 0.0 is NaN for inf or NaN x
             return None, None
         abs_new = np.abs(second[0])
-        q = (second[0] - full[0]) / (
-            15.0 * (atol + rtol * np.maximum(abs_y, abs_new)))
+        q = (second[0] - full) / (15.0 * (atol + rtol * np.maximum(abs_y, abs_new)))
         err_norm = math.sqrt(float(np.add.reduce(q * q)) / n)
         if err_norm <= 1.0:
-            f, abs_y = None, abs_new
+            stale, abs_y = True, abs_new
         return err_norm, ((t_mid, 0.5 * h, *first), (t_new, 0.5 * h, *second))
 
     return size, attempt, -0.2, _MAX_FACTOR

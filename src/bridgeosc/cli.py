@@ -136,6 +136,8 @@ def _set_param(config: dict, dotted: str, value: float) -> None:
 def _cmd_sweep(args) -> int:
     out_dir = args.out or os.environ.get("BRIDGE_OUT", "out")
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         config = _load_config(args.config)
         name, values = _parse_param_spec(args.param)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
@@ -165,9 +167,11 @@ def _cmd_sweep(args) -> int:
                 print(f"sweep points {writers[path]} and {pt['name']} both write "
                       f"{path}", file=sys.stderr)
                 return EXIT_PARSE
-    # contiguous batches, at most BATCH_POINTS and at least one per worker,
-    # handed out one at a time; only this process prints, batch by batch
-    jobs = max(1, min(args.jobs, len(points)))
+    # contiguous batches, at most BATCH_POINTS and at least one per worker (one
+    # per usable CPU at most), handed out one at a time; only this one prints
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()) or 1
+    jobs = min(args.jobs, len(points), cpus)
     size = min(BATCH_POINTS, -(-len(points) // jobs))
     batches = [points[lo:lo + size] for lo in range(0, len(points), size)]
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its check of counts."""
 
 
 class BridgeError(Exception):
@@ -15,3 +15,10 @@ class UnsupportedFamilyError(BridgeError):
 
 class EmptyTrajectoryError(BridgeError, ValueError):
     """An operation needing samples received an empty trajectory."""
+
+
+def _count(value, name: str) -> int:
+    """value as an int >= 1: 4, 4.0 or np.int64(4), but not 1.5, NaN or inf."""
+    if not (isinstance(value, int) or float(value).is_integer()) or int(value) < 1:
+        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _count
 
 NAVIER_L = math.pi            # navier_square modes live on (0, pi) x (-pi/2, pi/2)
 NAVIER_HALF_WIDTH = math.pi / 2.0
@@ -142,13 +142,8 @@ def torsional_mode(geom: PlateGeom, m: int) -> Mode:
 def analytic_modes(geom: PlateGeom, m_max: int) -> List[Mode]:
     """Vertical and torsional families for m = 1..m_max; per m the two
     share the eigenvalue (m pi / L)^4 exactly."""
-    if m_max < 1:
-        raise InvalidParameterError("m_max must be >= 1")
-    out: List[Mode] = []
-    for m in range(1, m_max + 1):
-        out.append(vertical_mode(geom, m))
-        out.append(torsional_mode(geom, m))
-    return out
+    return [mode(geom, m) for m in range(1, _count(m_max, "m_max") + 1)
+            for mode in (vertical_mode, torsional_mode)]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List
@@ -16,7 +17,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import energy, ode4, plate, systems, truebeam
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _count
 from .io import svg_line_plot
 from .nonlin import nonlinearity_from_config
 
@@ -60,13 +61,11 @@ _INT_RANGES = {"modes_M": (1, 64), "profile_m": (1, 1000), "m_max": (1, 1000),
 def _int(p: dict, key: str, default=None) -> int:
     """p[key] (or default) as an int in key's _INT_RANGES entry: 7 or 7.0,
     but not 1.7, inf or NaN."""
-    value = p.get(key, default)
-    if not (isinstance(value, int) or float(value).is_integer()):
-        raise InvalidParameterError(f"{key} must be an integer, got {value!r}")
+    value = _count(p.get(key, default), key)
     lo, hi = _INT_RANGES[key]
-    if not lo <= int(value) <= hi:
+    if not lo <= value <= hi:
         raise InvalidParameterError(f"{key} must be from {lo} to {hi}")
-    return int(value)
+    return value
 
 
 _CASTS = {"float": float, "str": str}
@@ -275,16 +274,27 @@ def integrate_ode4(configs: List[dict]) -> list:
 
 def run_scenario(config: dict, out_dir: str, integrated=None) -> ScenarioResult:
     """Validate and execute one scenario (an ode4 one may come integrated,
-    see integrate_ode4); artifacts land in out_dir."""
+    see integrate_ode4); artifacts land in out_dir, all or nothing: each is
+    written beside its target under a temporary name, and they are renamed
+    into place once every write has succeeded."""
     sc = parse_scenario(config)
     run, records, keys = _MODELS[sc.model]
     _check_read(sc.model, sc.parameters, records, keys)
     out = out_paths(sc, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     summary, artifacts = run(sc) if integrated is None else run(sc, integrated)
-    for suffix, write in artifacts:
-        write(out[suffix])
-    return ScenarioResult(sc.name, summary, [out[suffix] for suffix, _ in artifacts])
+    paths, placed = [out[suffix] for suffix, _ in artifacts], 0
+    try:
+        for (_, write), path in zip(artifacts, paths):
+            write(path + ".tmp")
+        for placed, path in enumerate(paths):  # paths[:placed] are in place
+            os.replace(path + ".tmp", path)
+    except BaseException:  # the temporary files go, and the renamed ones
+        for path in paths[:placed] + [path + ".tmp" for path in paths[placed:]]:
+            with suppress(OSError):
+                os.remove(path)
+        raise
+    return ScenarioResult(sc.name, summary, paths)
 
 
 BUILTINS: Dict[str, dict] = {

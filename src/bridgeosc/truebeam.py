@@ -22,7 +22,7 @@ from ._quad import gauss_nodes_1d
 from ._rk import (REACHED_T_END, ExpTrajectory, LinearBlocks, RawTrajectory,
                   integrate_adaptive)
 from .energy import _field_eval, gust_energy, switch_value
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _count
 from .io import write_csv
 from .nonlin import Nonlinearity
 from .plate import PlateGeom, _sin_deriv
@@ -51,8 +51,7 @@ class GustForcing:
             raise InvalidParameterError("breakpoint times must be ascending")
         if self.profile not in ("uniform", "vertical", "torsional"):
             raise InvalidParameterError(f"unknown profile {self.profile!r}")
-        if self.profile_m < 1:
-            raise InvalidParameterError("profile_m must be >= 1")
+        object.__setattr__(self, "profile_m", _count(self.profile_m, "profile_m"))
 
     @functools.cached_property
     def _table(self) -> np.ndarray:
@@ -134,8 +133,7 @@ class TrueBeamConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if self.modes_M < 1:
-            raise InvalidParameterError("modes_M must be >= 1")
+        object.__setattr__(self, "modes_M", _count(self.modes_M, "modes_M"))
         if not 0.0 < self.bc_penalty_kappa < math.inf:
             raise InvalidParameterError("bc_penalty_kappa must be finite and > 0")
         if not 0.0 <= self.damping_delta < math.inf:
@@ -348,8 +346,7 @@ def _make_projector(cfg: TrueBeamConfig, y0: np.ndarray) -> Tuple[_Projector, fl
 def project_initial(u0_field, u1_field, geom: PlateGeom, M: int) -> ModalState:
     """Least-squares modal coefficients of the initial fields, computed by
     quadrature against the mutually orthogonal basis families."""
-    if M < 1:
-        raise InvalidParameterError("M must be >= 1")
+    M = _count(M, "M")
     proj = _Projector(geom, M, max(32, 4 * M), 8)
     X1, X2 = np.meshgrid(proj.x1, proj.x2, indexing="ij")
 

@@ -734,3 +734,65 @@ def test_step_budget_is_not_a_scenario_key(tmp_path):
     cfg = tmp_path / "budget.json"
     cfg.write_text(json.dumps(cfg_dict))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("svg_path, fail_svg", [("d", False), (None, True)],
+                         ids=["rename-onto-a-directory", "failed-write"])
+def test_a_failed_write_leaves_no_artifact(tmp_path, capsys, monkeypatch,
+                                           svg_path, fail_svg):
+    # the .svg is written last: its target is an existing directory, or its
+    # writer fails; the .csv and .json written before it do not stay, and
+    # neither do the temporary files
+    cfg_dict = _tiny_ode4_config("part")
+    if svg_path:
+        cfg_dict["outputs"] = [{"svg_path": svg_path}]
+    if fail_svg:
+        def full(path, *args, **kwargs):
+            raise OSError("No space left on device")
+        monkeypatch.setattr("bridgeosc.scenarios.svg_line_plot", full)
+    cfg = tmp_path / "part.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    out = tmp_path / "o"
+    (out / "d").mkdir(parents=True)
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert "runtime failure" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["d"]
+    assert not any((out / "d").iterdir())
+
+
+def test_sweep_jobs_are_at_least_one_and_at_most_the_usable_cpus(
+        tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(_tiny_ode4_config("jobs")))
+    sweep = ["sweep", str(cfg), "--param", "k_coef=2:2.7:0.1", "--out"]
+    for jobs in ("0", "-3"):
+        assert main(sweep + [str(tmp_path / jobs), "--jobs", jobs]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / jobs).exists()
+    workers = []
+
+    class Pool:  # records max_workers and maps in this process: no worker starts
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    for jobs in ("5000", "2"):  # 8 points on 3 usable CPUs
+        assert main(sweep + [str(tmp_path / jobs), "--jobs", jobs]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 8
+    monkeypatch.delattr(os, "sched_getaffinity")  # then os.cpu_count() bounds
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert main(sweep + [str(tmp_path / "cpu_count"), "--jobs", "5000"]) == 0
+    assert workers == [3, 2, 5]
+    assert _files(tmp_path / "5000") == _files(tmp_path / "2") == _files(
+        tmp_path / "cpu_count")

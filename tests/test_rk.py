@@ -270,32 +270,32 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 # produce the same samples and interpolation data, bit for bit, with the
 # same rhs calls but one: this loop evaluates N after every accepted step,
 # also after the last one of a run that then underflows, and the
-# controller leaves that call out.
+# controller leaves that call out. Every stage of an attempt is evaluated,
+# and then any non-finite stage input or stage rejects it.
 
-def _reference_ho5_step(stage, mats, t, y, f, h, t_new, swap):
+def _reference_ho5_step(N, mats, t, y, f, h, t_new, swap, seen):
     """One Hochbruck-Ostermann step as _rk._ho5_step, each product formed
     where the method's formulas name it and the step end read from the
-    interpolant at theta = 1."""
+    interpolant at theta = 1; each stage input and stage is appended to
+    seen."""
     apply = _rk._apply
+
+    def stage(ti, ui):
+        out = np.asarray(N(ti, ui), dtype=float)
+        seen.extend((ui, out))
+        return out
+
     e_h, p1_h, p2_h, e, p1, p2, p3, a52, a54 = mats
     ey_h = apply(e_h, y, swap)
     p1f_h = apply(p1_h, f, swap)
     t_mid = t + 0.5 * h
     n2 = stage(t_mid, ey_h + (0.5 * h) * p1f_h)
-    if n2 is None:
-        return None
     n3 = stage(t_mid, ey_h + h * (0.5 * p1f_h + apply(p2_h, n2 - f, swap)))
-    if n3 is None:
-        return None
     n23 = n2 + n3
     n4 = stage(t_new, apply(e, y, swap) + h * (
         apply(p1, f, swap) + apply(p2, n23 - 2.0 * f, swap)))
-    if n4 is None:
-        return None
     n5 = stage(t_mid, ey_h + h * (
         0.5 * p1f_h + apply(a52, n23 - 2.0 * f, swap) + apply(a54, n4 - f, swap)))
-    if n5 is None:
-        return None
     step = np.array([f, 4.0 * n5 - 3.0 * f - n4, 4.0 * (f - 2.0 * n5 + n4)])
     return _rk._exp_step_end((e, p1, p2, p3), y, step, h, 1.0, swap), step
 
@@ -321,14 +321,7 @@ def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
     n_rejected = 0
     abs_y = np.abs(y)
     swap = _rk._swap(blocks)
-    zeros = np.zeros(n)
     phi_of_rung, mats_of_rung = {}, {}
-
-    def stage(ti, ui):
-        if ui.dot(zeros) != 0.0:
-            return None
-        out = np.asarray(rhs(ti, ui), dtype=float)
-        return out if out.dot(zeros) == 0.0 else None
 
     while t < t_end:
         while t >= stops[0]:
@@ -365,13 +358,15 @@ def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
                                                         phi_of_rung[r])
             halves, mats = mats_of_rung[rung - R], mats_of_rung[rung]
         t_mid = t + 0.5 * h
-        full = _reference_ho5_step(stage, mats, t, y, f, h, t_new, swap)
-        first = full and _reference_ho5_step(stage, halves, t, y, f, 0.5 * h,
-                                             t_mid, swap)
-        f_mid = first and stage(t_mid, first[0])
-        second = None if f_mid is None else _reference_ho5_step(
-            stage, halves, t_mid, first[0], f_mid, 0.5 * h, t_new, swap)
-        if second is None:
+        seen = [f]
+        full = _reference_ho5_step(rhs, mats, t, y, f, h, t_new, swap, seen)
+        first = _reference_ho5_step(rhs, halves, t, y, f, 0.5 * h, t_mid, swap,
+                                    seen)
+        f_mid = np.asarray(rhs(t_mid, first[0]), dtype=float)
+        seen.extend((first[0], f_mid))
+        second = _reference_ho5_step(rhs, halves, t_mid, first[0], f_mid,
+                                     0.5 * h, t_new, swap, seen)
+        if not all(np.all(np.isfinite(x)) for x in seen):
             n_rejected += 1
             h *= 0.5
             continue
@@ -646,6 +641,58 @@ def test_exponential_steps_keep_growing_after_a_rejection(monkeypatch, rhs, y0,
     assert any(h_next > h for h, h_next in pairs), pairs
 
 
+def test_exponential_rhs_calls_are_fixed_by_the_method(monkeypatch):
+    # the nan-region run, pinned at its steps so that no edit of the
+    # reference loop can hide a change of them: 2 calls before the first
+    # attempt (N at t0, the initial step's probe), 13 in every attempt,
+    # however it ends, and N at the start of each attempt after an accepted one
+    args = (0.0, [1.0, 0.0], 20.0)
+    kwargs = dict(rtol=1e-6, atol=1e-6, linear=OSCILLATOR_BLOCKS)
+    log = _logged_attempts(monkeypatch, "_exponential")
+    rhs = _CountingRhs(_cubic_with_nan_outside_the_orbit)
+    raw = integrate_adaptive(rhs, *args, **kwargs)
+    assert (len(raw.ts) - 1, raw.n_rejected) == (138, 1)
+    accepted = [e is not None and e <= 1.0 for _, e in log]
+    assert rhs.calls == 2 + 13 * len(log) + sum(accepted[:-1]) == 980
+    _assert_matches_reference_run(_cubic_with_nan_outside_the_orbit, *args,
+                                  **kwargs)
+
+
+def test_exponential_attempt_rejects_a_stage_input_that_n_clamps(monkeypatch):
+    # N is finite everywhere, as it maps a non-finite state to 0. Its first
+    # two stages of attempt 1 (calls 3 and 4, at the whole step's midpoint)
+    # are 1e308; their sum overflows into the whole step's last two stage
+    # inputs, and only the check of stage inputs rejects that attempt: its
+    # stages are finite, and the step ends on the linear flow
+    calls = []
+
+    def clamped(t, y):
+        calls.append(t)
+        if not np.all(np.isfinite(y)):
+            return np.zeros(2)
+        return np.array([0.0, 1e308 if len(calls) in (3, 4) else 0.0])
+
+    log = _logged_attempts(monkeypatch, "_exponential")
+    raw = integrate_adaptive(clamped, 0.0, [1.0, 0.0], 1.0, rtol=1e-6,
+                             atol=1e-6, linear=OSCILLATOR_BLOCKS)
+    assert log[0][1] is None and [e for _, e in log[1:]].count(None) == 0
+    assert raw.termination == REACHED_T_END and raw.n_rejected == 1
+
+
+def test_exponential_size_rounds_down_where_log2_rounds_up():
+    # the float just below a rung, where math.log2 rounds up to the rung
+    # for 188 of the rungs -200 .. 39, is on the rung below
+    blocks = _rk.LinearBlocks(np.ones((1, 1)), np.zeros((1, 1)))
+    size, *_ = _rk._exponential(None, np.zeros(2), np.zeros(2), 1e-6, 1e-6,
+                                blocks)
+    below = {r: math.nextafter(_rk._rung(r), 0.0) for r in range(-200, 40)}
+    rounded_up = [r for r, h in below.items()
+                  if math.floor(_rk._RUNGS * math.log2(h)) == r]
+    assert len(rounded_up) == 188 and 39 in rounded_up
+    for r in rounded_up:
+        assert size(0.0, below[r], math.inf) == (_rk._rung(r - 1),) * 2
+
+
 def _modal_system(cfg, y0, switch):
     """One switch segment of the unforced modal system: its nonlinear part
     N, its linear blocks and the whole rhs L y + N."""
@@ -716,18 +763,18 @@ def test_exponential_loop_matches_reference_on_cubic_blowup(threshold,
 
 
 def test_exponential_loop_matches_reference_on_non_finite_stages():
-    # p'' = -p - 0.3 p' - p^3 + sin 3t. While every attempt is accepted,
-    # attempt j + 1 makes calls 3 + 14 j + i: i = 0-3 are the stages of the
-    # whole step, 4-7 those of the first half step, 8 is N at its end, 9-12
-    # are the stages of the second half step and 13 is N at the new state.
-    # A spoiled call cuts its attempt short, so 5 spoils stage 2 of the
-    # whole step of attempt 1, 12 stage 2 of the first half step of attempt
-    # 2, 21 N at the midpoint in attempt 3 and 33 stage 2 of the second half
-    # step of attempt 4
+    # p'' = -p - 0.3 p' - p^3 + sin 3t. While every attempt is rejected,
+    # attempt j + 1 makes calls 3 + 13 j + i: i = 0-3 are the stages of the
+    # whole step, 4-7 those of the first half step, 8 is N at its end and
+    # 9-12 are the stages of the second half step (an attempt after an
+    # accepted one first makes one more call, N at its start). Every stage
+    # is evaluated, so 5 spoils stage 2 of the whole step of attempt 1, 22
+    # stage 2 of the first half step of attempt 2, 37 N at the midpoint in
+    # attempt 3 and 53 stage 2 of the second half step of attempt 4
     blocks = _rk.LinearBlocks([[1.0]], [[0.3]])
     raw = _assert_matches_reference_run(
         lambda t, y: np.array([0.0, -y[0] ** 3 + np.sin(3.0 * t)]), 0.0,
-        [0.8, 0.0], 2.0, bad_calls=(5, 12, 21, 33), rtol=1e-8, atol=1e-8,
+        [0.8, 0.0], 2.0, bad_calls=(5, 22, 37, 53), rtol=1e-8, atol=1e-8,
         linear=blocks)
     assert raw.termination == REACHED_T_END and raw.n_rejected == 4
 
@@ -1240,7 +1287,7 @@ def test_exponential_step_is_fourth_order_at_fixed_steps():
             blocks, h * np.array([0.5, 1.0])[:, None, None]), 2, 0))
         for _ in range(n):
             y, _stages = _rk._ho5_step(nonlinear, mats, t, y, nonlinear(t, y),
-                                       h, t + h, swap)
+                                       h, t + h, swap, np.empty((8, 2)))
             t += h
         errors.append(np.abs(y - exact).max())
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
@@ -1287,3 +1334,10 @@ def test_exponential_path_rejects_blocks_that_do_not_fit_the_state():
     with pytest.raises(InvalidParameterError):
         integrate_adaptive(lambda t, y: 0.0 * y, 0.0, np.zeros(6), 1.0,
                            linear=blocks)
+
+
+def test_exponential_path_takes_one_lane():
+    lanes = [_rk.Lane(0.0, [1.0, 0.0], 1.0), _rk.Lane(0.0, [0.5, 0.0], 1.0)]
+    with pytest.raises(InvalidParameterError, match="one lane"):
+        _rk.integrate_lanes(lambda idx: lambda t, y: 0.0 * y, lanes,
+                            linear=OSCILLATOR_BLOCKS)

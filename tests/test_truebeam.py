@@ -553,3 +553,26 @@ def test_integrate_truebeam_rejects_a_wrong_truncation_and_a_past_t_end():
     for t_end in (2.0, 1.0):
         with pytest.raises(InvalidParameterError, match="initial time"):
             truebeam.integrate_truebeam(cfg, later, t_end)
+
+
+def test_count_fields_take_integral_values_only():
+    # 4.0 and np.int64(4) are the int 4; a fraction, NaN or inf is refused
+    # (profile_m = 1.5 was a profile sin(1.5 pi x1 / L) that is not a mode)
+    ramp = ((0.0, 0.0), (1.0, 1.0))
+    u0 = lambda x1, x2: np.sin(math.pi * x1 / SQUARE.length_L)
+    for good in (4, 4.0, np.int64(4)):
+        forcing = truebeam.GustForcing(ramp, profile_m=good)
+        assert type(forcing.profile_m) is int and forcing.profile_m == 4
+        assert type(_cfg(M=good).modes_M) is int and _cfg(M=good).modes_M == 4
+        assert truebeam.project_initial(u0, None, SQUARE, good).a.shape == (4,)
+        assert len(plate.analytic_modes(SQUARE, good)) == 8
+    for bad in (1.5, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="profile_m"):
+            truebeam.GustForcing(ramp, profile_m=bad)
+        with pytest.raises(InvalidParameterError, match="modes_M"):
+            _cfg(M=bad)
+        for fields in ((u0, None), (u0, u0), (None, None)):
+            with pytest.raises(InvalidParameterError, match="M must be"):
+                truebeam.project_initial(*fields, SQUARE, bad)
+        with pytest.raises(InvalidParameterError, match="m_max"):
+            plate.analytic_modes(SQUARE, bad)
