@@ -454,10 +454,14 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
     runs, live = [None] * len(lanes), []
     if linear is not None:
         k = np.asarray(linear.stiffness, dtype=float)
-        if len(lanes) != 1 or k.ndim != 2 or 2 * k.size != np.size(lanes[0].y0):
-            raise InvalidParameterError("linear blocks take one lane and match its state")
-        linear = LinearBlocks(k, np.broadcast_to(np.asarray(
-            linear.damping, dtype=float), k.shape), tuple(linear.kinks))
+        try:  # damping that does not broadcast to k fails too
+            if len(lanes) != 1 or k.ndim != 2 or 2 * k.size != np.size(lanes[0].y0):
+                raise ValueError
+            linear = LinearBlocks(k, np.broadcast_to(np.asarray(
+                linear.damping, dtype=float), k.shape), tuple(linear.kinks))
+        except ValueError:
+            raise InvalidParameterError(
+                "linear blocks take one lane and match its state") from None
     for b, lane in enumerate(lanes):
         try:  # each lane starts as it does alone
             y, t = np.array(lane.y0, dtype=float), float(lane.t0)

@@ -114,9 +114,9 @@ def _parse_param_spec(spec: str):
 
 
 def _set_param(config: dict, dotted: str, value: float) -> None:
-    """Set parameters[dotted.path] = value; a bare name that is absent at
-    the top level is resolved against nested parameter objects when the
-    match is unique."""
+    """Set parameters[dotted.path] = value, each name a key of an object or
+    the index of a list entry; a bare name that is absent at the top level
+    is resolved against nested parameter objects when the match is unique."""
     node = config["parameters"]
     keys = dotted.split(".")
     if len(keys) == 1 and keys[0] not in node:
@@ -126,11 +126,10 @@ def _set_param(config: dict, dotted: str, value: float) -> None:
             hits[0][keys[0]] = value
             return
         raise KeyError(dotted)
-    for key in keys[:-1]:
-        node = node[key]
-    if keys[-1] not in node:
-        raise KeyError(dotted)
-    node[keys[-1]] = value
+    for name in keys:  # a list index: a non-negative integer in range
+        key = int(name) if isinstance(node, list) and name.isdecimal() else name
+        parent, node = node, node[key]
+    parent[key] = value
 
 
 def _cmd_sweep(args) -> int:
@@ -149,7 +148,7 @@ def _cmd_sweep(args) -> int:
         pt = copy.deepcopy(config)
         try:
             _set_param(pt, name, v)
-        except (KeyError, TypeError):
+        except (LookupError, TypeError):
             print(f"parameter path {name!r} not found in config", file=sys.stderr)
             return EXIT_PARSE
         # %g names, at repr precision where %g would merge distinct points
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("config", help="path to a scenario JSON")
     sweep_p.add_argument("--param", required=True,
                          help="sweep spec name=start:stop:step "
-                              "(dotted names descend into parameters)")
+                              "(dotted names descend into parameters and lists)")
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="parallel worker processes")
     sweep_p.add_argument("--out", help="output directory")

@@ -13,7 +13,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from ._quad import tensor_grid
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _number
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ class EnergyLedger:
 
 
 def make_ledger(total_E: float, schedule: Sequence[float]) -> EnergyLedger:
-    return EnergyLedger(float(total_E), tuple(float(s) for s in schedule))
+    return EnergyLedger(_number(total_E, "total_E"),
+                        tuple(_number(s, "schedule") for s in schedule))
 
 
 def switch_state(ledger: EnergyLedger) -> int:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _number
 
 
 def _holds(nl):
@@ -164,12 +164,13 @@ class Nonlinearity:
 
 def make_nonlinearity(kind: str, params: Optional[dict] = None, **kw) -> Nonlinearity:
     """Build a validated Nonlinearity from the parameters its kind reads;
-    raises InvalidParameterError on any other parameter or a bad value."""
+    raises InvalidParameterError on any other parameter or a bad value,
+    a bool or a str included."""
     given = {**(params or {}), **kw}
     unknown = set(given) - set(KINDS.get(kind, ()))
     if unknown:
         raise InvalidParameterError(f"{kind} does not read {sorted(unknown)}")
-    nl = Nonlinearity(kind=kind, **given)
+    nl = Nonlinearity(kind=kind, **{k: _number(v, k) for k, v in given.items()})
     for ok, message in _LAWS[kind].checks:
         if not ok(nl):
             raise InvalidParameterError(message)

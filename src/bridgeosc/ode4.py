@@ -98,7 +98,8 @@ class OdeFamily:
 
 
 def _merged(records):
-    """A record of records' fields: each a shared value, else an (L,) array."""
+    """A record of records' fields: each a shared value (one record's own, nl
+    included), which rounds as equal entries would, else an (L,) array."""
     def merged(name):
         values = [getattr(r, name) for r in records]
         if all(v == values[0] for v in values):
@@ -106,16 +107,6 @@ def _merged(records):
         return (Nonlinearity(**vars(_merged(values))) if name == "nl"
                 else np.array(values, dtype=float))
     return SimpleNamespace(**{f.name: merged(f.name) for f in fields(records[0])})
-
-
-def _narrowed(record, cols):
-    """record = _merged(records) at the lanes cols: each (L,) array indexed
-    by cols (an array of equal entries rounds as the one value would)."""
-    def narrowed(value):
-        if isinstance(value, Nonlinearity):
-            return Nonlinearity(**vars(_narrowed(value, cols)))
-        return value[cols] if isinstance(value, np.ndarray) else value
-    return SimpleNamespace(**{k: narrowed(v) for k, v in vars(record).items()})
 
 
 def canonical(k: float, nl: Nonlinearity) -> OdeFamily:
@@ -226,7 +217,8 @@ def integrate(family: OdeFamily, state0, cfg: IntegratorConfig) -> Trajectory:
 def integrate_lanes(runs) -> list:
     """integrate(family, state0, cfg) of each triple of runs, as lanes of
     one DOP853 state for runs of one family kind, force law and exponent,
-    each bit for bit its integrate() run: its Trajectory or its error."""
+    each bit for bit its integrate() run: its Trajectory or its error. The
+    rhs of the live lanes is that of their families' _merged record."""
     out, groups = [None] * len(runs), {}
     for i, (family, state0, cfg) in enumerate(runs):
         try:
@@ -239,11 +231,8 @@ def integrate_lanes(runs) -> list:
             out[i] = exc
     for members in groups.values():
         at, families, lanes = zip(*members)
-        merged = _merged(families)
-        def rhs_of(cols, families=families, merged=merged):
-            if len(cols) == 1:  # the family itself, which _merged would copy
-                return families[cols[0]].rhs()
-            return OdeFamily.rhs(_narrowed(merged, cols))
+        def rhs_of(cols, families=families):
+            return OdeFamily.rhs(_merged([families[c] for c in cols]))
         for i, raw in zip(at, _rk.integrate_lanes(rhs_of, lanes, (0,))):
             out[i] = raw if isinstance(raw, InvalidParameterError) else Trajectory(raw)
     return out

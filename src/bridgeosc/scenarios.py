@@ -17,7 +17,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import energy, ode4, plate, systems, truebeam
-from .errors import InvalidParameterError, _count
+from .errors import InvalidParameterError, _count, _number
 from .io import svg_line_plot
 from .nonlin import nonlinearity_from_config
 
@@ -68,14 +68,12 @@ def _int(p: dict, key: str, default=None) -> int:
     return value
 
 
-_CASTS = {"float": float, "str": str}
-
-
 def _record(cls, p: dict, **given):
-    """cls built from the entries of p named like its fields, each cast by
-    the field's annotated type; given entries pass as they are, and fields
-    absent from both keep the dataclass default."""
-    kw = {f.name: _int(p, f.name) if f.type == "int" else _CASTS[f.type](p[f.name])
+    """cls built from the entries of p named like its fields, each int or
+    float field checked as one (cls checks the others); given entries pass
+    as they are, and fields absent from both keep the dataclass default."""
+    kw = {f.name: _int(p, f.name) if f.type == "int" else _number(p[f.name], f.name)
+          if f.type == "float" else p[f.name]
           for f in fields(cls) if f.name in p and f.name not in given}
     return cls(**kw, **given)
 
@@ -125,9 +123,10 @@ def _ode4_run(p: dict) -> tuple:
     """The (family, state0, cfg) of an ode4 scenario's parameters."""
     fam = p["family"]
     nl = nonlinearity_from_config(fam["nl"]) if "nl" in fam else None
-    kw = {k: float(v) for k, v in fam.items() if k not in ("kind", "nl")}
-    return (ode4.OdeFamily(kind=fam["kind"], nl=nl, **kw),
-            [float(v) for v in p["state0"]], _record(ode4.IntegratorConfig, p))
+    kw = {k: _number(v, k) for k, v in fam.items() if k not in ("kind", "nl")}
+    state0 = [_number(v, "state0") for v in p["state0"]]
+    return (ode4.OdeFamily(kind=fam["kind"], nl=nl, **kw), state0,
+            _record(ode4.IntegratorConfig, p))
 
 
 def _run_ode4(sc: Scenario, traj=None) -> tuple:
@@ -144,11 +143,12 @@ def _run_system(sc: Scenario) -> tuple:
     p = sc.parameters
     nl = nonlinearity_from_config(p["nl"])
     cfg = _record(ode4.IntegratorConfig, p)
-    s0 = [float(v) for v in p["state0"]]
+    s0 = [_number(v, "state0") for v in p["state0"]]
     if sc.model == "coupled":
         traj = systems.integrate_coupled(_record(systems.McKennaParams, p), nl, s0, cfg)
     elif sc.model == "truesystem":
-        traj = systems.integrate_truesystem(float(p.get("omega2", 3.0)), nl, s0, cfg)
+        traj = systems.integrate_truesystem(_number(p.get("omega2", 3.0), "omega2"),
+                                            nl, s0, cfg)
     else:
         params = _record(systems.MiosystParams, p)
         traj = systems.integrate_miosyst(params, nl, s0, cfg)
@@ -167,8 +167,9 @@ def _run_system(sc: Scenario) -> tuple:
 def _run_scanlan(sc: Scenario) -> tuple:
     p = sc.parameters
     sol = systems.solve_scanlan(
-        _record(systems.ScanlanParams, p), float(p.get("theta0", 1.0)),
-        float(p.get("thetad0", 0.0)), float(p["t_end"]), _int(p, "n_samples", 2001))
+        _record(systems.ScanlanParams, p), _number(p.get("theta0", 1.0), "theta0"),
+        _number(p.get("thetad0", 0.0), "thetad0"), _number(p["t_end"], "t_end"),
+        _int(p, "n_samples", 2001))
     payload = json.dumps({"growth_exponent": sol.growth_exponent,
                           "roots": [[r.real, r.imag] for r in sol.roots]},
                          allow_nan=False)
@@ -184,7 +185,7 @@ def _run_modes(sc: Scenario) -> tuple:
         summary = (f"navier S={p['navier_S']}: {len(modes)} modes "
                    + " ".join(f"({m.m_index},{m.n_index})" for m in modes))
     else:
-        geom = plate.PlateGeom(**{k: float(v) for k, v in p["geom"].items()})
+        geom = plate.PlateGeom(**{k: _number(v, k) for k, v in p["geom"].items()})
         modes = plate.analytic_modes(geom, _int(p, "m_max", 4))
         worst = max(plate.verify_mode(geom, md, bc, 32).max_residual
                     for md in modes for bc in ("eigen1", "eigen2"))
@@ -215,23 +216,24 @@ def _run_energy(sc: Scenario) -> tuple:
 
 def _run_truebeam(sc: Scenario) -> tuple:
     p = sc.parameters
-    geom = plate.PlateGeom(**{k: float(v) for k, v in p["geom"].items()})
+    geom = plate.PlateGeom(**{k: _number(v, k) for k, v in p["geom"].items()})
     nl = nonlinearity_from_config(p["nl"])
     fc = p.get("forcing")
     _check_read("forcing", fc or {}, [truebeam.GustForcing])
     forcing = _record(truebeam.GustForcing, fc, breakpoints=tuple(
-        (float(t), float(a)) for t, a in fc["breakpoints"])) if fc else None
+        (_number(t, "breakpoints"), _number(a, "breakpoints"))
+        for t, a in fc["breakpoints"])) if fc else None
     cfg = _record(truebeam.TrueBeamConfig, p, geom=geom, nl=nl, forcing=forcing)
     M = cfg.modes_M
     arrs = {key: np.zeros(M) for key in ("a", "ad", "b", "bd")}
     s0 = p.get("state0", {})
     _check_read("state0", s0, keys=arrs)
     for key, vals in s0.items():
-        arrs[key][:len(vals)] = [float(v) for v in vals]
+        arrs[key][:len(vals)] = [_number(v, f"state0.{key}") for v in vals]
     traj = truebeam.integrate_truebeam(
-        cfg, truebeam.ModalState(0.0, **arrs), float(p["t_end"]),
+        cfg, truebeam.ModalState(0.0, **arrs), _number(p["t_end"], "t_end"),
         freeze_switch=p.get("freeze_switch"),
-        **{k: float(p[k]) for k in ("rel_tol", "abs_tol") if k in p})
+        **{k: _number(p[k], k) for k in ("rel_tol", "abs_tol") if k in p})
     return (f"termination={traj.termination} switch_events={len(traj.events)}",
             [(".csv", traj.to_csv), (".json", _text(traj.events_json())),
              (".svg", _plot(traj.ts, [traj.ys[:, 0], traj.ys[:, 2 * M]],

@@ -161,7 +161,7 @@ class ModalState:
         arrs = (self.a, self.ad, self.b, self.bd)
         if len({arr.shape for arr in arrs}) != 1:
             raise InvalidParameterError("modal arrays must share one length")
-        if not all(np.all(np.isfinite(arr)) for arr in arrs):
+        if not all(np.all(np.isfinite(x)) for x in (self.t, *arrs)):
             raise InvalidParameterError("modal state must be finite")
 
     @property
@@ -404,10 +404,11 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
 
     The switch is a pure function of the configured gust, so its flip times
     are located up front, in closed form; integration restarts at each flip
-    with the penalty moved to the newly constrained family. freeze_switch
-    (+1 or -1) pins the switch for diagnostic runs.
+    with the penalty moved to the newly constrained family. A config without
+    forcing runs the zero gust, one breakpoint at state0.t. freeze_switch
+    (+1 or -1, not a bool) pins the switch for diagnostic runs.
     """
-    if freeze_switch not in (None, 1, -1):
+    if isinstance(freeze_switch, bool) or freeze_switch not in (None, 1, -1):
         raise InvalidParameterError("freeze_switch must be None, +1 or -1")
     M = cfg.modes_M
     if state0.a.size != M:
@@ -418,27 +419,19 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
         raise InvalidParameterError("t_end must exceed the initial time")
     proj, proj_err = _make_projector(cfg, y0)
 
-    forcing = cfg.forcing
-    crossings: List[float] = []
-    kinks = [] if forcing is None else [tb for tb, _ in forcing.breakpoints]
-    if forcing is not None:
-        amp = lambda t: float(forcing.amp(t))
-        profile = proj.project(forcing.profile_values(
-            cfg.geom, proj.x1[:, None], proj.x2[None, :]))
-        prof_norm2 = forcing.profile_norm2(cfg.geom)
-        if freeze_switch is None:
-            crossings = forcing.threshold_crossings(
-                cfg.geom, cfg.threshold_Ebar, t0, t_end)
-    else:
-        amp = lambda t: 0.0
-        profile = np.zeros((2, M))
+    forcing = cfg.forcing or GustForcing(((t0, 0.0),))  # no kink, no crossing
+    amp = lambda t: float(forcing.amp(t))
+    profile = proj.project(forcing.profile_values(
+        cfg.geom, proj.x1[:, None], proj.x2[None, :]))
+    prof_norm2 = forcing.profile_norm2(cfg.geom)
+    crossings = [] if freeze_switch is not None else forcing.threshold_crossings(
+        cfg.geom, cfg.threshold_Ebar, t0, t_end)
+    kinks = [tb for tb, _ in forcing.breakpoints]
 
     def switch_of(t):
         """Switch value(s) at time(s) t: pinned, or the law on the gust energy."""
         if freeze_switch is not None:
             return int(freeze_switch)
-        if forcing is None:
-            return switch_value(0.0, cfg.threshold_Ebar)
         return switch_value(np.square(forcing.amp(t)) * prof_norm2,
                             cfg.threshold_Ebar)
 

@@ -536,6 +536,43 @@ def test_rejected_settings_exit_3_and_write_nothing(tmp_path, run, parameters):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("run, parameters, key", [
+    (*_with("ode4", family={"k_coef": True}), "k_coef"),
+    (*_with("ode4", family={"k_coef": "3"}), "k_coef"),
+    (*_with("ode4", family={"nl": {"kind": "cubic", "params": {"epsilon": True}}}),
+     "epsilon"),
+    (*_with("ode4", family={"nl": {"kind": "cubic", "params": {"epsilon": "1"}}}),
+     "epsilon"),
+    (*_with("ode4", state0=[True, 0, 0, 0]), "state0"),
+    (*_with("ode4", t_end=True), "t_end"),
+    (*_with("ode4", t_end="20"), "t_end"),
+    (*_with("coupled", mass_m=True), "mass_m"),
+    (*_with("truesystem", omega2="3"), "omega2"),
+    (*_with("scanlan", theta0=True), "theta0"),
+    (*_with("scanlan", t_end="10"), "t_end"),
+    (*_with("modes-geom", geom={"length_L": True}), "length_L"),
+    (*_with("flutter", omega_B="1"), "omega_B"),
+    (*_with("energy", total_E=True), "total_E"),
+    (*_with("energy", schedule=[1.0, "2"]), "schedule"),
+    (*_with("truebeam", modes_M=True), "modes_M"),
+    (*_with("truebeam", freeze_switch=True), "freeze_switch"),
+    (*_with("truebeam", forcing={"breakpoints": [[0.0, 0.0], [2.0, True]]}),
+     "breakpoints"),
+    (*_with("truebeam", state0={"a": ["0.5"]}), "state0.a"),
+    (*_with("truebeam", rel_tol=True), "rel_tol"),
+    (*_with("truebeam", t_end="5"), "t_end"),
+])
+def test_a_bool_or_a_string_for_a_number_exits_3_naming_its_key(
+        tmp_path, capsys, run, parameters, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "bad", "model": run.split("-")[0],
+                               "parameters": parameters}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("run, key, fraction", [
     ("truebeam", "modes_M", 1.7), ("scanlan", "n_samples", 10.9),
     ("modes-geom", "m_max", 2.5), ("modes", "navier_S", 25.5)])
@@ -636,6 +673,33 @@ def test_sweep_artifacts_equal_across_jobs_and_single_runs(tmp_path, capsys):
         re.findall(r"termination=(\w+)", outs["1"]))
     assert len(_files(one)) == 15
     assert _files(tmp_path / "1") == _files(tmp_path / "2") == _files(one)
+
+
+def test_sweep_over_a_list_entry_equals_single_runs(tmp_path, capsys):
+    # state0.0 is w(0); each point's files are those of its own run, and a
+    # negative or out-of-range index is no path
+    cfg = tmp_path / "w0.json"
+    cfg.write_text(json.dumps(_blowup_sweep_config("w0")))
+    outs = {}
+    for jobs in ("1", "2"):
+        assert main(["sweep", str(cfg), "--param", "state0.0=0.9:1:0.1",
+                     "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        outs[jobs] = capsys.readouterr().out
+    one, lines = tmp_path / "one", []
+    for w0 in ("0.9", "1"):
+        point = _blowup_sweep_config(f"w0_state0-0={w0}")
+        point["parameters"]["state0"][0] = float(w0)
+        (tmp_path / "pt.json").write_text(json.dumps(point))
+        assert main(["run", str(tmp_path / "pt.json"), "--out", str(one)]) == 0
+        lines.append(capsys.readouterr().out)
+    assert outs["1"] == outs["2"] == "".join(lines)
+    assert len(_files(one)) == 6
+    assert _files(tmp_path / "1") == _files(tmp_path / "2") == _files(one)
+    for name in ("state0.-1", "state0.4", "state0.0.0", "family.kind.0"):
+        assert main(["sweep", str(cfg), "--param", f"{name}=1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"parameter path {name!r} not found" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_longer_than_a_batch(tmp_path, capsys, monkeypatch):

@@ -202,26 +202,16 @@ def test_a_batch_that_shrinks_to_one_lane():
     assert all(lane.events for lane in lanes)
 
 
-def test_a_group_merges_its_families_once(monkeypatch):
-    # lanes of two groups end one by one: each step-method rebuild narrows
-    # the group's one merged record to the lanes left, bit for bit, also
-    # once the lanes left share their force law (j >= 3) and k (j >= 4)
-    merges, merged = [], ode4._merged
-
-    def counted(records):
-        if isinstance(records[0], ode4.OdeFamily):
-            merges.append(len(records))
-        return merged(records)
-
+def test_lanes_ending_one_by_one_run_on_the_families_left():
+    # lanes of two groups end one by one: each step-method rebuild merges
+    # the families of the lanes left, bit for bit, also once those lanes
+    # share their force law (j >= 3) and k (j >= 4)
     runs = [(bo.canonical(2.0 + 0.25 * (j < 4), _nl("cubic", 1.0 + (j < 3))),
              [0.5 + 0.1 * j, 0.0, 0.0, 0.0], bo.IntegratorConfig(t_end=1.0 + j))
             for j in range(6)]
     runs += [(bo.general(0.1, 2.0, 0.05 * j, 1.0, 1.5), [0.3, 0.0, 0.0, 0.0],
               bo.IntegratorConfig(t_end=2.0 + j)) for j in range(3)]
-    monkeypatch.setattr(ode4, "_merged", counted)
     lanes = ode4.integrate_lanes(runs)
-    assert merges == [6, 3]
-    monkeypatch.undo()
     for lane, run in zip(lanes, runs):
         _assert_same_run(lane, ode4.integrate(*run))
 
@@ -254,3 +244,13 @@ def test_step_budget_counts_rejected_attempts_and_bounds_the_exponential_path(
 
 def test_terminations_name_the_budget():
     assert STEP_BUDGET == "step_budget" and STEP_BUDGET in ode4.TERMINATIONS
+
+
+@pytest.mark.parametrize("damping", [np.zeros((1, 3)), np.zeros(3),
+                                     np.zeros((2, 1, 2))])
+def test_linear_blocks_with_damping_of_another_shape_are_refused(damping):
+    # damping broadcasts to the stiffness shape, (1, 2) here, or is refused
+    # as the other mismatches are, not with numpy's broadcast error
+    with pytest.raises(InvalidParameterError, match="linear blocks take one lane"):
+        integrate_adaptive(lambda t, y: np.zeros(4), 0.0, np.zeros(4), 1.0,
+                           linear=LinearBlocks(np.ones((1, 2)), damping))

@@ -359,6 +359,41 @@ def test_freeze_switch_only_plus_or_minus_one(freeze):
                                     freeze_switch=freeze)
 
 
+@pytest.mark.parametrize("freeze", [None, 1, -1])
+@pytest.mark.parametrize("t0", [0.0, -0.5])
+@pytest.mark.parametrize("a0", [0.0, 0.4])
+def test_a_run_without_forcing_is_the_run_of_the_zero_gust(a0, t0, freeze):
+    # the zero gust: one breakpoint at the start time, so no kink inside the
+    # run and no threshold crossing
+    nl = bo.make_nonlinearity("cubic", epsilon=1.0)
+    st0 = truebeam.ModalState(t0, np.array([a0, -0.5 * a0]), np.zeros(2),
+                              np.array([a0, 0.0]), np.array([0.0, a0]))
+    bare, zero = (truebeam.integrate_truebeam(
+        _cfg(nl=nl, M=2, delta=0.3, forcing=forcing), st0, t0 + 1.0,
+        freeze_switch=freeze)
+        for forcing in (None, truebeam.GustForcing(((t0, 0.0),))))
+    for name in ("ts", "ys", "switch"):
+        a, b = getattr(bare, name), getattr(zero, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert bare.events == zero.events
+    assert bare.termination == zero.termination
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_a_modal_state_at_a_non_finite_time_is_refused(t0):
+    with pytest.raises(InvalidParameterError, match="modal state must be finite"):
+        truebeam.zero_modal_state(1, t0)
+
+
+def test_a_bool_is_no_count_and_no_switch_value():
+    with pytest.raises(InvalidParameterError, match="modes_M"):
+        _cfg(M=True)
+    for freeze in (True, False):
+        with pytest.raises(InvalidParameterError, match="freeze_switch"):
+            truebeam.integrate_truebeam(_cfg(), truebeam.zero_modal_state(1), 1.0,
+                                        freeze_switch=freeze)
+
+
 @pytest.mark.parametrize("t_end", [math.nan, math.inf])
 def test_truebeam_rejects_non_finite_t_end(t_end):
     with pytest.raises(InvalidParameterError):
