@@ -19,10 +19,13 @@ class EmptyTrajectoryError(BridgeError, ValueError):
 
 
 def _number(value, name: str) -> float:
-    """value as a float: an int or a float (numpy's too), not a bool or a str."""
+    """value as a float: an int or a float (numpy's too) in float range, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameterError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} is beyond float range") from None
 
 
 def _count(value, name: str) -> int:

@@ -165,12 +165,15 @@ class Nonlinearity:
 def make_nonlinearity(kind: str, params: Optional[dict] = None, **kw) -> Nonlinearity:
     """Build a validated Nonlinearity from the parameters its kind reads;
     raises InvalidParameterError on any other parameter or a bad value,
-    a bool or a str included."""
+    a bool, a str, NaN or inf included."""
     given = {**(params or {}), **kw}
     unknown = set(given) - set(KINDS.get(kind, ()))
     if unknown:
         raise InvalidParameterError(f"{kind} does not read {sorted(unknown)}")
-    nl = Nonlinearity(kind=kind, **{k: _number(v, k) for k, v in given.items()})
+    values = {k: _number(v, k) for k, v in given.items()}
+    if not all(map(math.isfinite, values.values())):
+        raise InvalidParameterError(f"{kind} parameters must be finite, got {values}")
+    nl = Nonlinearity(kind=kind, **values)
     for ok, message in _LAWS[kind].checks:
         if not ok(nl):
             raise InvalidParameterError(message)

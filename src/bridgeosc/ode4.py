@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from types import SimpleNamespace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -362,9 +362,16 @@ def hamiltonian(family: OdeFamily, state) -> float:
     return float(sum(_hamiltonian_terms(family, arr[None, :]))[0])
 
 
-def _integral_drift(terms) -> Tuple[float, float]:
+def _integral_drift(terms_of: Callable, states: np.ndarray,
+                    beyond: np.ndarray) -> Tuple[float, float]:
     """(max |I - I0|, the same relative to 1 + the largest term magnitude)
-    for a first integral I given as the sum of its term arrays."""
+    for the first integral I = sum(terms_of(rows)), over the rows of states
+    before the first one beyond the cap; (0, 0) for fewer than two rows."""
+    over = np.flatnonzero(beyond)
+    rows = states[:over[0] if len(over) else len(states)]
+    if len(rows) < 2:
+        return 0.0, 0.0
+    terms = terms_of(rows)
     values = sum(terms)
     drift = float(np.max(np.abs(values - values[0])))
     return drift, drift / (1.0 + float(np.max(sum(np.abs(t) for t in terms))))
@@ -379,12 +386,8 @@ def hamiltonian_drift(family: OdeFamily, traj: Trajectory,
     O(1); float64 can only resolve conservation relative to that term scale,
     so the relative figure uses 1 + max term magnitude as denominator.
     """
-    states = traj.states
-    over = np.where(np.abs(states[:, 0]) > w_cap)[0]
-    end = over[0] if len(over) else len(states)
-    if end < 2:
-        return 0.0, 0.0
-    return _integral_drift(_hamiltonian_terms(family, states[:end]))
+    return _integral_drift(lambda rows: _hamiltonian_terms(family, rows),
+                           traj.states, np.abs(traj.states[:, 0]) > w_cap)
 
 
 def check_tech(k: float, state0) -> bool:

@@ -181,6 +181,7 @@ def _run_scanlan(sc: Scenario) -> tuple:
 def _run_modes(sc: Scenario) -> tuple:
     p = sc.parameters
     if "navier_S" in p:
+        _check_read("modes with navier_S", p, keys=["navier_S"])
         modes = plate.navier_square_search(_int(p, "navier_S"))
         summary = (f"navier S={p['navier_S']}: {len(modes)} modes "
                    + " ".join(f"({m.m_index},{m.n_index})" for m in modes))

@@ -221,12 +221,8 @@ def first_integral_drift(params: MiosystParams, nl: Nonlinearity,
                          ) -> Tuple[float, float]:
     """(max |E - E0|, same relative to the running term magnitude) over the
     initial window where |w|, |w'|, |w''|, |w'''| all stay within cap."""
-    states = traj.states
-    over = np.where(np.max(np.abs(states), axis=1) > cap)[0]
-    end = over[0] if len(over) else len(states)
-    if end < 2:
-        return 0.0, 0.0
-    return _integral_drift(_first_integral_terms(params, nl, states[:end]))
+    return _integral_drift(lambda rows: _first_integral_terms(params, nl, rows),
+                           traj.states, np.max(np.abs(traj.states), axis=1) > cap)
 
 
 def check_initial_oscill(params: MiosystParams, s0) -> bool:

@@ -573,6 +573,59 @@ def test_a_bool_or_a_string_for_a_number_exits_3_naming_its_key(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("run, parameters, key", [
+    (*_with("ode4", t_end=10 ** 400), "t_end"),
+    (*_with("ode4", family={"k_coef": -10 ** 400}), "k_coef"),
+    (*_with("ode4", family={"nl": {"kind": "cubic", "params": {"epsilon": 10 ** 400}}}),
+     "epsilon"),
+    (*_with("truebeam", forcing={"breakpoints": [[0.0, 0.0], [2.0, 10 ** 400]]}),
+     "breakpoints"),
+    (*_with("energy", total_E=10 ** 400), "total_E"),
+])
+def test_an_integer_beyond_float_range_exits_3_naming_its_key(
+        tmp_path, capsys, run, parameters, key):
+    # JSON integers have no range: a 401-digit one reaches float() intact
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "big", "model": run,
+                               "parameters": parameters}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("run, value", [
+    ("ode4", math.nan), ("coupled", math.inf), ("truebeam", -math.inf)])
+def test_a_non_finite_force_law_parameter_exits_3(tmp_path, capsys, run, value):
+    # mckenna_cubic's checks read d_cub alone: a NaN sigma_f made f NaN
+    law = {"kind": "mckenna_cubic", "params": {"sigma_f": value}}
+    _, params = _with(run, **({"family": {"nl": law}} if run == "ode4"
+                              else {"nl": law}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "nan", "model": run,
+                               "parameters": params}))  # NaN/Infinity literals
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    # refused as a parameter, not by the solver's check of its first rhs
+    assert "mckenna_cubic parameters must be finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_modes_with_navier_s_reads_no_other_key(tmp_path, capsys):
+    # the Navier search would run and drop geom (its negative length too)
+    # and m_max unread
+    params = {"navier_S": 25, "m_max": 3,
+              "geom": {"length_L": -1.0, "half_width_l": 0.5}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "m", "model": "modes",
+                               "parameters": params}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert ("modes with navier_S does not read ['geom', 'm_max']"
+            in capsys.readouterr().err)
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("run, key, fraction", [
     ("truebeam", "modes_M", 1.7), ("scanlan", "n_samples", 10.9),
     ("modes-geom", "m_max", 2.5), ("modes", "navier_S", 25.5)])

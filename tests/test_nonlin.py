@@ -305,3 +305,12 @@ def test_unknown_kind_is_rejected_on_construction():
 def test_nan_parameter_fails_its_check(kind, params):
     with pytest.raises(InvalidParameterError):
         bo.make_nonlinearity(kind, params)
+
+
+@pytest.mark.parametrize("kind, param", [
+    (kind, param) for kind, params in nonlin.KINDS.items() for param in params])
+def test_a_non_finite_parameter_is_refused_whatever_its_checks_read(kind, param):
+    # mckenna_cubic's checks read d_cub alone, so sigma_f = NaN made f(0.5) NaN
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            bo.make_nonlinearity(kind, {param: value})

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -293,11 +294,12 @@ def _analytic_flips(ramp, level, t0, t1):
 @pytest.mark.parametrize("ramp", _RAMPS)
 def test_threshold_crossings_match_closed_form(profile, ramp):
     geom = NARROW
-    forcing = truebeam.GustForcing(breakpoints=ramp, profile=profile,
-                                   profile_m=2)
     norm2 = _PROFILE_NORM2[profile](geom)
     peak = max(abs(v) for _, v in ramp)
-    for ebar in (0.3 * peak ** 2 * norm2, 0.01 * peak ** 2 * norm2):
+    for profile_m, ebar in itertools.product(
+            (2, 32, 64), (0.3 * peak ** 2 * norm2, 0.01 * peak ** 2 * norm2)):
+        forcing = truebeam.GustForcing(breakpoints=ramp, profile=profile,
+                                       profile_m=profile_m)
         for t0, t1 in ((0.0, 4.0), (0.6, 3.0)):
             got = forcing.threshold_crossings(geom, ebar, t0, t1)
             want = _analytic_flips(ramp, math.sqrt(ebar / norm2), t0, t1)
@@ -309,6 +311,40 @@ def test_threshold_crossings_match_closed_form(profile, ramp):
             ts = np.linspace(t0, t1, 20001)[1:-1]
             side = forcing.energy(geom, ts) > ebar
             assert np.count_nonzero(side[1:] != side[:-1]) == len(got)
+
+
+@pytest.mark.parametrize("profile", ["uniform", "vertical", "torsional"])
+@pytest.mark.parametrize("profile_m", [1, 2, 16, 32, 64, 100, 1000])
+def test_profile_norm2_is_the_closed_form(profile, profile_m):
+    # a Gauss rule of fixed size cannot integrate sin^2 of a high index
+    forcing = truebeam.GustForcing(((0.0, 1.0),), profile, profile_m)
+    for geom in (NARROW, SQUARE):
+        want = _PROFILE_NORM2[profile](geom)
+        assert forcing.profile_norm2(geom) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("profile", ["uniform", "vertical", "torsional"])
+@pytest.mark.parametrize("M", [1, 4, 8])
+def test_modal_load_matches_a_fine_projection(profile, M):
+    for geom, profile_m in itertools.product((NARROW, SQUARE), range(1, M + 1)):
+        forcing = truebeam.GustForcing(((0.0, 1.0),), profile, profile_m)
+        proj = truebeam._Projector(geom, M, 64, 8)
+        want = proj.project(forcing.profile_values(geom, proj.x1[:, None],
+                                                   proj.x2[None, :]))
+        load = forcing.modal_load(M)
+        assert load.shape == (2, M) and np.max(np.abs(load - want)) <= 1e-13
+
+
+def test_a_profile_mode_above_the_truncation_loads_no_mode():
+    # sin(100 pi x1 / L) is orthogonal to the four retained modes, so a
+    # strong steady gust of it leaves the plate at rest; a projection on
+    # the 16-point grid would alias it onto them. Its energy still sets the
+    # switch.
+    gust = truebeam.GustForcing(((0.0, 1e3),), "vertical", 100)
+    traj = truebeam.integrate_truebeam(_cfg(M=4, forcing=gust),
+                                       truebeam.zero_modal_state(4), 1.0)
+    assert traj.termination == "reached_t_end"
+    assert np.all(traj.ys == 0.0) and np.all(traj.switch == -1)
 
 
 def test_threshold_crossings_outside_the_breakpoint_span():
@@ -328,6 +364,15 @@ def test_threshold_crossing_at_a_breakpoint():
     touch = truebeam.GustForcing(breakpoints=((0.0, 0.0), (1.0, 1.0),
                                               (2.0, 0.0)))
     assert touch.threshold_crossings(NARROW, ebar, 0.0, 4.0) == []
+    # touching the level from above at t = 2 keeps the switch at -1 on
+    # both sides: no flip, no event and no empty segment there
+    above = truebeam.GustForcing(breakpoints=((0.0, 0.0), (1.0, 2.0),
+                                              (2.0, 1.0), (3.0, 2.0)))
+    assert above.threshold_crossings(NARROW, ebar, 0.0, 4.0) == [0.5]
+    traj = truebeam.integrate_truebeam(_cfg(Ebar=ebar, forcing=above),
+                                       truebeam.zero_modal_state(1), 3.0)
+    assert traj.events == [truebeam.SwitchEvent(0.5, -1)]
+    assert len(traj._segments) == 2
 
 
 def test_per_sample_switch_follows_the_scalar_law():
