@@ -78,11 +78,10 @@ def gust_energy(phi_field: Callable, geom, t: float,
     return float(np.sum(W * np.broadcast_to(vals, X1.shape) ** 2))
 
 
-def switch_value(total_E, threshold_Ebar: float):
+def switch_value(total_E: float, threshold_Ebar: float) -> int:
     """Switch law: +1 while the energy stays at or below the critical
-    threshold, -1 above it; elementwise, with an int for a scalar energy."""
-    s = np.where(np.asarray(total_E) <= threshold_Ebar, 1, -1)
-    return int(s) if s.ndim == 0 else s
+    threshold, -1 above it (and for a NaN energy)."""
+    return 1 if total_E <= threshold_Ebar else -1
 
 
 @dataclass(frozen=True)

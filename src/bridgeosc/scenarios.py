@@ -219,17 +219,20 @@ def _run_truebeam(sc: Scenario) -> tuple:
     p = sc.parameters
     geom = plate.PlateGeom(**{k: _number(v, k) for k, v in p["geom"].items()})
     nl = nonlinearity_from_config(p["nl"])
-    fc = p.get("forcing")
+    fc = p.get("forcing")  # absent or null: the zero gust
     _check_read("forcing", fc or {}, [truebeam.GustForcing])
     forcing = _record(truebeam.GustForcing, fc, breakpoints=tuple(
         (_number(t, "breakpoints"), _number(a, "breakpoints"))
-        for t, a in fc["breakpoints"])) if fc else None
+        for t, a in fc["breakpoints"])) if fc is not None else None
     cfg = _record(truebeam.TrueBeamConfig, p, geom=geom, nl=nl, forcing=forcing)
     M = cfg.modes_M
     arrs = {key: np.zeros(M) for key in ("a", "ad", "b", "bd")}
     s0 = p.get("state0", {})
     _check_read("state0", s0, keys=arrs)
     for key, vals in s0.items():
+        if len(vals) > M:
+            raise InvalidParameterError(
+                f"state0.{key} has {len(vals)} entries, more than modes_M = {M}")
         arrs[key][:len(vals)] = [_number(v, f"state0.{key}") for v in vals]
     traj = truebeam.integrate_truebeam(
         cfg, truebeam.ModalState(0.0, **arrs), _number(p["t_end"], "t_end"),

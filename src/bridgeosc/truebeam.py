@@ -214,26 +214,26 @@ class ModalTrajectory(RawTrajectory):
 
     The samples are each segment's accepted steps plus dense-output points
     between them, at most 1/16 of the segment's shortest linear period
-    apart, so that the rows resolve every mode's oscillation. eval uses the
-    interpolant of the segment holding t, in which a flip time belongs to
-    the segment starting there. switch_of(ts) gives the switch at the
-    samples, and samples holds the rows as ModalStates.
+    apart, so that the rows resolve every mode's oscillation. A flip time
+    belongs to the segment starting there, whose switch (of switches, one
+    per segment) its sample, its event, eval and state_at all read.
+    samples holds the rows as ModalStates.
 
     projection_grid is the (x1, x2) Gauss grid of the projected
     nonlinearity and projection_error its last grid-convergence error.
     """
     _coefficients = map_linear = ExpTrajectory._coefficients  # no contd8 either
 
-    def __init__(self, segments, switch_of: Callable,
-                 events: List[SwitchEvent], termination: str,
+    def __init__(self, segments, switches: List[int], termination: str,
                  projection_grid: Tuple[int, int], projection_error: float):
-        ts, ys = _sample(segments)
+        ts, ys, counts = _sample(segments)
         super().__init__(ts, ys, None, termination,
                          sum(seg.n_rejected for seg in segments))
         self._segments = segments  # one ExpTrajectory per switch interval
-        self._starts = np.array([seg.ts[0] for seg in segments[1:]])
-        self.switch = np.broadcast_to(switch_of(self.ts), self.ts.shape).astype(int)
-        self.events = events
+        self.switch = np.repeat(switches, counts)
+        self.events = [SwitchEvent(float(seg.ts[0]), s)
+                       for seg, s in zip(segments[1:], switches[1:])]
+        self._starts = np.array([ev.t_switch for ev in self.events])
         self.projection_grid = projection_grid
         self.projection_error = projection_error
 
@@ -275,9 +275,9 @@ class ModalTrajectory(RawTrajectory):
 
 
 def _sample(segments):
-    """Sample times and states of the stitched run: every accepted step
-    split into equal parts no longer than 1/16 of the shortest linear period
-    of its segment's blocks, evaluated on the segment's interpolant."""
+    """Sample times, states and per-segment counts (the final sample is the
+    last segment's): each accepted step split into equal parts at most 1/16
+    of the shortest linear period of its blocks, on its segment's interpolant."""
     grids = []
     for seg in segments:
         spacing = 0.125 * math.pi / math.sqrt(float(np.max(seg.blocks.stiffness)))
@@ -286,7 +286,9 @@ def _sample(segments):
         idx = np.repeat(np.arange(len(h)), parts)
         first = np.cumsum(parts) - parts
         grids.append((idx, (np.arange(idx.size) - first[idx]) / parts[idx], h[idx]))
-    size = sum(len(idx) for idx, _, _ in grids) + 1
+    counts = [len(idx) for idx, _, _ in grids]
+    counts[-1] += 1
+    size = sum(counts)
     ts, ys = np.empty(size), np.empty((size, segments[0].ys.shape[1]))
     lo = 0
     for seg, (idx, theta, h) in zip(segments, grids):
@@ -295,7 +297,7 @@ def _sample(segments):
         seg._interpolate(idx, theta, out=ys[sl])
         lo += len(idx)
     ts[-1], ys[-1] = segments[-1].ts[-1], segments[-1].ys[-1]
-    return ts, ys
+    return ts, ys, counts
 
 
 class _Projector:
@@ -431,33 +433,25 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
     crossings = [] if freeze_switch is not None else forcing.threshold_crossings(
         cfg.geom, cfg.threshold_Ebar, t0, t_end)
     kinks = [tb for tb, _ in forcing.breakpoints]
-
-    def switch_of(t):
-        """Switch value(s) at time(s) t: pinned, or the law on the gust energy."""
-        if freeze_switch is not None:
-            return int(freeze_switch)
-        return switch_value(forcing.energy(cfg.geom, t), cfg.threshold_Ebar)
-
     rhs = _make_rhs(cfg, proj, forcing.amp, forcing.modal_load(M))
     bounds = [t0] + crossings + [t_end]  # ascending: every segment is non-empty
-    segments = []
-    events: List[SwitchEvent] = []
+    segments, switches = [], []
     termination = REACHED_T_END
     y = y0
     for lo, hi in zip(bounds, bounds[1:]):
-        seg_switch = switch_of(0.5 * (lo + hi))
-        if lo > t0:
-            events.append(SwitchEvent(float(lo), int(seg_switch)))
+        # pinned, or the law at the midpoint: the switch is constant in (lo, hi)
+        switches.append(int(freeze_switch or switch_value(
+            forcing.energy(cfg.geom, 0.5 * (lo + hi)), cfg.threshold_Ebar)))
         raw = integrate_adaptive(
             rhs, lo, y, hi, rtol=rel_tol, atol=abs_tol,
             stop_indices=tuple(range(4 * M)), stop_threshold=BLOWUP_MODAL_NORM,
-            linear=_linear_blocks(cfg, seg_switch, kinks))
+            linear=_linear_blocks(cfg, switches[-1], kinks))
         segments.append(raw)
         y = raw.ys[-1]
         if raw.termination != REACHED_T_END:
             termination = raw.termination
             break
-    return ModalTrajectory(segments, switch_of, events, termination,
+    return ModalTrajectory(segments, switches, termination,
                            (len(proj.x1), len(proj.x2)), proj_err)
 
 

@@ -913,3 +913,84 @@ def test_sweep_jobs_are_at_least_one_and_at_most_the_usable_cpus(
     assert workers == [3, 2, 5]
     assert _files(tmp_path / "5000") == _files(tmp_path / "2") == _files(
         tmp_path / "cpu_count")
+
+
+def _run_config(tmp_path, config, out="o"):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return main(["run", str(cfg), "--out", str(tmp_path / out)])
+
+
+@pytest.mark.parametrize("forcing", [{}, [], {"profile": "vertical"}],
+                         ids=["empty-object", "empty-list", "no-breakpoints"])
+def test_a_truebeam_forcing_without_breakpoints_exits_2(tmp_path, capsys, forcing):
+    # only an absent or null forcing is the zero gust
+    _, params = _with("truebeam", forcing=None)
+    params["forcing"] = forcing
+    assert _run_config(tmp_path, {"name": "f", "model": "truebeam",
+                                  "parameters": params}) == 2
+    assert "config error" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_null_truebeam_forcing_is_an_absent_one(tmp_path):
+    _, params = _with("truebeam", forcing=None)
+    assert _run_config(tmp_path, {"name": "f", "model": "truebeam",
+                                  "parameters": params}, "null") == 0
+    del params["forcing"]
+    assert _run_config(tmp_path, {"name": "f", "model": "truebeam",
+                                  "parameters": params}, "absent") == 0
+    assert _files(tmp_path / "null") == _files(tmp_path / "absent")
+
+
+@pytest.mark.parametrize("key", ["a", "bd"])
+def test_a_truebeam_state0_longer_than_modes_m_exits_3_before_the_run(
+        tmp_path, capsys, monkeypatch, key):
+    from bridgeosc import truebeam
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the solver ran")
+
+    monkeypatch.setattr(truebeam, "integrate_truebeam", refuse)
+    _, params = _with("truebeam", state0={key: [0.1, 0.2, 0.3]})
+    assert _run_config(tmp_path, {"name": "s", "model": "truebeam",
+                                  "parameters": params}) == 3
+    assert (f"state0.{key} has 3 entries, more than modes_M = 1"
+            in capsys.readouterr().err)
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_truebeam_state0_shorter_than_modes_m_is_zero_padded(tmp_path):
+    _, params = _with("truebeam", modes_M=3, state0={"a": [0.5, 0.25]})
+    assert _run_config(tmp_path, {"name": "s", "model": "truebeam",
+                                  "parameters": params}) == 0
+    rows = (tmp_path / "o" / "s.csv").read_text().splitlines()
+    assert rows[0] == "t,switch,a1,a2,a3,b1,b2,b3"
+    assert [float(v) for v in rows[1].split(",")] == [
+        0.0, 1.0, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_a_sweep_grid_above_max_sweep_points_exits_2_before_any_output(
+        tmp_path, capsys):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(_tiny_ode4_config("big")))
+    out = tmp_path / "o"
+    assert main(["sweep", str(cfg), "--param", "k_coef=0:1e6:1",
+                 "--out", str(out)]) == 2
+    assert "the grid has more than 100000 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"name": "x", "parameters": {}}, "missing required key: 'model'"),
+    ({"name": "x", "model": "energy", "parameters": [2.5, [1.0, 2.0]]},
+     "parameters must be an object"),
+], ids=["no-model", "list-parameters"])
+def test_a_config_without_model_or_with_list_parameters_exits_2(
+        tmp_path, capsys, config, message):
+    assert _run_config(tmp_path, config) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())

@@ -161,10 +161,9 @@ def test_switch_event_at_configured_crossing():
     ev = traj.events[0]
     assert ev.t_switch == pytest.approx(5.0, abs=1e-6)
     assert ev.direction == -1
-    # per-sample switch agrees with the energy law
-    E = forcing.energy(cfg.geom, traj.ts)
-    expect = np.where(E <= cfg.threshold_Ebar, 1, -1)
-    assert np.array_equal(traj.switch, expect)
+    # each sample reads its segment's switch: the sample at t* (where the
+    # energy is at Ebar) is the first row of the -1 segment
+    assert np.array_equal(traj.switch, np.where(traj.ts < ev.t_switch, 1, -1))
 
 
 def test_switch_events_round_trip_json():
@@ -182,16 +181,19 @@ def test_switch_events_round_trip_json():
     assert payload[0]["direction"] == -1
 
 
-def test_energy_dissipation_with_damping():
+@pytest.mark.parametrize("freeze", [1, -1])
+def test_energy_dissipation_with_damping(freeze):
     # phi = 0, delta > 0, switch frozen: the penalty-augmented discrete
-    # energy must not increase between samples
+    # energy (the penalty of each sample's own switch) must not increase
+    # between samples
     nl = bo.make_nonlinearity("cubic", epsilon=0.5)
     cfg = _cfg(geom=SQUARE, nl=nl, M=2, delta=0.3, kappa=50.0)
     st0 = truebeam.ModalState(0.0, np.array([0.8, 0.2]), np.zeros(2),
                               np.array([0.3, -0.1]), np.zeros(2))
-    traj = truebeam.integrate_truebeam(cfg, st0, 4.0, freeze_switch=1)
+    traj = truebeam.integrate_truebeam(cfg, st0, 4.0, freeze_switch=freeze)
+    assert np.all(traj.switch == freeze)
     E = np.array([truebeam.modal_energy(cfg, traj.state_at(i),
-                                        include_penalty=True, switch=1)
+                                        include_penalty=True)
                   for i in range(len(traj.ts))])
     assert np.all(np.diff(E) <= 1e-8)
     # pure vertical start: the plain discrete energy itself dissipates
@@ -375,7 +377,7 @@ def test_threshold_crossing_at_a_breakpoint():
     assert len(traj._segments) == 2
 
 
-def test_per_sample_switch_follows_the_scalar_law():
+def test_per_sample_switch_is_its_segments():
     from bridgeosc.energy import switch_value
     gust = truebeam.GustForcing(breakpoints=((0.0, 0.0), (1.0, 10.0),
                                              (2.0, 0.0)))
@@ -385,9 +387,12 @@ def test_per_sample_switch_follows_the_scalar_law():
                               np.array([1.0]), np.zeros(1))
     traj = truebeam.integrate_truebeam(forced, st0, 3.0)
     assert len(traj.events) == 2
-    # the scalar law, sample by sample (energy() is elementwise in t)
-    law = [switch_value(float(e), 1.25)
-           for e in gust.energy(forced.geom, traj.ts)]
+    # the scalar law, sample by sample (energy() is elementwise in t), but
+    # at a flip time the direction its event enters
+    flips = {ev.t_switch: ev.direction for ev in traj.events}
+    assert set(flips) <= set(traj.ts.tolist())
+    law = [flips.get(t, switch_value(e, 1.25)) for t, e in
+           zip(traj.ts.tolist(), gust.energy(forced.geom, traj.ts).tolist())]
     assert traj.switch.tolist() == law and set(law) == {1, -1}
 
     frozen = truebeam.integrate_truebeam(forced, st0, 0.5, freeze_switch=-1)
@@ -445,11 +450,48 @@ def test_truebeam_rejects_non_finite_t_end(t_end):
         truebeam.integrate_truebeam(_cfg(), truebeam.zero_modal_state(1), t_end)
 
 
-def test_switch_value_is_elementwise_with_int_scalars():
+def test_switch_value_is_an_int():
     from bridgeosc.energy import switch_value
     assert type(switch_value(0.5, 1.0)) is int
-    assert np.array_equal(switch_value(np.array([0.5, 1.0, 1.5]), 1.0),
-                          [1, 1, -1])
+    assert switch_value(1.0, 1.0) == 1  # the threshold belongs to +1
+    assert switch_value(math.nan, 1.0) == -1
+
+
+def test_a_touch_of_the_level_from_above_keeps_the_switch_at_minus_one():
+    # amp falls to the level at the breakpoint t = 2 and rises again: the
+    # sample there lies inside the -1 segment, where there is no event
+    above = truebeam.GustForcing(breakpoints=((0.0, 0.0), (1.0, 2.0),
+                                              (2.0, 1.0), (3.0, 2.0)))
+    ebar = above.profile_norm2(NARROW)  # level 1
+    traj = truebeam.integrate_truebeam(_cfg(Ebar=ebar, M=2, forcing=above),
+                                       truebeam.zero_modal_state(2), 3.0)
+    assert traj.events == [truebeam.SwitchEvent(0.5, -1)]
+    at2 = traj.ts.tolist().index(2.0)
+    assert traj.switch[at2] == traj.state_at(at2).switch == -1
+    assert np.array_equal(traj.switch, np.where(traj.ts < 0.5, 1, -1))
+
+
+def test_each_sample_reads_the_switch_of_the_segment_eval_reads(monkeypatch):
+    # the energy sits exactly at Ebar at both flips, t = 1 and t = 3
+    gust = truebeam.GustForcing(((0.0, 0.0), (2.0, 1.0), (4.0, 0.0)))
+    cfg = _cfg(geom=SQUARE, nl=bo.make_nonlinearity("cubic", epsilon=1.0),
+               Ebar=math.pi ** 2 / 4.0, M=2, delta=0.2, forcing=gust)
+    st0 = truebeam.ModalState(0.0, np.array([0.5, 0.1]), np.zeros(2),
+                              np.array([0.5, -0.2]), np.zeros(2))
+    traj = truebeam.integrate_truebeam(cfg, st0, 4.0)
+    assert [(ev.t_switch, ev.direction) for ev in traj.events] == [
+        (1.0, -1), (3.0, 1)]
+    read = {}  # sample time -> the segment whose interpolant eval reads there
+    for k, seg in enumerate(traj._segments):
+        monkeypatch.setattr(seg, "eval", lambda t, k=k, inner=seg.eval: (
+            read.update(dict.fromkeys(np.atleast_1d(t).tolist(), k)), inner(t))[1])
+    traj.eval(traj.ts)
+    # a segment's switch is where its blocks put the penalty: vertical at -1
+    penalised = [-1 if seg.blocks.stiffness[0, 0] > cfg.lambdas()[0] else 1
+                 for seg in traj._segments]
+    assert penalised == [1, -1, 1]
+    for i, t in enumerate(traj.ts.tolist()):
+        assert traj.switch[i] == traj.state_at(i).switch == penalised[read[t]], t
 
 
 def _forced_linear_mode(x0, v0, K, c, P, ramp, t):
