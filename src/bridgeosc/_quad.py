@@ -11,9 +11,17 @@ GAUSS_8_UNIT = (np.array([0.019855071751231912, 0.10166676129318664, 0.237233795
     0.11119051722668721, 0.05061426814518853]))
 
 
+_UNIT_RULES = {}  # n -> leggauss(n), read-only: each n is computed once per process
+
+
 def gauss_nodes_1d(a: float, b: float, n: int):
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights mapped to [a, b], as new arrays."""
+    if n not in _UNIT_RULES:
+        rule = np.polynomial.legendre.leggauss(n)
+        for arr in rule:
+            arr.flags.writeable = False
+        _UNIT_RULES[n] = rule
+    x, w = _UNIT_RULES[n]
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 

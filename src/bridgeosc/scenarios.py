@@ -78,6 +78,27 @@ def _record(cls, p: dict, **given):
     return cls(**kw, **given)
 
 
+# JSON shapes a config key may be required to have, by name
+_SHAPES = {"an object": lambda v: isinstance(v, dict),
+           "a list": lambda v: isinstance(v, list),
+           "a list of [t, a] pairs": lambda v: isinstance(v, list) and all(
+               isinstance(pair, list) and len(pair) == 2 for pair in v)}
+
+
+def _shaped(value, key: str, shape: str = "an object"):
+    """value, if it has the shape named (a _SHAPES key); else a config
+    error (exit 2) naming key, met before anything runs."""
+    if not _SHAPES[shape](value):
+        raise ValueError(f"{key} must be {shape}")
+    return value
+
+
+def _law(nl, key: str):
+    """The force law of the nl object at key, whose params is an object too."""
+    _shaped(_shaped(nl, key).get("params", {}), key + ".params")
+    return nonlinearity_from_config(nl)
+
+
 def _check_read(what: str, given, records=(), keys=()) -> None:
     """Reject each key of given that is neither a field of records nor in keys."""
     known = {f.name for r in records for f in fields(r)}.union(keys)
@@ -121,10 +142,10 @@ def _blowup(traj: ode4.Trajectory) -> tuple:
 
 def _ode4_run(p: dict) -> tuple:
     """The (family, state0, cfg) of an ode4 scenario's parameters."""
-    fam = p["family"]
-    nl = nonlinearity_from_config(fam["nl"]) if "nl" in fam else None
+    fam = _shaped(p["family"], "family")
+    nl = _law(fam["nl"], "family.nl") if "nl" in fam else None
     kw = {k: _number(v, k) for k, v in fam.items() if k not in ("kind", "nl")}
-    state0 = [_number(v, "state0") for v in p["state0"]]
+    state0 = [_number(v, "state0") for v in _shaped(p["state0"], "state0", "a list")]
     return (ode4.OdeFamily(kind=fam["kind"], nl=nl, **kw), state0,
             _record(ode4.IntegratorConfig, p))
 
@@ -141,9 +162,9 @@ def _run_ode4(sc: Scenario, traj=None) -> tuple:
 
 def _run_system(sc: Scenario) -> tuple:
     p = sc.parameters
-    nl = nonlinearity_from_config(p["nl"])
+    nl = _law(p["nl"], "nl")
     cfg = _record(ode4.IntegratorConfig, p)
-    s0 = [_number(v, "state0") for v in p["state0"]]
+    s0 = [_number(v, "state0") for v in _shaped(p["state0"], "state0", "a list")]
     if sc.model == "coupled":
         traj = systems.integrate_coupled(_record(systems.McKennaParams, p), nl, s0, cfg)
     elif sc.model == "truesystem":
@@ -186,7 +207,8 @@ def _run_modes(sc: Scenario) -> tuple:
         summary = (f"navier S={p['navier_S']}: {len(modes)} modes "
                    + " ".join(f"({m.m_index},{m.n_index})" for m in modes))
     else:
-        geom = plate.PlateGeom(**{k: _number(v, k) for k, v in p["geom"].items()})
+        geom = plate.PlateGeom(**{k: _number(v, k)
+                                  for k, v in _shaped(p["geom"], "geom").items()})
         modes = plate.analytic_modes(geom, _int(p, "m_max", 4))
         worst = max(plate.verify_mode(geom, md, bc, 32).max_residual
                     for md in modes for bc in ("eigen1", "eigen2"))
@@ -217,20 +239,22 @@ def _run_energy(sc: Scenario) -> tuple:
 
 def _run_truebeam(sc: Scenario) -> tuple:
     p = sc.parameters
-    geom = plate.PlateGeom(**{k: _number(v, k) for k, v in p["geom"].items()})
-    nl = nonlinearity_from_config(p["nl"])
-    fc = p.get("forcing")  # absent or null: the zero gust
-    _check_read("forcing", fc or {}, [truebeam.GustForcing])
-    forcing = _record(truebeam.GustForcing, fc, breakpoints=tuple(
-        (_number(t, "breakpoints"), _number(a, "breakpoints"))
-        for t, a in fc["breakpoints"])) if fc is not None else None
+    geom = plate.PlateGeom(**{k: _number(v, k)
+                              for k, v in _shaped(p["geom"], "geom").items()})
+    nl = _law(p["nl"], "nl")
+    fc, forcing = p.get("forcing"), None  # absent or null: the zero gust
+    if fc is not None:
+        _check_read("forcing", _shaped(fc, "forcing"), [truebeam.GustForcing])
+        forcing = _record(truebeam.GustForcing, fc, breakpoints=tuple(
+            (_number(t, "breakpoints"), _number(a, "breakpoints")) for t, a in
+            _shaped(fc["breakpoints"], "breakpoints", "a list of [t, a] pairs")))
     cfg = _record(truebeam.TrueBeamConfig, p, geom=geom, nl=nl, forcing=forcing)
     M = cfg.modes_M
     arrs = {key: np.zeros(M) for key in ("a", "ad", "b", "bd")}
-    s0 = p.get("state0", {})
+    s0 = _shaped(p.get("state0", {}), "state0")
     _check_read("state0", s0, keys=arrs)
     for key, vals in s0.items():
-        if len(vals) > M:
+        if len(_shaped(vals, f"state0.{key}", "a list")) > M:
             raise InvalidParameterError(
                 f"state0.{key} has {len(vals)} entries, more than modes_M = {M}")
         arrs[key][:len(vals)] = [_number(v, f"state0.{key}") for v in vals]

@@ -219,8 +219,9 @@ class ModalTrajectory(RawTrajectory):
     per segment) its sample, its event, eval and state_at all read.
     samples holds the rows as ModalStates.
 
-    projection_grid is the (x1, x2) Gauss grid of the projected
-    nonlinearity and projection_error its last grid-convergence error.
+    projection_grid holds the (x1, x2) point counts of the grid that
+    projects f(u) and projection_error its convergence error (see
+    _make_projector): 0.0 on the exact midpoint grid of an odd cubic law.
     """
     _coefficients = map_linear = ExpTrajectory._coefficients  # no contd8 either
 
@@ -301,12 +302,18 @@ def _sample(segments):
 
 
 class _Projector:
-    """Gauss tensor grid, basis samples and projection weights."""
+    """Tensor grid (Gauss, or midpoints in x1), basis samples and projection weights."""
 
-    def __init__(self, geom: PlateGeom, M: int, nq1: int, nq2: int):
+    def __init__(self, geom: PlateGeom, M: int, nq1: int, nq2: int, midpoints=False):
         L, ell = geom.length_L, geom.half_width_l
-        self.x1, self.w1 = gauss_nodes_1d(0.0, L, nq1)
-        self.x2, self.w2 = gauss_nodes_1d(-ell, ell, nq2)
+        if midpoints:  # nq2 = 3: the Gauss rule in closed form
+            self.x1, self.w1 = (np.arange(nq1) + 0.5) * (L / nq1), np.full(nq1, L / nq1)
+            self.x2 = ell * np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+            self.w2 = ell * np.array([5.0, 8.0, 5.0]) / 9.0
+        else:
+            self.x1, self.w1 = gauss_nodes_1d(0.0, L, nq1)
+            self.x2, self.w2 = gauss_nodes_1d(-ell, ell, nq2)
+        self.midpoints = midpoints
         m = np.arange(1, M + 1)[:, None]
         self.SIN = np.sin(m * math.pi / L * self.x1[None, :])  # (M, nq1)
         self.norm_v = L * ell
@@ -331,24 +338,22 @@ class _Projector:
 
 
 def _make_projector(cfg: TrueBeamConfig, y0: np.ndarray) -> Tuple[_Projector, float]:
-    """Projection grid of (4M) x 8 Gauss points, doubled (at most twice)
-    until the projected nonlinearity is grid-converged to 1e-8; returns the
-    grid and its last convergence error, which stays above 1e-8 when two
-    doublings were not enough."""
-    M = cfg.modes_M
-    nq1, nq2 = max(16, 4 * M), 8
-    proj = _Projector(cfg.geom, M, nq1, nq2)
-    err = 0.0
-    for _ in range(2):
-        finer = _Projector(cfg.geom, M, 2 * nq1, 2 * nq2)
-        ab = y0.reshape(2, 2, M)[:, 0]
-        pv0, pt0 = proj.project(np.asarray(cfg.nl.f(proj.surface(ab))))
-        pv1, pt1 = finer.project(np.asarray(cfg.nl.f(finer.surface(ab))))
-        err = max(np.max(np.abs(pv0 - pv1), initial=0.0),
-                  np.max(np.abs(pt0 - pt1), initial=0.0))
+    """Projection grid of f(u) and its convergence error: for an odd f of
+    degree <= 3, 2M + 1 midpoints by 3 Gauss points, exact (error 0.0, see
+    the README); else max(16, 4M) x 8 Gauss points, doubled at most twice
+    until the projection at y0 converges to 1e-8 (else the error stays above)."""
+    M, nl = cfg.modes_M, cfg.nl
+    if nl.kind in ("linear", "cubic") or (nl.kind == "mckenna_cubic"
+                                          and nl.c_quad == 0.0):
+        return _Projector(cfg.geom, M, 2 * M + 1, 3, midpoints=True), 0.0
+    nq1, ab = max(16, 4 * M), y0.reshape(2, 2, M)[:, 0]
+    proj = _Projector(cfg.geom, M, nq1, 8)
+    for k in (2, 4):
+        finer = _Projector(cfg.geom, M, k * nq1, k * 8)
+        err = np.max(np.abs(proj.project(np.asarray(nl.f(proj.surface(ab))))
+                            - finer.project(np.asarray(nl.f(finer.surface(ab))))))
         if err <= 1e-8:
             break
-        nq1, nq2 = 2 * nq1, 2 * nq2
         proj = finer
     return proj, err
 
@@ -397,6 +402,17 @@ def _make_rhs(cfg: TrueBeamConfig, proj: _Projector, amp: Callable,
     _linear_blocks."""
     M = cfg.modes_M
     f = cfg.nl.f
+    if proj.midpoints:  # two dense (2M, 3 nq1) products, the norms in P
+        S = np.kron(proj._lift, proj.SIN)  # columns x2-major: f is pointwise
+        P = np.kron(proj._weigh.T / proj._norms, proj._SINW)
+        pos = np.r_[0:M, 2 * M:3 * M]
+        vel, load = pos + M, load.reshape(-1)
+
+        def rhs(t, y):
+            out = np.zeros(4 * M)
+            out[vel] = amp(t) * load - P @ f(y[pos] @ S)
+            return out
+        return rhs
 
     def rhs(t, y):
         out = np.zeros((2, 2, M))

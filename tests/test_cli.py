@@ -934,6 +934,59 @@ def test_a_truebeam_forcing_without_breakpoints_exits_2(tmp_path, capsys, forcin
     assert not out.exists() or not any(out.iterdir())
 
 
+def _law_cases(run):
+    """Bad shapes of a force law, at its place in run's parameters."""
+    nl = "family.nl" if run == "ode4" else "nl"
+    place = ((lambda v: {"family": {"nl": v}}) if run == "ode4"
+             else (lambda v: {"nl": v}))
+    bad_params = {"kind": "cubic", "params": "ab"}
+    return [(*_with(run, **place("cubic")), nl),
+            (*_with(run, **place([1])), nl),
+            (*_with(run, **place(bad_params)), nl + ".params")]
+
+
+@pytest.mark.parametrize("run, parameters, key", [
+    (*_with("truebeam", geom="ab"), "geom"),
+    (*_with("truebeam", geom=[1, 2]), "geom"),
+    (*_with("truebeam", geom=3), "geom"),
+    (*_with("modes-geom", geom="ab"), "geom"),
+    (*_with("truebeam", state0="ab"), "state0"),
+    (*_with("truebeam", state0=0.5), "state0"),
+    (*_with("truebeam", state0={"a": 5}), "state0.a"),
+    (*_with("truebeam", forcing="abc"), "forcing"),
+    (*_with("truebeam", forcing=5), "forcing"),
+    (*_with("truebeam", forcing=[]), "forcing"),
+    (*_with("truebeam", forcing={"breakpoints": "ab"}), "breakpoints"),
+    (*_with("truebeam", forcing={"breakpoints": [0, 1]}), "breakpoints"),
+    (*_with("truebeam", forcing={"breakpoints": [[0, 1, 2]]}), "breakpoints"),
+    (*_with("ode4", family="ab"), "family"),
+    (*_with("ode4", family=[1]), "family"),
+    (*_with("ode4", state0="ab"), "state0"),
+    (*_with("coupled", state0=5), "state0"),
+    *[case for run in ("ode4", "coupled", "truesystem", "miosyst", "truebeam")
+      for case in _law_cases(run)],
+])
+def test_a_config_object_or_list_of_the_wrong_shape_exits_2_naming_its_key(
+        tmp_path, capsys, monkeypatch, run, parameters, key):
+    from bridgeosc import ode4, plate, systems, truebeam
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the solver ran")
+
+    for owner, name in ((ode4, "integrate"), (systems, "integrate_coupled"),
+                        (systems, "integrate_truesystem"),
+                        (systems, "integrate_miosyst"),
+                        (truebeam, "integrate_truebeam"),
+                        (plate, "analytic_modes")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert _run_config(tmp_path, {"name": "s", "model": run.split("-")[0],
+                                  "parameters": parameters}) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be " in err
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_a_null_truebeam_forcing_is_an_absent_one(tmp_path):
     _, params = _with("truebeam", forcing=None)
     assert _run_config(tmp_path, {"name": "f", "model": "truebeam",

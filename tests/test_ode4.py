@@ -434,6 +434,32 @@ def test_literal_gauss_rule_equals_leggauss_to_the_bit():
         assert literal.tobytes() == computed.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 3, 8, 12, 37])
+def test_gauss_rules_are_computed_once_read_only_with_leggauss_bits(n, monkeypatch):
+    from bridgeosc import _quad
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counted(deg):
+        calls.append(deg)
+        return leggauss(deg)
+
+    monkeypatch.setattr(_quad, "_UNIT_RULES", {})
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    x, w = leggauss(n)
+    for a, b in ((0.0, 1.0), (-0.3, 2.5), (0.0, 1.0)):
+        got = _quad.gauss_nodes_1d(a, b, n)
+        half = 0.5 * (b - a)
+        for have, want in zip(got, (a + half * (x + 1.0), half * w)):
+            assert have.tobytes() == want.tobytes()
+        got[0][:] = got[1][:] = 7.0  # the caller's copies, not the cache
+    assert calls == [n]
+    for unit, want in zip(_quad._UNIT_RULES[n], (x, w)):
+        assert unit.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            unit[0] = 7.0
+
+
 def test_detect_blowup_memory_on_a_fresh_figure13_run(cubic1):
     import tracemalloc
     traj = bo.integrate(bo.canonical(3.6, cubic1), [0.9, 0.0, 0.0, 0.0],

@@ -642,7 +642,7 @@ def test_projection_grid_and_its_convergence_error_are_recorded():
     st0 = truebeam.ModalState(0.0, np.array([0.5, 0.15]), np.zeros(2),
                               np.array([0.5, -0.1]), np.zeros(2))
     traj = truebeam.integrate_truebeam(smooth, st0, 0.05)
-    assert traj.projection_grid == (16, 8) and traj.projection_error <= 1e-8
+    assert traj.projection_grid == (5, 3) and traj.projection_error == 0.0
     # the kink of the piecewise f at u = -1 inside the plate keeps the
     # projection from converging within two doublings
     kinked = _cfg(geom=SQUARE, nl=bo.make_nonlinearity("piecewise"), M=2)
@@ -650,6 +650,87 @@ def test_projection_grid_and_its_convergence_error_are_recorded():
                               np.array([3.0, -0.6]), np.zeros(2))
     traj = truebeam.integrate_truebeam(kinked, st1, 0.05)
     assert traj.projection_grid == (64, 32) and traj.projection_error > 1e-8
+
+
+_ODD_CUBIC_LAWS = {
+    "linear": bo.make_nonlinearity("linear"),
+    "cubic": bo.make_nonlinearity("cubic", epsilon=1.0),
+    "mckenna_cubic": bo.make_nonlinearity("mckenna_cubic", sigma_f=0.5,
+                                          c_quad=0.0, d_cub=2.0),
+}
+
+
+def _random_position(M, seed):
+    """A packed modal state with random positions, zero velocities, and
+    its (2, M) positions."""
+    ab = np.random.default_rng(seed).standard_normal((2, M)) / np.arange(1, M + 1)
+    y = np.zeros((2, 2, M))
+    y[:, 0] = ab
+    return y.reshape(-1), ab
+
+
+def _gauss_projection(geom, nl, ab, nq1):
+    fine = truebeam._Projector(geom, ab.shape[1], nq1, 12)
+    return fine.project(nl.f(fine.surface(ab)))
+
+
+@pytest.mark.parametrize("kind", sorted(_ODD_CUBIC_LAWS))
+@pytest.mark.parametrize("M", [1, 4, 8, 16, 64])
+def test_odd_cubic_laws_project_exactly_on_the_midpoint_grid(kind, M):
+    # f(u) sin(m pi x1 / L) is a sum of cosines of frequency at most 4M times
+    # a quartic in x2: 2M + 1 midpoints and 3 Gauss points integrate it
+    nl = _ODD_CUBIC_LAWS[kind]
+    for seed, geom in enumerate((NARROW, SQUARE)):
+        y, ab = _random_position(M, seed)
+        proj, err = truebeam._make_projector(_cfg(geom=geom, nl=nl, M=M), y)
+        assert (proj.x1.size, proj.x2.size, err) == (2 * M + 1, 3, 0.0)
+        want = _gauss_projection(geom, nl, ab, 800 if M == 64 else 400)
+        got = proj.project(nl.f(proj.surface(ab)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_quadratic_term_keeps_the_checked_gauss_grid():
+    # sin^3 has no exact midpoint sum: the grid of the odd laws would be
+    # ~4e-3 (relative) off at M = 1
+    nl = bo.make_nonlinearity("mckenna_cubic", sigma_f=1.0, c_quad=1.0, d_cub=1.0)
+    y, ab = _random_position(1, 0)
+    proj, err = truebeam._make_projector(_cfg(geom=SQUARE, nl=nl), y)
+    assert not proj.midpoints and proj.x1.size >= 16 and err <= 1e-8
+    want = _gauss_projection(SQUARE, nl, ab, 400)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(proj.project(nl.f(proj.surface(ab))) - want)) <= 1e-8 * scale
+    mid = truebeam._Projector(SQUARE, 1, 3, 3, midpoints=True)
+    assert np.max(np.abs(mid.project(nl.f(mid.surface(ab))) - want)) > 1e-3 * scale
+
+
+@pytest.mark.parametrize("M", [1, 4, 8, 64])
+def test_dense_products_match_the_factored_ones(M, monkeypatch):
+    nl = _ODD_CUBIC_LAWS["cubic"]
+    cfg = _cfg(nl=nl, M=M)
+    y, ab = _random_position(M, M)
+    proj, _ = truebeam._make_projector(cfg, y)
+    load = np.random.default_rng(M).standard_normal((2, M))
+    calls = {"f": 0, "amp": 0}
+    f = bo.Nonlinearity.f
+
+    def counted_f(self, s):
+        calls["f"] += 1
+        return f(self, s)
+
+    def amp(t):
+        calls["amp"] += 1
+        return 0.75
+
+    monkeypatch.setattr(bo.Nonlinearity, "f", counted_f)
+    rhs = truebeam._make_rhs(cfg, proj, amp, load)
+    calls.update(f=0, amp=0)
+    got = [rhs(0.1 * k, y).reshape(2, 2, M) for k in range(3)]
+    assert calls == {"f": 3, "amp": 3}  # one of each per evaluation
+    monkeypatch.undo()
+    want = 0.75 * load - proj.project(nl.f(proj.surface(ab)))
+    for out in got:
+        assert np.all(out[:, 0] == 0.0)
+        assert np.max(np.abs(out[:, 1] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_record_validation_rejects_each_bad_field():
