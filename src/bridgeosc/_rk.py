@@ -267,7 +267,6 @@ class ExpTrajectory(RawTrajectory):
         self._hs = hs  # (N-1,) the sizes the steps were taken with
         self._stages = stages  # (N-1, 3, n): N at the step start, D1, D2
         self.blocks = blocks
-        self._swap = _swap(blocks)
 
     def _coefficients(self, *args):  # not contd8, so component_zeros and _rcont fail
         raise TypeError(f"{type(self).__name__} has no contd8 coefficients")
@@ -276,21 +275,24 @@ class ExpTrajectory(RawTrajectory):
     def _interpolate(self, idx, theta, out=None):
         if out is None:
             out = np.empty((len(idx), self.ys.shape[1]))
-        h = self._hs[idx]
         # steps of one size share their sample offsets: phi once per distinct
-        # tau, for at most _EVAL_CHUNK taus and then samples at a time
-        tau, where = np.unique(theta * h, return_inverse=True)
+        # tau = theta h, for at most _EVAL_CHUNK taus and then samples at a time
+        tau, where = np.unique(theta * self._hs[idx], return_inverse=True)
         order = np.argsort(where, kind="stable")
         batches = range(0, len(tau), _EVAL_CHUNK)
         cuts = np.searchsorted(where[order], [*batches, len(tau)])
         for lo, start, stop in zip(batches, cuts, cuts[1:]):
-            phis = _phi_matrices(self.blocks, tau[lo:lo + _EVAL_CHUNK, None, None])
+            taus = tau[lo:lo + _EVAL_CHUNK]
+            # e, tau phi_1, tau phi_2 and tau phi_3 at each tau
+            weights = np.moveaxis(_phi_matrices(
+                self.blocks, taus[:, None, None]), 2, 0).copy()
+            weights[:, 1:] *= taus[:, None, None, None]
             for at in range(start, stop, _EVAL_CHUNK):
                 rows = order[at:min(at + _EVAL_CHUNK, stop)]
                 i = idx[rows]
-                out[rows] = _exp_step_end(phis[:, :, where[rows] - lo], self.ys[i],
-                                          self._stages[i], h[rows, None],
-                                          theta[rows, None], self._swap)
+                out[rows] = _exp_step_end(weights[where[rows] - lo], self.ys[i],
+                                          self._stages[i], theta[rows],
+                                          self.blocks.stiffness.shape)
         return out
 
 
@@ -624,7 +626,8 @@ def _dop853(rhs, y0, f0, rtol, atol):
 def _phi_matrices(blocks, tau):
     """phi_0 .. phi_3 of tau A for each block, as (4, 2, ..., n) arrays: for
     each phi, its diagonal entries and its off-diagonal entries laid out like
-    the state (see _apply), tau broadcasting against the blocks' shape.
+    the state, so that mat applied to x is mat[0] * x + mat[1] * x[_swap],
+    tau broadcasting against the blocks' shape.
 
     Scaling and squaring: a Taylor series at Z / 2^s, whose spectral radius
     is below 1, then s doublings of each entry's own s, so an entry does
@@ -676,20 +679,30 @@ def _swap(blocks):
     return np.arange(2 * G * M).reshape(G, 2, M)[:, ::-1].reshape(-1)
 
 
-def _apply(mat, x, swap):
-    """The blockwise matrix mat (2, ..., n) applied to states x (..., n)."""
-    return mat[0] * x + mat[1] * x[..., swap]
+# D1, D2 over a step's rows n5, n4, n3, n2, y, f: the step end's weights
+# phi_1 - 3 phi_2 + 4 phi_3, -phi_2 + 4 phi_3 and 4 phi_2 - 8 phi_3 on f, n4
+# and n5 regrouped as phi_1 f + phi_2 D1 + phi_3 D2, by powers of theta
+_D_OF_STAGES = np.array([[4.0, -1.0, 0.0, 0.0, 0.0, -3.0],
+                         [-8.0, 4.0, 0.0, 0.0, 0.0, 4.0]])[:, :, None]
 
 
-def _exp_step_end(phis, y, stages, h, theta, swap):
-    """The state at fraction theta of a step of size h from y:
-    e^(theta h A) y + theta h (phi_1 N0 + theta phi_2 D1 + theta^2 phi_3 D2),
-    with phi_j at theta h A. At theta = 1 it is the step's own result."""
-    e, p1, p2, p3 = phis
-    n0, d1, d2 = stages[..., 0, :], stages[..., 1, :], stages[..., 2, :]
-    return _apply(e, y, swap) + theta * h * (
-        _apply(p1, n0, swap) + theta * _apply(p2, d1, swap)
-        + (theta * theta) * _apply(p3, d2, swap))
+def _exp_step_end(weights, y, stages, theta, shape):
+    """The states at fractions theta (S,) of steps from y (S, n), whose
+    records are stages (S, 3, n), given weights (S, 4, 2, n): e, tau phi_1,
+    tau phi_2 and tau phi_3 at tau = theta h. That is
+    e y + tau (phi_1 N0 + theta phi_2 D1 + theta^2 phi_3 D2), summed as
+    _ho5_step sums the step end: over y, N0, theta D1 and theta^2 D2, each
+    beside its swap, the reversed middle axis of the state's (G, 2, M)
+    view, shape = (G, M). At theta = 1 the weights and the rows are the
+    step end's, so the state is the step's own, bit for bit."""
+    S, (G, M) = len(y), shape
+    X = np.concatenate([y[:, None], stages], axis=1)
+    X[:, 2] *= theta[:, None]
+    X[:, 3] *= (theta * theta)[:, None]
+    X = X.reshape(S, 4, 1, G, 2, M)
+    terms = np.concatenate([X, X[..., ::-1, :]], axis=2).reshape(weights.shape)
+    terms *= weights
+    return np.add.reduce(terms.reshape(S, 8, -1), axis=1)
 
 
 def _rung(r):
@@ -698,39 +711,41 @@ def _rung(r):
     return math.ldexp(_LADDER[r % _RUNGS], r // _RUNGS)
 
 
-def _ho5_matrices(half, whole):
-    """The matrices of one Hochbruck-Ostermann step of size h, from the phi
-    matrices at h/2 and at h."""
+def _ho5_weights(half, whole, h):
+    """The weights of one Hochbruck-Ostermann step of size h, from the phi
+    matrices at h/2 and at h: for each stage input, then the step end, a
+    (k, 2, n) array over the k rows of X that its sum reads (see _ho5_step)."""
     e_h, p1_h, p2_h, p3_h = half
     e, p1, p2, p3 = whole
     a52 = 0.5 * p2_h - p3 + 0.25 * p2 - 0.5 * p3_h
-    return e_h, p1_h, p2_h, e, p1, p2, p3, a52, 0.25 * p2_h - a52
+    a54 = 0.25 * p2_h - a52
+    return (np.array([e_h, (0.5 * h) * p1_h]),
+            np.array([h * p2_h, e_h, h * (0.5 * p1_h - p2_h)]),
+            np.array([h * p2, h * p2, e, h * (p1 - 2.0 * p2)]),
+            np.array([h * a54, h * a52, h * a52, e_h,
+                      h * (0.5 * p1_h - 2.0 * a52 - a54)]),
+            np.array([e, h * p1, h * p2, h * p3]))
 
 
-def _ho5_step(N, mats, t, y, f, h, t_new, swap, rows):
+def _ho5_step(N, weights, t, y, f, h, t_new, X, U, swap):
     """One step of Hochbruck and Ostermann's five-stage exponential method
-    (stiff order 4) from (t, y), f = N(t, y), to t_new = t + h, with mats
-    from _ho5_matrices; its 4 stage inputs, then N there, go unchecked to
-    the (8, n) rows. Returns the new state and the interpolation data (f, D1, D2)."""
-    e_h, p1_h, p2_h, e, p1, p2, p3, a52, a54 = mats
-    u2, u3, u4, u5, n2, n3, n4, n5 = rows
-    ey_h, p1f_h, t_mid = _apply(e_h, y, swap), _apply(p1_h, f, swap), t + 0.5 * h
-    np.add(ey_h, (0.5 * h) * p1f_h, out=u2)
-    n2[...] = N(t_mid, u2)
-    np.add(ey_h, h * (0.5 * p1f_h + _apply(p2_h, n2 - f, swap)), out=u3)
-    n3[...] = N(t_mid, u3)
-    ey, p1f, d23 = _apply(e, y, swap), _apply(p1, f, swap), n2 + n3 - 2.0 * f
-    np.add(ey, h * (p1f + _apply(p2, d23, swap)), out=u4)
-    n4[...] = N(t_new, u4)
-    np.add(ey_h, h * (0.5 * p1f_h + _apply(a52, d23, swap)
-                      + _apply(a54, n4 - f, swap)), out=u5)
-    n5[...] = N(t_mid, u5)
-    # weights phi_1 - 3 phi_2 + 4 phi_3, -phi_2 + 4 phi_3 and 4 phi_2 - 8 phi_3
-    # on f, n4 and n5, regrouped by powers of theta for the interpolant
-    d1, d2 = 4.0 * n5 - 3.0 * f - n4, 4.0 * (f - 2.0 * n5 + n4)
-    # _exp_step_end at theta = 1, whose theta factors are exactly 1.0
-    return (ey + h * (p1f + _apply(p2, d1, swap) + _apply(p3, d2, swap)),
-            np.array([f, d1, d2]))
+    (stiff order 4) from (t, y), f = N(t, y), to t_new = t + h, with weights
+    from _ho5_weights. X (8, 2, n) holds the rows n5, n4, n3, n2, y, f, D1,
+    D2, each beside itself with positions and velocities swapped, so that a
+    stage input is one weighted sum over X[i:6] (i = 4, 3, 2, 1) into its
+    row of U (4, n), and N there goes unchecked to X[i - 1]; the new state
+    is the sum over X[4:], whose rows 5-7 are then the step's record."""
+    n, t_mid = len(y), t + 0.5 * h
+    X[4, 0], X[5, 0], X[4, 1], X[5, 1] = y, f, y[swap], f[swap]
+    for i, w, u, t_i in zip((4, 3, 2, 1), weights, U, (t_mid, t_mid, t_new, t_mid)):
+        np.add.reduce((w * X[i:6]).reshape(-1, n), axis=0, out=u)
+        row = X[i - 1]
+        row[0] = N(t_i, u)
+        row[1] = row[0][swap]
+    D = X[6:, 0]
+    np.add.reduce(_D_OF_STAGES * X[:6, 0], axis=1, out=D)
+    X[6:, 1] = D[:, swap]
+    return np.add.reduce((weights[4] * X[4:]).reshape(-1, n), axis=0)
 
 
 def _exponential(rhs, y0, f0, rtol, atol, blocks):
@@ -740,14 +755,16 @@ def _exponential(rhs, y0, f0, rtol, atol, blocks):
     steps, whose error is the difference over 2^4 - 1. A step's record is
     its interpolation data (N at its start, D1, D2). size rounds h down to a
     ladder of _RUNGS sizes per octave and cuts a step short at a kink or at
-    t_end; the phi functions and step matrices are cached by step size, so
+    t_end; the phi functions and step weights are cached by step size, so
     a run computes those of each of its few distinct sizes once. An attempt
     evaluates all its 13 stages (and N at its start after an accepted one)
-    and is rejected by _dop853's one non-finite check."""
-    n, swap, zeros = y0.size, _swap(blocks), np.zeros(27 * y0.size)
-    phis, mats = {}, {}  # phi matrices by tau, step matrices by step size
-    S = np.empty((27, n))  # N at the step start, then each stage input and stage
-    S[0], stale, abs_y = f0, False, np.abs(y0)
+    and is rejected by _dop853's one non-finite check, over the three
+    steps' X and stage inputs."""
+    n, swap, zeros = y0.size, _swap(blocks), np.zeros(60 * y0.size)
+    phis, mats = {}, {}  # phi matrices by tau, step weights by step size
+    buf = np.empty(60 * n)  # X (8, 2, n) and U (4, n) of each step
+    X, U = buf[:48 * n].reshape(3, 8, 2, n), buf[48 * n:].reshape(3, 4, n)
+    f, stale, abs_y = f0, False, np.abs(y0)
 
     def size(t, h, t_end):
         stop = min([tk for tk in blocks.kinks if tk > t] + [t_end])
@@ -759,8 +776,8 @@ def _exponential(rhs, y0, f0, rtol, atol, blocks):
         h = _rung(rung)
         return (h, t + h) if h < stop - t else (stop - t, stop)
 
-    def matrices(h):
-        """The step matrices at h/2 and h. 0.25 h and 0.5 h are exact
+    def weights(h):
+        """The step weights at h/2 and h. 0.25 h and 0.5 h are exact
         scalings, so a tau shared by two step sizes has one entry. A rung
         of the ladder brings the phis of all rungs of its octave in one
         batch; a step cut short at a kink or t_end brings its own."""
@@ -775,27 +792,27 @@ def _exponential(rhs, y0, f0, rtol, atol, blocks):
                 blocks, np.array(taus)[:, None, None]), 2, 0)))
         for hk in (0.5 * h, h):
             if hk not in mats:
-                mats[hk] = _ho5_matrices(phis[0.5 * hk], phis[hk])
+                mats[hk] = _ho5_weights(phis[0.5 * hk], phis[hk], hk)
         return mats[0.5 * h], mats[h]
 
     def attempt(t, y, h, t_new):
-        nonlocal stale, abs_y
+        nonlocal f, stale, abs_y
         if stale:
-            S[0], stale = rhs(t, y), False
-        halves, whole = matrices(h)
+            f, stale = rhs(t, y), False
+        halves, whole = weights(h)
         t_mid = t + 0.5 * h
-        full, _ = _ho5_step(rhs, whole, t, y, S[0], h, t_new, swap, S[1:9])
-        first = _ho5_step(rhs, halves, t, y, S[0], 0.5 * h, t_mid, swap, S[9:17])
-        S[17], S[18] = first[0], rhs(t_mid, first[0])
-        second = _ho5_step(rhs, halves, t_mid, first[0], S[18], 0.5 * h, t_new,
-                           swap, S[19:])
-        if S.reshape(-1).dot(zeros) != 0.0:  # x * 0.0 is NaN for inf or NaN x
+        full = _ho5_step(rhs, whole, t, y, f, h, t_new, X[0], U[0], swap)
+        y_mid = _ho5_step(rhs, halves, t, y, f, 0.5 * h, t_mid, X[1], U[1], swap)
+        y_new = _ho5_step(rhs, halves, t_mid, y_mid, rhs(t_mid, y_mid), 0.5 * h,
+                          t_new, X[2], U[2], swap)
+        if buf.dot(zeros) != 0.0:  # x * 0.0 is NaN for inf or NaN x
             return None, None
-        abs_new = np.abs(second[0])
-        q = (second[0] - full) / (15.0 * (atol + rtol * np.maximum(abs_y, abs_new)))
+        abs_new = np.abs(y_new)
+        q = (y_new - full) / (15.0 * (atol + rtol * np.maximum(abs_y, abs_new)))
         err_norm = math.sqrt(float(np.add.reduce(q * q)) / n)
         if err_norm <= 1.0:
             stale, abs_y = True, abs_new
-        return err_norm, ((t_mid, 0.5 * h, *first), (t_new, 0.5 * h, *second))
+        return err_norm, ((t_mid, 0.5 * h, y_mid, X[1, 5:, 0]),
+                          (t_new, 0.5 * h, y_new, X[2, 5:, 0]))
 
     return size, attempt, -0.2, _MAX_FACTOR

@@ -26,9 +26,11 @@ from .energy import _field_eval, gust_energy, switch_value  # noqa: F401
 from .errors import InvalidParameterError, _count
 from .io import write_csv
 from .nonlin import Nonlinearity
-from .plate import PlateGeom, _sin_deriv
+from .plate import PlateGeom
 
 BLOWUP_MODAL_NORM = 1e6
+# the most values a run's samples may hold (80 MB of ys)
+MAX_SAMPLE_VALUES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,13 @@ class TrueBeamConfig:
         m = np.arange(1, self.modes_M + 1)
         return (m * math.pi / self.geom.length_L) ** 4
 
+    @functools.cached_property
+    def _midpoints(self) -> "_Projector":
+        """The (2M + 1) x 3 midpoint grid, exact for the odd laws of degree
+        <= 3 (see _exact_law), built on first use."""
+        return _Projector(self.geom, self.modes_M, 2 * self.modes_M + 1, 3,
+                          midpoints=True)
+
 
 @dataclass(frozen=True)
 class ModalState:
@@ -186,27 +195,6 @@ def zero_modal_state(M: int, t: float = 0.0) -> ModalState:
 class SwitchEvent:
     t_switch: float
     direction: int  # the switch value entered at t_switch
-
-
-class ModalField:
-    """Reconstruction u(x1, x2) = sum (a_m + b_m x2) sin(m pi x1/L) with
-    closed-form derivatives; u_x2x2 vanishes identically by the ansatz."""
-
-    def __init__(self, geom: PlateGeom, a: np.ndarray, b: np.ndarray):
-        self.geom = geom
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-
-    def eval(self, x1, x2, dx1: int = 0, dx2: int = 0):
-        x2 = np.asarray(x2, dtype=float)
-        out = np.zeros(np.broadcast(x1, x2).shape)
-        if dx2 >= 2:
-            return out
-        for m in range(1, len(self.a) + 1):
-            smx = _sin_deriv(m * math.pi / self.geom.length_L, x1, dx1)
-            coef = self.b[m - 1] if dx2 else self.a[m - 1] + self.b[m - 1] * x2
-            out = out + coef * smx
-        return out
 
 
 class ModalTrajectory(RawTrajectory):
@@ -337,15 +325,23 @@ class _Projector:
         return float(self.w1 @ G @ self.w2)
 
 
+def _exact_law(nl: Nonlinearity) -> bool:
+    """Whether f is odd of degree <= 3, so that F is even of degree <= 4: on
+    the midpoint grid, f(u) sin(m pi x1 / L) and F(u) are then cosines of
+    frequency at most 4M times quartics in x2, which 2M + 1 midpoints by 3
+    Gauss points integrate exactly (see the README)."""
+    return nl.kind in ("linear", "cubic") or (nl.kind == "mckenna_cubic"
+                                              and nl.c_quad == 0.0)
+
+
 def _make_projector(cfg: TrueBeamConfig, y0: np.ndarray) -> Tuple[_Projector, float]:
-    """Projection grid of f(u) and its convergence error: for an odd f of
-    degree <= 3, 2M + 1 midpoints by 3 Gauss points, exact (error 0.0, see
-    the README); else max(16, 4M) x 8 Gauss points, doubled at most twice
-    until the projection at y0 converges to 1e-8 (else the error stays above)."""
+    """Projection grid of f(u) and its convergence error: for an exact law,
+    the config's midpoint grid (error 0.0); else max(16, 4M) x 8 Gauss
+    points, doubled at most twice until the projection at y0 converges to
+    1e-8 (else the error stays above)."""
     M, nl = cfg.modes_M, cfg.nl
-    if nl.kind in ("linear", "cubic") or (nl.kind == "mckenna_cubic"
-                                          and nl.c_quad == 0.0):
-        return _Projector(cfg.geom, M, 2 * M + 1, 3, midpoints=True), 0.0
+    if _exact_law(nl):
+        return cfg._midpoints, 0.0
     nq1, ab = max(16, 4 * M), y0.reshape(2, 2, M)[:, 0]
     proj = _Projector(cfg.geom, M, nq1, 8)
     for k in (2, 4):
@@ -432,7 +428,8 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
     are located up front, in closed form; integration restarts at each flip
     with the penalty moved to the newly constrained family. A config without
     forcing runs the zero gust, one breakpoint at state0.t. freeze_switch
-    (+1 or -1, not a bool) pins the switch for diagnostic runs.
+    (+1 or -1, not a bool) pins the switch for diagnostic runs. A run whose
+    samples would hold over MAX_SAMPLE_VALUES values is refused before it runs.
     """
     if isinstance(freeze_switch, bool) or freeze_switch not in (None, 1, -1):
         raise InvalidParameterError("freeze_switch must be None, +1 or -1")
@@ -443,6 +440,14 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
     t0 = state0.t
     if t_end <= t0:
         raise InvalidParameterError("t_end must exceed the initial time")
+    # _sample's rows are at most 1/16 of the stiffest block's period apart
+    # (a non-finite t_end is the stepper's error)
+    rows = (t_end - t0) * math.sqrt(cfg.lambdas()[-1] + cfg.bc_penalty_kappa) / (
+        0.125 * math.pi)
+    if MAX_SAMPLE_VALUES < rows * 4 * M < math.inf:
+        raise InvalidParameterError(
+            f"modes_M = {M} and t_end = {t_end:g} take at least {rows:.3g} sample "
+            f"rows of {4 * M} values, above {MAX_SAMPLE_VALUES:.0e}")
     proj, proj_err = _make_projector(cfg, y0)
 
     forcing = cfg.forcing or GustForcing(((t0, 0.0),))  # no kink, no crossing
@@ -476,9 +481,11 @@ def modal_energy(cfg: TrueBeamConfig, state: ModalState,
                  switch: Optional[int] = None) -> float:
     """Discrete energy of the truncated system:
     kinetic + bending (family-normalized) + int F(u), optionally plus the
-    penalty stiffness of the currently constrained family."""
+    penalty stiffness of the currently constrained family. int F(u) is exact
+    on the midpoint grid for an exact law (see _exact_law)."""
     lam = cfg.lambdas()
-    proj = _Projector(cfg.geom, cfg.modes_M, max(16, 4 * cfg.modes_M), 8)
+    proj = cfg._midpoints if _exact_law(cfg.nl) else _Projector(
+        cfg.geom, cfg.modes_M, max(16, 4 * cfg.modes_M), 8)
     nv, nt = proj.norm_v, proj.norm_t
     quad_F = proj.integral(np.asarray(cfg.nl.F(proj.surface(
         np.array([state.a, state.b])))))

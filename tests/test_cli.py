@@ -673,6 +673,26 @@ def test_int_settings_out_of_their_range_exit_3_before_the_run(
         assert not out.exists() or not any(out.iterdir())
 
 
+def test_a_truebeam_sample_grid_above_its_bound_exits_3_before_the_run(
+        tmp_path, monkeypatch, capsys):
+    # the benchmark's plate at modes_M = 64 and t_end = 3: at least 1.24
+    # million sample rows of 256 values
+    from bridgeosc import truebeam
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the solver ran")
+
+    monkeypatch.setattr(truebeam, "integrate_adaptive", refuse)
+    _, params = _with("truebeam", geom={"length_L": 0.5, "half_width_l": 0.05},
+                      modes_M=64, t_end=3.0)
+    assert _run_config(tmp_path, {"name": "big", "model": "truebeam",
+                                  "parameters": params}) == 3
+    err = capsys.readouterr().err
+    assert "modes_M = 64" in err and "t_end = 3" in err
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_without_config_or_builtin_exits_2(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
     assert "config path or --builtin" in capsys.readouterr().err

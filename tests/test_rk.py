@@ -273,31 +273,51 @@ def _reference_integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 # controller leaves that call out. Every stage of an attempt is evaluated,
 # and then any non-finite stage input or stage rejects it.
 
-def _reference_ho5_step(N, mats, t, y, f, h, t_new, swap, seen):
-    """One Hochbruck-Ostermann step as _rk._ho5_step, each product formed
-    where the method's formulas name it and the step end read from the
-    interpolant at theta = 1; each stage input and stage is appended to
-    seen."""
-    apply = _rk._apply
+def _reference_ho5_step(N, half, whole, t, y, f, h, t_new, blocks, seen):
+    """One Hochbruck-Ostermann step as _rk._ho5_step, from the phi matrices
+    at h/2 and h: each weight formed as the method's formulas name it, and
+    each stage input and D1, D2 as a sum from 0.0 of the products weight x
+    row and weight x swapped row, in the order of the rows of the step's
+    buffer; the step end is read from the interpolant at theta = 1. Each
+    stage input and stage is appended to seen."""
+    swap = _rk._swap(blocks)
+
+    def summed(terms):
+        acc = np.zeros(len(y))
+        for term in terms:
+            acc = acc + term
+        return acc
+
+    def weighted(*pairs):
+        return summed(w[j] * (x[swap] if j else x)
+                      for w, x in pairs for j in (0, 1))
 
     def stage(ti, ui):
         out = np.asarray(N(ti, ui), dtype=float)
         seen.extend((ui, out))
         return out
 
-    e_h, p1_h, p2_h, e, p1, p2, p3, a52, a54 = mats
-    ey_h = apply(e_h, y, swap)
-    p1f_h = apply(p1_h, f, swap)
+    e_h, p1_h, p2_h, p3_h = half
+    e, p1, p2, p3 = whole
+    a52 = 0.5 * p2_h - p3 + 0.25 * p2 - 0.5 * p3_h
+    a54 = 0.25 * p2_h - a52
     t_mid = t + 0.5 * h
-    n2 = stage(t_mid, ey_h + (0.5 * h) * p1f_h)
-    n3 = stage(t_mid, ey_h + h * (0.5 * p1f_h + apply(p2_h, n2 - f, swap)))
-    n23 = n2 + n3
-    n4 = stage(t_new, apply(e, y, swap) + h * (
-        apply(p1, f, swap) + apply(p2, n23 - 2.0 * f, swap)))
-    n5 = stage(t_mid, ey_h + h * (
-        0.5 * p1f_h + apply(a52, n23 - 2.0 * f, swap) + apply(a54, n4 - f, swap)))
-    step = np.array([f, 4.0 * n5 - 3.0 * f - n4, 4.0 * (f - 2.0 * n5 + n4)])
-    return _rk._exp_step_end((e, p1, p2, p3), y, step, h, 1.0, swap), step
+    n2 = stage(t_mid, weighted((e_h, y), ((0.5 * h) * p1_h, f)))
+    n3 = stage(t_mid, weighted((h * p2_h, n2), (e_h, y),
+                               (h * (0.5 * p1_h - p2_h), f)))
+    n4 = stage(t_new, weighted((h * p2, n3), (h * p2, n2), (e, y),
+                               (h * (p1 - 2.0 * p2), f)))
+    n5 = stage(t_mid, weighted((h * a54, n4), (h * a52, n3), (h * a52, n2),
+                               (e_h, y), (h * (0.5 * p1_h - 2.0 * a52 - a54), f)))
+    rows = (n5, n4, n3, n2, y, f)
+    d1, d2 = (summed(c * x for c, x in zip(coef, rows))
+              for coef in ([4.0, -1.0, 0.0, 0.0, 0.0, -3.0],
+                           [-8.0, 4.0, 0.0, 0.0, 0.0, 4.0]))
+    step = np.array([f, d1, d2])
+    weights = np.array([[e, h * p1, h * p2, h * p3]])
+    end = _rk._exp_step_end(weights, y[None], step[None], np.ones(1),
+                            blocks.stiffness.shape)
+    return end[0], step
 
 
 def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
@@ -320,8 +340,7 @@ def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
     termination = REACHED_T_END
     n_rejected = 0
     abs_y = np.abs(y)
-    swap = _rk._swap(blocks)
-    phi_of_rung, mats_of_rung = {}, {}
+    phi_of_rung = {}
 
     while t < t_end:
         while t >= stops[0]:
@@ -342,8 +361,6 @@ def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
         if rung is None:
             quarter, half, whole = np.moveaxis(_rk._phi_matrices(
                 blocks, h * np.array([0.25, 0.5, 1.0])[:, None, None]), 2, 0)
-            halves = _rk._ho5_matrices(quarter, half)
-            mats = _rk._ho5_matrices(half, whole)
         else:
             R = _rk._RUNGS
             need = [r for r in (rung - 2 * R, rung - R, rung)
@@ -352,20 +369,18 @@ def _reference_integrate_exponential(rhs, t0, y0, t_end, rtol=1e-10,
                 taus = np.array([_rk._rung(r) for r in need])[:, None, None]
                 phi_of_rung.update(zip(need, np.moveaxis(
                     _rk._phi_matrices(blocks, taus), 2, 0)))
-            for r in (rung - R, rung):
-                if r not in mats_of_rung:
-                    mats_of_rung[r] = _rk._ho5_matrices(phi_of_rung[r - R],
-                                                        phi_of_rung[r])
-            halves, mats = mats_of_rung[rung - R], mats_of_rung[rung]
+            quarter, half, whole = (phi_of_rung[r]
+                                    for r in (rung - 2 * R, rung - R, rung))
         t_mid = t + 0.5 * h
         seen = [f]
-        full = _reference_ho5_step(rhs, mats, t, y, f, h, t_new, swap, seen)
-        first = _reference_ho5_step(rhs, halves, t, y, f, 0.5 * h, t_mid, swap,
-                                    seen)
+        full = _reference_ho5_step(rhs, half, whole, t, y, f, h, t_new, blocks,
+                                   seen)
+        first = _reference_ho5_step(rhs, quarter, half, t, y, f, 0.5 * h, t_mid,
+                                    blocks, seen)
         f_mid = np.asarray(rhs(t_mid, first[0]), dtype=float)
         seen.extend((first[0], f_mid))
-        second = _reference_ho5_step(rhs, halves, t_mid, first[0], f_mid,
-                                     0.5 * h, t_new, swap, seen)
+        second = _reference_ho5_step(rhs, quarter, half, t_mid, first[0], f_mid,
+                                     0.5 * h, t_new, blocks, seen)
         if not all(np.all(np.isfinite(x)) for x in seen):
             n_rejected += 1
             h *= 0.5
@@ -659,18 +674,19 @@ def test_exponential_rhs_calls_are_fixed_by_the_method(monkeypatch):
 
 
 def test_exponential_attempt_rejects_a_stage_input_that_n_clamps(monkeypatch):
-    # N is finite everywhere, as it maps a non-finite state to 0. Its first
-    # two stages of attempt 1 (calls 3 and 4, at the whole step's midpoint)
-    # are 1e308; their sum overflows into the whole step's last two stage
-    # inputs, and only the check of stage inputs rejects that attempt: its
-    # stages are finite, and the step ends on the linear flow
+    # N is finite everywhere, as it maps a non-finite state to 0. The last
+    # two stages of attempt 1's first half step (calls 9 and 10) are 1e308;
+    # D1 = 4 n5 - n4 - 3 f overflows, and so does that step's end, the input
+    # of N at the midpoint (call 11) and of the second half step's stages.
+    # Only the one non-finite check rejects that attempt: its stages are
+    # finite, and the step ends on the linear flow
     calls = []
 
     def clamped(t, y):
         calls.append(t)
         if not np.all(np.isfinite(y)):
             return np.zeros(2)
-        return np.array([0.0, 1e308 if len(calls) in (3, 4) else 0.0])
+        return np.array([0.0, 1e308 if len(calls) in (9, 10) else 0.0])
 
     log = _logged_attempts(monkeypatch, "_exponential")
     raw = integrate_adaptive(clamped, 0.0, [1.0, 0.0], 1.0, rtol=1e-6,
@@ -1212,10 +1228,12 @@ def test_exp_interpolate_computes_phi_once_per_distinct_tau(monkeypatch):
 
     want = np.empty((idx.size, n))
     for row, (i, th) in enumerate(zip(idx, theta)):
-        h = hs[i]
-        phis = _rk._phi_matrices(blocks, np.array([[[th * h]]]))[:, :, 0]
-        want[row] = _rk._exp_step_end(phis, traj.ys[i], traj._stages[i], h, th,
-                                      traj._swap)
+        tau = th * hs[i]
+        weights = _rk._phi_matrices(blocks, np.array([[[tau]]]))[:, :, 0]
+        weights[1:] *= tau  # e, tau phi_1, tau phi_2, tau phi_3
+        want[row] = _rk._exp_step_end(weights[None], traj.ys[i][None],
+                                      traj._stages[i][None], np.array([th]),
+                                      blocks.stiffness.shape)[0]
 
     taus, rows = [], []
     phi_matrices, exp_step_end = _rk._phi_matrices, _rk._exp_step_end
@@ -1281,17 +1299,68 @@ def test_exponential_step_is_fourth_order_at_fixed_steps():
     exact = integrate_adaptive(full, 0.0, [0.8, 0.0], 2.0, rtol=1e-13,
                                atol=1e-13).ys[-1]
     errors = []
+    X, U = np.empty((8, 2, 2)), np.empty((4, 2))
     for n in (20, 40, 80, 160):
         h, t, y = 2.0 / n, 0.0, np.array([0.8, 0.0])
-        mats = _rk._ho5_matrices(*np.moveaxis(_rk._phi_matrices(
-            blocks, h * np.array([0.5, 1.0])[:, None, None]), 2, 0))
+        weights = _rk._ho5_weights(*np.moveaxis(_rk._phi_matrices(
+            blocks, h * np.array([0.5, 1.0])[:, None, None]), 2, 0), h)
         for _ in range(n):
-            y, _stages = _rk._ho5_step(nonlinear, mats, t, y, nonlinear(t, y),
-                                       h, t + h, swap, np.empty((8, 2)))
+            y = _rk._ho5_step(nonlinear, weights, t, y, nonlinear(t, y), h,
+                              t + h, X, U, swap)
             t += h
         errors.append(np.abs(y - exact).max())
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all((3.9 <= orders) & (orders <= 4.1)), errors
+
+
+def _factored_ho5_step(N, half, whole, t, y, f, h, swap):
+    """One Hochbruck-Ostermann step in the factored form the method is
+    written in: phi matrices applied to stage differences, summed as the
+    formulas group them. Returns the new state and (f, D1, D2)."""
+    def apply(mat, x):
+        return mat[0] * x + mat[1] * x[swap]
+
+    e_h, p1_h, p2_h, p3_h = half
+    e, p1, p2, p3 = whole
+    a52 = 0.5 * p2_h - p3 + 0.25 * p2 - 0.5 * p3_h
+    a54 = 0.25 * p2_h - a52
+    ey_h, p1f_h, t_mid = apply(e_h, y), apply(p1_h, f), t + 0.5 * h
+    n2 = N(t_mid, ey_h + (0.5 * h) * p1f_h)
+    n3 = N(t_mid, ey_h + h * (0.5 * p1f_h + apply(p2_h, n2 - f)))
+    d23 = n2 + n3 - 2.0 * f
+    n4 = N(t + h, apply(e, y) + h * (apply(p1, f) + apply(p2, d23)))
+    n5 = N(t_mid, ey_h + h * (0.5 * p1f_h + apply(a52, d23) + apply(a54, n4 - f)))
+    d1, d2 = 4.0 * n5 - 3.0 * f - n4, 4.0 * (f - 2.0 * n5 + n4)
+    return (apply(e, y) + h * (apply(p1, f) + apply(p2, d1) + apply(p3, d2)),
+            np.array([f, d1, d2]))
+
+
+@pytest.mark.parametrize("M", [1, 4, 8])
+def test_weighted_sum_step_matches_the_factored_formulas(M):
+    # the bench geometry under its gust ramp, from a random state, at three
+    # rungs of the ladder and on a step cut short at the ramp's kink t = 1
+    ramp = ((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))
+    cfg = truebeam.TrueBeamConfig(
+        geom=plate.PlateGeom(0.5, 0.05, 0.2),
+        nl=bo.make_nonlinearity("cubic", epsilon=1.0), threshold_Ebar=1.25,
+        damping_delta=0.5, forcing=truebeam.GustForcing(breakpoints=ramp),
+        modes_M=M)
+    y = np.random.default_rng(M).standard_normal(4 * M)
+    proj, _err = truebeam._make_projector(cfg, y)
+    N = truebeam._make_rhs(cfg, proj, cfg.forcing.amp, cfg.forcing.modal_load(M))
+    blocks = truebeam._linear_blocks(cfg, -1, ())
+    swap = _rk._swap(blocks)
+    X, U = np.empty((8, 2, 4 * M)), np.empty((4, 4 * M))
+    cut = 0.7 * _rk._rung(-64)
+    for t, h in [(0.3, _rk._rung(r)) for r in (-72, -64, -56)] + [(1.0 - cut, cut)]:
+        half, whole = np.moveaxis(_rk._phi_matrices(
+            blocks, h * np.array([0.5, 1.0])[:, None, None]), 2, 0)
+        f = N(t, y)
+        want, record = _factored_ho5_step(N, half, whole, t, y, f, h, swap)
+        got = _rk._ho5_step(N, _rk._ho5_weights(half, whole, h), t, y, f, h,
+                            t + h, X, U, swap)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), h
+        assert np.abs(X[5:, 0] - record).max() <= 1e-13 * np.abs(record).max(), h
 
 
 def test_exponential_path_observed_order_on_a_smooth_cubic_run():

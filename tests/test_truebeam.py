@@ -222,17 +222,17 @@ def test_truncation_consistency():
 
 
 def test_reconstruction_is_linear_in_x2():
-    fld = truebeam.ModalField(SQUARE, np.array([1.0, 0.3]),
-                              np.array([0.2, -0.4]))
-    x1 = np.linspace(0.0, math.pi, 7)
-    x2 = np.linspace(-1.0, 1.0, 5)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    assert np.all(fld.eval(X1, X2, 0, 2) == 0.0)
-    assert np.all(fld.eval(X1, X2, 0, 3) == 0.0)
-    # u_x2 is x2-independent: equal at the two edges
-    top = fld.eval(x1, SQUARE.half_width_l, 0, 1)
-    bot = fld.eval(x1, -SQUARE.half_width_l, 0, 1)
-    assert np.allclose(top, bot, rtol=0.0, atol=0.0)
+    # _Projector.surface, which evaluates u in every run, is the modal sum
+    # sum_m (a_m + b_m x2) sin(m pi x1 / L) on both grids: affine in x2
+    a, b = np.array([1.0, 0.3, -0.2]), np.array([0.2, -0.4, 0.1])
+    m = np.arange(1, 4)[:, None]
+    for proj in (truebeam._Projector(SQUARE, 3, 16, 8),
+                 truebeam._Projector(SQUARE, 3, 7, 3, midpoints=True)):
+        sines = np.sin(m * math.pi / SQUARE.length_L * proj.x1)  # (M, nq1)
+        want = (a @ sines)[:, None] + (b @ sines)[:, None] * proj.x2
+        got = proj.surface(np.array([a, b]))
+        assert got.shape == want.shape == (proj.x1.size, proj.x2.size)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_modal_blowup_termination():
@@ -573,6 +573,57 @@ def test_steps_do_not_grow_with_the_mode_count():
     assert steps[8] <= 2 * steps[1], steps
 
 
+@pytest.mark.parametrize("M, accepted, rejected, rows", [
+    (1, [140, 76, 100], [7, 4, 11], 481),
+    (4, [236, 68, 92], [17, 6, 10], 5041),
+    (8, [222, 64, 84], [17, 4, 7], 19451)])
+def test_switching_runs_keep_their_steps_and_flips(M, accepted, rejected, rows):
+    # the benchmark's switching runs from a1 = b1 = 1: each segment's
+    # accepted and rejected steps and the two closed-form flips, pinned so
+    # that a change of the step arithmetic shows as rounding only; every
+    # step's interpolant meets its end bit for bit
+    cfg = _cfg(nl=bo.make_nonlinearity("cubic", epsilon=1.0), Ebar=1.25, M=M,
+               delta=0.5, forcing=truebeam.GustForcing(
+                   breakpoints=((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))))
+    a, b = np.zeros(M), np.zeros(M)
+    a[0], b[0] = 1.0, 1.0
+    traj = truebeam.integrate_truebeam(
+        cfg, truebeam.ModalState(0.0, a, np.zeros(M), b, np.zeros(M)), 3.0)
+    assert traj.termination == "reached_t_end" and len(traj.ts) == rows
+    assert [len(seg.ts) - 1 for seg in traj._segments] == accepted
+    assert [seg.n_rejected for seg in traj._segments] == rejected
+    assert [(ev.t_switch, ev.direction) for ev in traj.events] == [(0.5, -1), (1.5, 1)]
+    for seg in traj._segments:
+        steps = np.arange(len(seg.ts) - 1)
+        ends = seg._interpolate(steps, np.ones(steps.size))
+        assert ends.tobytes() == seg.ys[1:].tobytes()
+
+
+def test_a_sample_grid_above_the_bound_is_refused_before_the_run(monkeypatch):
+    # on the benchmark's geometry at t_end = 3, M = 64 takes at least 1.24
+    # million sample rows of 256 values; M = 16 takes 77,375 rows of 64
+    def cfg(M):
+        return _cfg(nl=bo.make_nonlinearity("cubic", epsilon=1.0), Ebar=1.25,
+                    M=M, delta=0.5, forcing=truebeam.GustForcing(
+                        breakpoints=((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))))
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the solver ran")
+
+    with monkeypatch.context() as patched:
+        for name in ("integrate_adaptive", "_make_projector"):
+            patched.setattr(truebeam, name, refuse)
+        with pytest.raises(InvalidParameterError,
+                           match=r"modes_M = 64 and t_end = 3 .* 1\.24e\+06"):
+            truebeam.integrate_truebeam(cfg(64), truebeam.zero_modal_state(64), 3.0)
+    a, b = np.zeros(16), np.zeros(16)
+    a[0], b[0] = 1.0, 1.0
+    traj = truebeam.integrate_truebeam(
+        cfg(16), truebeam.ModalState(0.0, a, np.zeros(16), b, np.zeros(16)), 3.0)
+    assert traj.ys.shape == (77375, 64)
+    assert traj.ys.size <= truebeam.MAX_SAMPLE_VALUES
+
+
 def test_phi_builds_of_a_switching_run_come_an_octave_at_a_time(monkeypatch):
     # the benchmark's M = 8 switching run: each ladder rung brings the phis of
     # its whole octave, so a run of a few octaves, with its steps cut short at
@@ -687,6 +738,24 @@ def test_odd_cubic_laws_project_exactly_on_the_midpoint_grid(kind, M):
         want = _gauss_projection(geom, nl, ab, 800 if M == 64 else 400)
         got = proj.project(nl.f(proj.surface(ab)))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", sorted(_ODD_CUBIC_LAWS))
+@pytest.mark.parametrize("M", [1, 4, 8])
+def test_modal_energy_of_an_odd_cubic_law_is_exact(kind, M):
+    # F(u) of these laws is a sum of cosines of frequency at most 4M times a
+    # quartic in x2, which the midpoint grid integrates exactly: the energy
+    # matches the one with int F(u) on an 800 x 12 Gauss grid
+    nl = _ODD_CUBIC_LAWS[kind]
+    cfg = _cfg(nl=nl, M=M)
+    a, ad, b, bd = np.random.default_rng(M).standard_normal((4, M))
+    fine = truebeam._Projector(NARROW, M, 800, 12)
+    lam, nv, nt = cfg.lambdas(), fine.norm_v, fine.norm_t
+    want = (0.5 * nv * np.sum(ad ** 2 + lam * a ** 2)
+            + 0.5 * nt * np.sum(bd ** 2 + lam * b ** 2)
+            + fine.integral(nl.F(fine.surface(np.array([a, b])))))
+    got = truebeam.modal_energy(cfg, truebeam.ModalState(0.0, a, ad, b, bd))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_a_quadratic_term_keeps_the_checked_gauss_grid():
