@@ -372,9 +372,11 @@ def project_initial(u0_field, u1_field, geom: PlateGeom, M: int) -> ModalState:
 
 
 def check_compatibility(u0_field, u1_field, E0: int, geom: PlateGeom) -> float:
-    """Max violation of (u1+u0)(x1,-l) = E0 (u1+u0)(x1,l) over 201 x1 points."""
-    if E0 not in (1, -1):
-        raise InvalidParameterError("E0 must be +1 or -1")
+    """Max violation of (u1+u0)(x1,-l) = E0 (u1+u0)(x1,l) over 201 x1 points.
+    E0 is an integer +1 or -1 (a Python or numpy int, not a bool or float)."""
+    if isinstance(E0, bool) or not isinstance(E0, (int, np.integer)) \
+            or E0 not in (1, -1):
+        raise InvalidParameterError("E0 must be the integer +1 or -1")
     x1 = np.linspace(0.0, geom.length_L, 201)
     ell = geom.half_width_l
     lo = _field_eval(u1_field, x1, -ell) + _field_eval(u0_field, x1, -ell)

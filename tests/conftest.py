@@ -3,7 +3,14 @@ integrations are the expensive part of the suite."""
 import pytest
 
 import bridgeosc as bo
-from bridgeosc import systems
+from bridgeosc import _rk, systems
+
+
+@pytest.fixture(autouse=True)
+def empty_rung_store():
+    """Each test starts with no shared exponential-step phis or weights, so
+    what a test counts or compares does not depend on the tests before it."""
+    _rk._shared_rungs.clear()
 
 
 @pytest.fixture(scope="session")

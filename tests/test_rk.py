@@ -746,11 +746,8 @@ def test_step_loop_matches_reference_on_truebeam_segment():
     assert raw.termination == REACHED_T_END and len(raw.ts) > 200
 
 
-@pytest.mark.parametrize("M", [1, 4, 8])
-def test_exponential_loop_matches_reference_on_truebeam_switching(monkeypatch, M):
-    # the benchmark's truebeam-switching run: three switch segments, of
-    # which the last two hold a kink of the gust ramp
-    calls = _captured_stepper_calls(monkeypatch, truebeam)
+def _truebeam_switching(M):
+    """The benchmark's truebeam-switching run at M, from a_1 = b_1 = 1."""
     ramp = ((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))
     cfg = truebeam.TrueBeamConfig(
         geom=plate.PlateGeom(0.5, 0.05, 0.2),
@@ -759,12 +756,50 @@ def test_exponential_loop_matches_reference_on_truebeam_switching(monkeypatch, M
         modes_M=M)
     a, b = np.zeros(M), np.zeros(M)
     a[0] = b[0] = 1.0
-    traj = truebeam.integrate_truebeam(
+    return truebeam.integrate_truebeam(
         cfg, truebeam.ModalState(0.0, a, np.zeros(M), b, np.zeros(M)), 3.0)
+
+
+@pytest.mark.parametrize("M", [1, 4, 8])
+def test_exponential_loop_matches_reference_on_truebeam_switching(monkeypatch, M):
+    # the benchmark's truebeam-switching run: three switch segments, of
+    # which the last two hold a kink of the gust ramp
+    calls = _captured_stepper_calls(monkeypatch, truebeam)
+    traj = _truebeam_switching(M)
     assert traj.termination == REACHED_T_END and len(traj.events) == 2
     assert [any(lo < tk < hi for tk in kw["linear"].kinks)
             for _, (lo, _, hi), kw in calls] == [False, True, True]
     _assert_matches_reference(calls)
+
+
+@pytest.mark.parametrize("M", [1, 4, 8])
+def test_exponential_loop_matches_reference_on_a_warm_rung_store(monkeypatch, M):
+    # the same runs, their rungs' phis and weights read from the store that
+    # runs at every M filled before (the reference loop builds its own)
+    for m in (1, 4, 8):
+        _truebeam_switching(m)
+    calls = _captured_stepper_calls(monkeypatch, truebeam)
+    assert _truebeam_switching(M).termination == REACHED_T_END
+    _assert_matches_reference(calls)
+
+
+def test_the_rung_store_tells_block_shapes_apart():
+    # stiffness [[1, 4]] and [[1], [4]] (and their damping) have the same
+    # bytes but lay the state out differently: a run on either, after one
+    # on the other, is its run on an empty store
+    def run(k):
+        return integrate_adaptive(
+            lambda t, y: -0.5 * y ** 3, 0.0, [1.0, 0.5, 0.0, -0.5], 5.0,
+            rtol=1e-8, atol=1e-8, linear=_rk.LinearBlocks(k, [[0.1]]))
+
+    shapes = ([[1.0, 4.0]], [[1.0], [4.0]])
+    cold = []
+    for k in shapes:
+        _rk._shared_rungs.clear()
+        cold.append(run(k))
+    for k, first in zip(shapes[::-1], cold[::-1]):
+        _assert_same_run(run(k), first, ("ts", "ys", "_hs", "_stages"))
+    assert len(_rk._shared_rungs) == 2
 
 
 @pytest.mark.parametrize("threshold, termination", [

@@ -1,11 +1,12 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import bridgeosc as bo
-from bridgeosc import plate, truebeam
+from bridgeosc import _rk, plate, truebeam
 from bridgeosc.errors import InvalidParameterError
 
 NARROW = plate.PlateGeom(0.5, 0.05, 0.2)   # lambda_m = (2 m pi)^4, all large
@@ -64,6 +65,22 @@ def test_check_compatibility():
         pytest.approx(2.0, abs=1e-12)
     with pytest.raises(InvalidParameterError):
         truebeam.check_compatibility(u0, None, 0, geom)
+
+
+@pytest.mark.parametrize("E0", [True, False, 1.0, -1.0, np.float64(1.0),
+                                np.bool_(True), "1", None])
+def test_check_compatibility_refuses_an_E0_that_is_not_an_int(E0):
+    # True == 1 and 1.0 == 1, so a membership test alone let them through
+    with pytest.raises(InvalidParameterError, match="E0"):
+        truebeam.check_compatibility(None, None, E0, SQUARE)
+
+
+@pytest.mark.parametrize("E0", [np.int64(1), np.int32(-1), np.int8(1)])
+def test_check_compatibility_accepts_a_numpy_integer_E0(E0):
+    u0 = lambda x1, x2: np.sin(x1) + 0.0 * x2
+    want = 0.0 if E0 == 1 else 2.0
+    assert truebeam.check_compatibility(u0, None, E0, SQUARE) == \
+        pytest.approx(want, abs=1e-12)
 
 
 def test_zero_data_zero_solution():
@@ -624,29 +641,97 @@ def test_a_sample_grid_above_the_bound_is_refused_before_the_run(monkeypatch):
     assert traj.ys.size <= truebeam.MAX_SAMPLE_VALUES
 
 
+def _ramp_run(M, kappa=100.0, t_end=3.0, delta=0.5):
+    """The benchmark's switching run at M, from a_1 = b_1 = 1: the gust ramp
+    crosses the energy threshold twice before t = 3."""
+    cfg = _cfg(nl=bo.make_nonlinearity("cubic", epsilon=1.0), Ebar=1.25, M=M,
+               delta=delta, kappa=kappa, forcing=truebeam.GustForcing(
+                   breakpoints=((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))))
+    a, b = np.zeros(M), np.zeros(M)
+    a[0], b[0] = 1.0, 1.0
+    return truebeam.integrate_truebeam(
+        cfg, truebeam.ModalState(0.0, a, np.zeros(M), b, np.zeros(M)), t_end)
+
+
+def _on_the_ladder(h):
+    """Whether step size h is a rung of the exponential stepper's ladder."""
+    return math.ldexp(h, 1 - math.frexp(h)[1]) in _rk._LADDER
+
+
+def _phi_callers(monkeypatch):
+    """Record (calling function, taus) of each _phi_matrices call."""
+    calls, phi_matrices = [], _rk._phi_matrices
+
+    def counted(blocks, tau):
+        calls.append((sys._getframe(1).f_code.co_name, tau.ravel().tolist()))
+        return phi_matrices(blocks, tau)
+
+    monkeypatch.setattr(_rk, "_phi_matrices", counted)
+    return calls
+
+
 def test_phi_builds_of_a_switching_run_come_an_octave_at_a_time(monkeypatch):
     # the benchmark's M = 8 switching run: each ladder rung brings the phis of
     # its whole octave, so a run of a few octaves, with its steps cut short at
     # the ramp's kinks and the flips, and its samples, takes few phi builds
-    from bridgeosc import _rk
-    calls, phi_matrices = [], _rk._phi_matrices
-
-    def counted(blocks, tau):
-        calls.append(tau.size)
-        return phi_matrices(blocks, tau)
-
-    monkeypatch.setattr(_rk, "_phi_matrices", counted)
-    M = 8
-    cfg = _cfg(nl=bo.make_nonlinearity("cubic", epsilon=1.0), Ebar=1.25, M=M,
-               delta=0.5, forcing=truebeam.GustForcing(
-                   breakpoints=((0.0, 0.0), (1.0, 10.0), (2.0, 0.0))))
-    a, b = np.zeros(M), np.zeros(M)
-    a[0], b[0] = 1.0, 1.0
-    traj = truebeam.integrate_truebeam(
-        cfg, truebeam.ModalState(0.0, a, np.zeros(M), b, np.zeros(M)), 3.0)
+    # (on an empty rung store: the conftest fixture empties it)
+    log = _phi_callers(monkeypatch)
+    traj = _ramp_run(8)
     assert traj.termination == "reached_t_end" and len(traj.events) == 2
+    calls = [len(taus) for _, taus in log]
     assert len(calls) <= 30, calls
     assert max(calls) >= 3 * _rk._RUNGS  # an octave's h, h/2 and h/4 at once
+
+
+def test_a_warm_rung_store_gives_the_cold_run_bit_for_bit(monkeypatch):
+    # the M = 8 run, then M = 4 and M = 8 runs of another penalty (stiffness
+    # and damping differ) and of another damping (only damping differs),
+    # each on the store the runs before it filled, then the M = 8 run again:
+    # each has the samples, switch, events and interpolant of its run on an
+    # empty store, and the rerun builds phis only for its steps cut short
+    # (h/4, h/2 and h off the ladder) and for its samples
+    def fingerprint(traj):
+        return (traj.ts.tobytes(), traj.ys.tobytes(), traj.switch.tobytes(),
+                traj.events, traj.eval(np.linspace(0.0, 3.0, 61)).tobytes())
+
+    runs = [dict(M=8), dict(M=4), dict(M=8, kappa=60.0), dict(M=8, delta=0.3)]
+    cold = []
+    for kwargs in runs:
+        _rk._shared_rungs.clear()
+        cold.append(fingerprint(_ramp_run(**kwargs)))
+    _rk._shared_rungs.clear()
+    assert [fingerprint(_ramp_run(**kwargs)) for kwargs in runs] == cold
+    calls = _phi_callers(monkeypatch)
+    assert fingerprint(_ramp_run(8)) == cold[0]
+    built = [taus for caller, taus in calls if caller == "weights"]
+    assert {caller for caller, _ in calls} == {"weights", "_interpolate"}
+    assert built and all(len(taus) == 3 and not any(map(_on_the_ladder, taus))
+                         for taus in built), built
+
+
+def test_the_rung_store_holds_rungs_only_of_at_most_eight_block_sets(
+        monkeypatch):
+    # the last step cut short at t_end, at a different size for each t_end
+    hs = set()
+    for t_end in (2.3, 2.71, 3.0):
+        traj = _ramp_run(1, t_end=t_end)
+        hs.update(h for seg in traj._segments for h in seg._hs.tolist())
+    assert not all(map(_on_the_ladder, hs))
+    sizes = [h for phis, mats in _rk._shared_rungs.values() for h in [*phis, *mats]]
+    assert sizes and all(map(_on_the_ladder, sizes))
+    # two block sets (switch +1 and -1) per penalty, 20 in all
+    for kappa in np.linspace(50.0, 150.0, 10):
+        traj = _ramp_run(1, kappa=kappa, t_end=0.6)
+        assert len(traj.events) == 1
+    assert len(_rk._shared_rungs) == _rk._SHARED_SETS
+    # the least recently used go first: kappa 200's sets, read again once
+    # 250-350 have filled the store, outlast 250's when 400's come in
+    for kappa in (200.0, 250.0, 300.0, 350.0, 200.0, 400.0):
+        _ramp_run(1, kappa=kappa, t_end=0.6)
+    calls = _phi_callers(monkeypatch)
+    _ramp_run(1, kappa=200.0, t_end=0.6)
+    assert all(not any(map(_on_the_ladder, taus))
+               for caller, taus in calls if caller == "weights")
 
 
 @pytest.mark.parametrize("count", [1, 2, 5])
