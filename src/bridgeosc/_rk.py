@@ -156,7 +156,9 @@ class RawTrajectory:
     function returning those of given steps (sorted distinct indices): then
     a step's coefficients are built the first time it is read, and kept.
     A DOP853 run builds them with its rhs: a pure function of (t, y) that
-    also takes y as (n, S) columns, t as (S,), each column as if alone.
+    also takes y as (n, S) columns, t as (S,), each column as if alone, and
+    returns the n components as a list (floats, or (S,) rows for columns)
+    or as an array, which the stepper writes straight into a stage row.
     The stepper may call it on the non-finite stage inputs of an attempt
     that it then rejects, and it must return there without raising.
     """
@@ -319,7 +321,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
         d1 = np.sqrt(np.mean((f0 / sc) ** 2))
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         y1 = y0 + h0 * f0
-        f1 = rhs(t0 + h0, y1)
+        f1 = np.asarray(rhs(t0 + h0, y1))
         d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2)) / h0
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -344,10 +346,11 @@ def _dop853_dense(rhs, ts, ys, hs, recs):
             at = steps[lo:lo + _EVAL_CHUNK]
             K = np.zeros((len(at), 16, n))  # stages 1-4 stay 0.0
             K[:, 0], K[:, 5:13] = recs[at, 0], recs[at, 1:]
+            K_in = K.transpose(1, 2, 0)  # stage j as rhs returns it, (n, S)
             t, y, h = ts[at], ys[at], hs[at]
             for j in range(13, 16):
                 u = y + h[:, None] * np.matmul(_A[j], K[:, :j])
-                K[:, j] = rhs(t + _C[j] * h, u.T).T
+                K_in[j] = rhs(t + _C[j] * h, u.T)
             np.matmul(_D, K, out=dk[lo:lo + _EVAL_CHUNK])
         h = hs[steps, None]
         f0, f1 = recs[steps, 0], recs[steps, 8]
@@ -450,7 +453,9 @@ class _Stepping:
 def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
     """Integrate the Lane records lanes as the rows of one (L, n) state: a
     stage is one call of rhs_of(idx), the rhs of lanes idx, on (n, L) columns
-    with t as (L,), or on one lane's bare (n,) state. Each lane keeps its own
+    with t as (L,), or on one lane's bare (n,) state, whose n components (a
+    list of (L,) rows or of floats, or an array) go straight into the stage's
+    row (see RawTrajectory for the rhs contract). Each lane keeps its own
     t, h, control and termination, bit for bit its integrate_adaptive run, and
     leaves the state when it ends; returns its trajectory or InvalidParameterError.
     The step method (_dop853, or _exponential given linear, for one lane

@@ -68,32 +68,33 @@ class OdeFamily:
             raise InvalidParameterError("pedestrian_wave needs gamma_p > 0")
 
     def rhs(self):
-        """First-order system derivative for (w, w', w'', w'''); run on a
-        record of (L,) arrays, it takes L families' states as (4, L) columns.
-        A bare (4,) state is read as Python floats, with the same arithmetic."""
+        """First-order system derivative for (w, w', w'', w''') as a list of
+        its 4 components; run on a record of (L,) arrays, it takes L families'
+        states as (4, L) columns and returns (L,) rows. A bare (4,) state is
+        read as Python floats, with the same arithmetic."""
         kind = self.kind
         if kind == "canonical":
             k, f = self.k_coef, self.nl.f
             def deriv(t, y):
                 w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
-                return np.array([w1, w2, w3, -k * w2 - f(w)])
+                return [w1, w2, w3, -k * w2 - f(w)]
         elif kind == "rocard_wave":
             al, be = self.alpha_r, self.beta_r
             def deriv(t, y):
                 w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
-                return np.array([w1, w2, w3, (al * w + be) * w2 - w])
+                return [w1, w2, w3, (al * w + be) * w2 - w]
         elif kind == "pedestrian_wave":
             g, c, d, f = self.gamma_p, self.c_speed, self.delta_damp, self.nl.f
             def deriv(t, y):
                 w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
-                return np.array([w1, w2, w3, (-c * c * w2 - d * c * w1 - f(w)) / g])
+                return [w1, w2, w3, (-c * c * w2 - d * c * w1 - f(w)) / g]
         else:
             a, k, b, c, q = self.a3, self.k2, self.b1, self.c0, self.q_exp
             def deriv(t, y):
                 w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
                 # np.power: on one float, ** rounds apart from arrays
-                return np.array([w1, w2, w3, -a * w3 - k * w2 - b * w1 - c * w
-                                 - np.power(abs(w), q) * w])
+                return [w1, w2, w3, -a * w3 - k * w2 - b * w1 - c * w
+                        - np.power(abs(w), q) * w]
         return deriv
 
 

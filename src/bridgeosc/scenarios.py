@@ -42,6 +42,8 @@ def parse_scenario(cfg: dict) -> Scenario:
         name, model, parameters = cfg["name"], cfg["model"], cfg["parameters"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"scenario config missing required key: {exc}") from exc
+    if not (isinstance(name, str) and name):  # it names the output files
+        raise ValueError(f"name must be a non-empty string, got {name!r}")
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if not isinstance(parameters, dict):
@@ -50,7 +52,7 @@ def parse_scenario(cfg: dict) -> Scenario:
     if not (isinstance(outputs, list) and len(outputs) <= 1
             and all(isinstance(o, dict) for o in outputs)):
         raise ValueError("outputs must be a list of at most one object")
-    return Scenario(str(name), model, parameters, outputs)
+    return Scenario(name, model, parameters, outputs)
 
 
 # the range of each int key, which bounds the work and memory of a run

@@ -119,8 +119,8 @@ def integrate_coupled(params: McKennaParams, nl: Nonlinearity, s0,
         st, ct = np.sin(th), np.cos(th)
         f_minus = f(y - ell * st)
         f_plus = f(y + ell * st)
-        return np.array([thd, 3.0 * ct * (f_minus - f_plus) / (m * ell),
-                         yd, -(f_minus + f_plus) / m])
+        return [thd, 3.0 * ct * (f_minus - f_plus) / (m * ell),
+                yd, -(f_minus + f_plus) / m]
 
     return _integrate_sys(rhs, s0, cfg)
 
@@ -135,7 +135,7 @@ def integrate_truesystem(omega2: float, nl: Nonlinearity, s0,
         x, xd, y, yd = s.tolist() if s.ndim == 1 else s
         f_plus = f(y + x)
         f_minus = f(y - x)
-        return np.array([xd, omega2 * (f_minus - f_plus), yd, -(f_plus + f_minus)])
+        return [xd, omega2 * (f_minus - f_plus), yd, -(f_plus + f_minus)]
 
     return _integrate_sys(rhs, s0, cfg)
 
@@ -152,7 +152,7 @@ def integrate_miosyst(params: MiosystParams, nl: Nonlinearity, s0,
         x, xd, y, yd = s.tolist() if s.ndim == 1 else s
         fw = f(y - x)
         z = y + x
-        return np.array([xd, fw - beta * z, yd, fw - delta * z])
+        return [xd, fw - beta * z, yd, fw - delta * z]
 
     return _integrate_sys(rhs, s0, cfg)
 

@@ -371,12 +371,18 @@ def project_initial(u0_field, u1_field, geom: PlateGeom, M: int) -> ModalState:
     return ModalState(0.0, a, ad, b, bd, switch=1)
 
 
+def _check_sign(value, name: str) -> None:
+    """Refuse all but the integer +1 or -1: a Python or numpy int, not a
+    bool or a float (1.0 == 1 would pass a membership test alone)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value not in (1, -1):
+        raise InvalidParameterError(f"{name} must be the integer +1 or -1")
+
+
 def check_compatibility(u0_field, u1_field, E0: int, geom: PlateGeom) -> float:
     """Max violation of (u1+u0)(x1,-l) = E0 (u1+u0)(x1,l) over 201 x1 points.
     E0 is an integer +1 or -1 (a Python or numpy int, not a bool or float)."""
-    if isinstance(E0, bool) or not isinstance(E0, (int, np.integer)) \
-            or E0 not in (1, -1):
-        raise InvalidParameterError("E0 must be the integer +1 or -1")
+    _check_sign(E0, "E0")
     x1 = np.linspace(0.0, geom.length_L, 201)
     ell = geom.half_width_l
     lo = _field_eval(u1_field, x1, -ell) + _field_eval(u0_field, x1, -ell)
@@ -430,11 +436,12 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
     are located up front, in closed form; integration restarts at each flip
     with the penalty moved to the newly constrained family. A config without
     forcing runs the zero gust, one breakpoint at state0.t. freeze_switch
-    (+1 or -1, not a bool) pins the switch for diagnostic runs. A run whose
-    samples would hold over MAX_SAMPLE_VALUES values is refused before it runs.
+    (the integer +1 or -1: a Python or numpy int, not a bool or float) pins
+    the switch for diagnostic runs. A run whose samples would hold over
+    MAX_SAMPLE_VALUES values is refused before it runs.
     """
-    if isinstance(freeze_switch, bool) or freeze_switch not in (None, 1, -1):
-        raise InvalidParameterError("freeze_switch must be None, +1 or -1")
+    if freeze_switch is not None:
+        _check_sign(freeze_switch, "freeze_switch")
     M = cfg.modes_M
     if state0.a.size != M:
         raise InvalidParameterError("state0 truncation disagrees with modes_M")

@@ -69,6 +69,33 @@ def test_precondition_violation_exit_code(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_an_unknown_force_law_kind_is_named_before_its_parameters(tmp_path, capsys):
+    cfg = tmp_path / "kind.json"
+    cfg.write_text(json.dumps({
+        "name": "bogus-nl", "model": "ode4",
+        "parameters": {
+            "family": {"kind": "canonical", "k_coef": 1.0,
+                       "nl": {"kind": "bogus", "params": {"epsilon": 1}}},
+            "state0": [1, 0, 0, 0], "t_end": 1.0}}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "unknown nonlinearity kind 'bogus'" in err and "epsilon" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name", ["", None, 7, ["tiny"]])
+def test_a_scenario_name_that_is_not_a_non_empty_string_exits_2(
+        tmp_path, capsys, name):
+    # the name names the output files: "" would write .csv, .json and .svg
+    cfg = tmp_path / "noname.json"
+    cfg.write_text(json.dumps({**_tiny_ode4_config(), "name": name}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "name" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _tiny_ode4_config(name="tiny"):
     return {
         "name": name, "model": "ode4",
@@ -330,7 +357,7 @@ def test_infinite_tolerance_exits_3_and_names_it(tmp_path, capsys, run, key):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("freeze", [0, 2])
+@pytest.mark.parametrize("freeze", [0, 2, 1.0, -1.0])
 def test_truebeam_freeze_switch_outside_plus_minus_one_exits_3(tmp_path, freeze):
     cfg = tmp_path / "fz.json"
     cfg.write_text(json.dumps({

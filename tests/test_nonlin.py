@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -209,6 +211,15 @@ def test_f_on_one_float_is_the_array_f_byte_for_byte(nl):
     assert scalar.tobytes() == out.tobytes()
     assert f64.tobytes() == out[-10_010:].tobytes()
     assert type(nl.f(np.float64(0.5))) is float
+
+
+@pytest.mark.parametrize("nl", GRID_KINDS, ids=lambda n: n.kind)
+def test_a_nonlinearity_pickles_and_copies_with_its_float_path(nl):
+    # the float path is bound at construction, and a sweep worker or a copy
+    # must bind it again
+    for twin in (pickle.loads(pickle.dumps(nl)), copy.deepcopy(nl), copy.copy(nl)):
+        assert twin == nl and hash(twin) == hash(nl)
+        assert type(twin.f(0.5)) is float and twin.f(-1.5) == nl.f(-1.5)
 
 
 # f (array path), F and f' as written before each law was one table entry,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bridgeosc as bo
-from bridgeosc import systems
+from bridgeosc import ode4, systems
 from bridgeosc.errors import (EmptyTrajectoryError, InvalidParameterError,
                               UnsupportedFamilyError)
 
@@ -74,13 +74,77 @@ def test_bare_state_rhs_equals_its_column_bit_for_bit(name, law, y, t):
     rhs = _RHS[name](bo.make_nonlinearity(law, **_LAWS[law]))
     y = np.array(y)
     with np.errstate(all="ignore"):  # as while stepping
-        bare, column = rhs(t, y), rhs(np.array([t]), y[:, None])
+        bare, column = (np.asarray(rhs(t, y)),
+                        np.asarray(rhs(np.array([t]), y[:, None])))
     assert bare.shape == (4,) and column.shape == (4, 1)
     # NaN's sign bit can differ between float and array arithmetic (the
     # coupled rhs at theta = inf, y = NaN); any NaN rejects an attempt alike
     nan = np.isnan(bare)
     assert np.array_equal(nan, np.isnan(column[:, 0]))
     assert bare[~nan].tobytes() == column[~nan, 0].tobytes()
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("name", sorted(_RHS))
+def test_each_package_rhs_returns_its_components_as_a_list(name, law):
+    # the stepper writes the list straight into its stage rows
+    if name == "miosyst" and law not in ("cubic", "mckenna_cubic"):
+        law = "cubic"
+    rhs = _RHS[name](bo.make_nonlinearity(law, **_LAWS[law]))
+    bare = rhs(0.3, np.array([0.4, -0.2, 0.7, 1.1]))
+    assert type(bare) is list and len(bare) == 4
+    assert all(isinstance(v, float) for v in bare)
+    columns = rhs(np.array([0.3, 0.5, 0.9]), np.linspace(-1.0, 1.0, 12).reshape(4, 3))
+    assert type(columns) is list and len(columns) == 4
+    assert all(isinstance(v, np.ndarray) and v.shape == (3,) for v in columns)
+
+
+def _as_array_rhs(rhs):
+    return lambda t, y: np.array(rhs(t, y))
+
+
+def _assert_bitwise_equal_runs(a, b):
+    assert a.termination == b.termination and a.n_rejected == b.n_rejected
+    for name in ("ts", "ys", "_rcont"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.events == b.events
+
+
+def test_list_rhs_runs_equal_array_rhs_runs_bit_for_bit():
+    # the same runs with each rhs returning np.array(list): a lone run, a
+    # 3-lane batch (dense stages as columns) and a systems run
+    family_rhs = bo.OdeFamily.rhs
+    cubic = bo.make_nonlinearity("cubic", epsilon=1.0)
+    lone = (bo.canonical(3.0, cubic), [1.0, 0.0, 0.0, 0.0],
+            bo.IntegratorConfig(t_end=20.0))
+    piecewise = bo.make_nonlinearity("piecewise")
+    lanes = [(bo.canonical(k, piecewise), [w0, 0.0, 0.0, 0.0],
+              bo.IntegratorConfig(t_end=40.0, rel_tol=1e-7, abs_tol=1e-7))
+             for k, w0 in ((0.0, 1.5), (2.0, 0.8), (2.0, -1.2))]
+    params = systems.MiosystParams(-1.0, 1.0)
+    mckenna = bo.make_nonlinearity("mckenna_cubic", sigma_f=1.0, c_quad=0.5,
+                                   d_cub=1.0)
+
+    def runs():
+        mio = systems.integrate_miosyst(params, mckenna, [1.0, 1.0, 0.0, -1.0],
+                                        bo.IntegratorConfig(t_end=20.0))
+        mio.events = systems.to_fourth_order(params, mckenna, mio).events
+        return [bo.integrate(*lone), *ode4.integrate_lanes(lanes), mio]
+
+    with_lists = runs()
+    sys_integrate = systems.integrate_adaptive
+    with mock.patch.object(bo.OdeFamily, "rhs",
+                           lambda self: _as_array_rhs(family_rhs(self))), \
+            mock.patch.object(systems, "integrate_adaptive",
+                              lambda rhs, *a, **kw: sys_integrate(
+                                  _as_array_rhs(rhs), *a, **kw)):
+        with_arrays = runs()
+    assert with_lists[0].termination == "blowup_detected"
+    assert with_lists[-1].termination == "blowup_detected"
+    assert sum(run.n_rejected for run in with_lists) > 0
+    for a, b in zip(with_lists, with_arrays):
+        _assert_bitwise_equal_runs(a, b)
 
 
 def test_family_validation():

@@ -426,6 +426,19 @@ def test_freeze_switch_only_plus_or_minus_one(freeze):
                                     freeze_switch=freeze)
 
 
+def test_freeze_switch_is_an_integer_not_a_float():
+    # 1.0 == 1, so a membership test alone let a float pin the switch
+    st0, cfg = truebeam.zero_modal_state(1), _cfg()
+    for freeze in (1.0, -1.0, np.float64(-1.0), np.float64(1.0)):
+        with pytest.raises(InvalidParameterError, match="the integer"):
+            truebeam.integrate_truebeam(cfg, st0, 1.0, freeze_switch=freeze)
+    pinned = truebeam.integrate_truebeam(cfg, st0, 1.0, freeze_switch=np.int64(1))
+    plain = truebeam.integrate_truebeam(cfg, st0, 1.0, freeze_switch=1)
+    assert np.all(pinned.switch == 1)
+    assert pinned.ts.tobytes() == plain.ts.tobytes()
+    assert pinned.ys.tobytes() == plain.ys.tobytes()
+
+
 @pytest.mark.parametrize("freeze", [None, 1, -1])
 @pytest.mark.parametrize("t0", [0.0, -0.5])
 @pytest.mark.parametrize("a0", [0.0, 0.4])
