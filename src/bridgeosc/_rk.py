@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -118,12 +118,8 @@ _EVAL_CHUNK = 256
 # exponential steps per octave of step size
 _RUNGS = 8
 _LADDER = [2.0 ** (j / _RUNGS) for j in range(_RUNGS)]
-# the phi matrices by tau and step weights by step size of ladder rungs, per
-# set of linear blocks (keyed by its content), shared by every segment and
-# run stepping on it; at most _SHARED_SETS sets, the least recently used
-# dropped first
+# block sets whose rung weights _shared_weights holds
 _SHARED_SETS = 8
-_shared_rungs = {}
 
 
 class LinearBlocks(NamedTuple):
@@ -484,6 +480,7 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                      "tolerances must be finite and positive"),
                     (lane.max_step > 0.0, "max_step must be > 0"),
                     (np.all(np.isfinite(y)), "initial state must be finite"),
+                    (math.isfinite(t), "t0 must be finite"),
                     (np.isfinite(t_end), "t_end must be finite"),
                     (not t_end <= t, "t_end must exceed t0")):
                 if not ok:
@@ -759,15 +756,11 @@ def _ho5_step(N, weights, t, y, f, h, t_new, X, U, swap):
     return np.add.reduce((weights[4] * X[4:]).reshape(-1, n), axis=0)
 
 
-def _rung_store(blocks):
-    """The (phis, mats) dicts of ladder rungs shared by all runs on blocks,
-    made empty for a set not held; the set becomes the most recently used."""
-    key = (blocks.stiffness.shape, blocks.stiffness.tobytes(),
-           blocks.damping.tobytes())
-    store = _shared_rungs[key] = _shared_rungs.pop(key, None) or ({}, {})
-    if len(_shared_rungs) > _SHARED_SETS:
-        del _shared_rungs[next(iter(_shared_rungs))]
-    return store
+@lru_cache(_SHARED_SETS)
+def _shared_weights(shape, stiffness, damping):
+    """The step weights by step size of ladder rungs on the linear blocks of
+    this shape and these stiffness and damping bytes, for every run on them."""
+    return {}
 
 
 def _exponential(rhs, y0, f0, rtol, atol, blocks):
@@ -777,19 +770,18 @@ def _exponential(rhs, y0, f0, rtol, atol, blocks):
     steps, whose error is the difference over 2^4 - 1. A step's record is
     its interpolation data (N at its start, D1, D2). size rounds h down to a
     ladder of _RUNGS sizes per octave and cuts a step short at a kink or at
-    t_end. The phi functions and step weights of a rung are computed once
-    per set of blocks and shared across segments and runs (_rung_store, at
-    most _SHARED_SETS sets); those of a step cut short stay the run's own,
-    so the shared store grows with the rung range, not with the runs. Each
-    phi entry has its own scaling and the weights are elementwise, so a
-    shared entry is bit for bit the one a run would compute. An attempt
-    evaluates all its 13 stages (and N at its start after an accepted one)
-    and is rejected by _dop853's one non-finite check, over the three
-    steps' X and stage inputs."""
+    t_end. The step weights of a rung are computed once per set of blocks
+    and shared across segments and runs (_shared_weights); those of a step
+    cut short stay the run's own, so the shared store grows with the rung
+    range, not with the runs. Each phi entry has its own scaling and the
+    weights are elementwise, so a shared entry is bit for bit the one a run
+    would compute. An attempt evaluates all its 13 stages (and N at its
+    start after an accepted one) and is rejected by _dop853's one non-finite
+    check, over the three steps' X and stage inputs."""
     n, swap, zeros = y0.size, _swap(blocks), np.zeros(60 * y0.size)
-    # phi matrices by tau, step weights by step size: of rungs, shared; of
-    # steps cut short, the run's own
-    rungs_of_blocks, own = _rung_store(blocks), ({}, {})
+    # step weights by step size: of rungs, shared; of steps cut short, own
+    shared, own = _shared_weights(blocks.stiffness.shape, blocks.stiffness.tobytes(),
+                                  blocks.damping.tobytes()), {}
     buf = np.empty(60 * n)  # X (8, 2, n) and U (4, n) of each step
     X, U = buf[:48 * n].reshape(3, 8, 2, n), buf[48 * n:].reshape(3, 4, n)
     f, stale, abs_y = f0, False, np.abs(y0)
@@ -805,24 +797,23 @@ def _exponential(rhs, y0, f0, rtol, atol, blocks):
         return (h, t + h) if h < stop - t else (stop - t, stop)
 
     def weights(h):
-        """The step weights at h/2 and h. 0.25 h and 0.5 h are exact
-        scalings, so a tau shared by two step sizes has one entry, and they
-        are rungs if and only if h is. A rung of the ladder brings the phis
-        of all rungs of its octave in one batch; a step cut short at a kink
-        or t_end brings its own."""
+        """The step weights at h/2 and h. A miss builds, from one batch of
+        phis at their sizes and half sizes, the weights of every size the
+        store lacks: for a rung of the ladder, of its octave and the octave
+        below; for a step cut short at a kink or t_end, its own two. 0.5 h
+        is an exact scaling, so a tau shared by two sizes has one entry, and
+        it is a rung if and only if h is."""
         octave = math.frexp(h)[1] - 1  # 2^octave <= h < 2^(octave + 1)
         rung = math.ldexp(h, -octave) in _LADDER
-        phis, mats = rungs_of_blocks if rung else own
-        taus = [tau for tau in (0.25 * h, 0.5 * h, h) if tau not in phis]
-        if taus:
-            if rung:
-                rungs = [math.ldexp(x, octave) for x in _LADDER]
-                taus = [tau for hk in rungs for tau in (0.25 * hk, 0.5 * hk, hk)
-                        if tau not in phis]
-            phis.update(zip(taus, np.moveaxis(_phi_matrices(
+        mats = shared if rung else own
+        if 0.5 * h not in mats or h not in mats:
+            sizes = [math.ldexp(x, octave - below) for below in (0, 1)
+                     for x in _LADDER] if rung else [h, 0.5 * h]
+            sizes = [hk for hk in sizes if hk not in mats]
+            taus = list(dict.fromkeys(tau for hk in sizes for tau in (0.5 * hk, hk)))
+            phis = dict(zip(taus, np.moveaxis(_phi_matrices(
                 blocks, np.array(taus)[:, None, None]), 2, 0)))
-        for hk in (0.5 * h, h):
-            if hk not in mats:
+            for hk in sizes:
                 mats[hk] = _ho5_weights(phis[0.5 * hk], phis[hk], hk)
         return mats[0.5 * h], mats[h]
 

@@ -12,11 +12,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import List, Optional, Tuple
 
-from .errors import InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .scenarios import (BUILTINS, integrate_ode4, list_builtins, out_paths,
                         parse_scenario, run_scenario)
 
@@ -39,11 +38,11 @@ def _run(config: dict, out_dir: str, integrated=None) -> Tuple[int, str]:
     printing is left to the caller."""
     try:
         result = run_scenario(config, out_dir, integrated)
-    except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, InvalidParameterError):
-            return EXIT_PRECONDITION, f"precondition violation: {exc}"
+    except InvalidParameterError as exc:
+        return EXIT_PRECONDITION, f"precondition violation: {exc}"
+    except ConfigError as exc:
         return EXIT_PARSE, f"config error: {exc}"
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         return EXIT_RUNTIME, f"runtime failure: {exc}"
     return EXIT_OK, f"{result.name}: {result.summary}"
 
@@ -159,7 +158,7 @@ def _cmd_sweep(args) -> int:
     for pt in points:
         try:
             paths = out_paths(parse_scenario(pt), out_dir).values()
-        except (ValueError, KeyError, TypeError):
+        except ValueError:
             continue  # the point reports it when it runs
         for path in map(os.path.realpath, paths):
             if writers.setdefault(path, pt["name"]) != pt["name"]:
@@ -173,6 +172,8 @@ def _cmd_sweep(args) -> int:
     jobs = min(args.jobs, len(points), cpus)
     size = min(BATCH_POINTS, -(-len(points) // jobs))
     batches = [points[lo:lo + size] for lo in range(0, len(points), size)]
+    # imported here: it loads multiprocessing, which only a sweep's pool needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         done = (pool.map if pool else map)(_run_batch, batches,
                                            [out_dir] * len(batches))

@@ -10,6 +10,10 @@ class InvalidParameterError(BridgeError, ValueError):
     """A parameter record violates its validity constraints."""
 
 
+class ConfigError(BridgeError, ValueError):
+    """A scenario config lacks a key, or a key or record has the wrong shape."""
+
+
 class UnsupportedFamilyError(BridgeError):
     """The requested quantity is not defined for this equation family."""
 

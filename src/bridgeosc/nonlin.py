@@ -183,7 +183,7 @@ def make_nonlinearity(kind: str, params: Optional[dict] = None, **kw) -> Nonline
     """Build a validated Nonlinearity from the parameters its kind reads;
     raises InvalidParameterError on any other parameter or a bad value,
     a bool, a str, NaN or inf included."""
-    if kind not in KINDS:  # before its parameters, which only a kind names
+    if not isinstance(kind, str) or kind not in KINDS:  # before its parameters
         raise InvalidParameterError(f"unknown nonlinearity kind {kind!r}")
     given = {**(params or {}), **kw}
     unknown = set(given) - set(KINDS[kind])

@@ -6,6 +6,7 @@ which run_scenario writes last: a config rejected anywhere writes no file.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import energy, ode4, plate, systems, truebeam
-from .errors import InvalidParameterError, _count, _number
+from .errors import ConfigError, InvalidParameterError, _count, _number
 from .io import svg_line_plot
 from .nonlin import nonlinearity_from_config
 
@@ -38,21 +39,17 @@ class ScenarioResult:
 
 
 def parse_scenario(cfg: dict) -> Scenario:
-    try:
-        name, model, parameters = cfg["name"], cfg["model"], cfg["parameters"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"scenario config missing required key: {exc}") from exc
+    cfg = _shaped(cfg, "scenario config")
+    name, model, parameters = cfg["name"], cfg["model"], cfg["parameters"]
     if not (isinstance(name, str) and name):  # it names the output files
-        raise ValueError(f"name must be a non-empty string, got {name!r}")
-    if model not in _MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    if not isinstance(parameters, dict):
-        raise ValueError("parameters must be an object")
+        raise ConfigError(f"name must be a non-empty string, got {name!r}")
+    if model not in MODELS:  # a tuple: an unhashable model is unknown too
+        raise ConfigError(f"unknown model {model!r}; expected one of {MODELS}")
     outputs = cfg.get("outputs", [])
     if not (isinstance(outputs, list) and len(outputs) <= 1
             and all(isinstance(o, dict) for o in outputs)):
-        raise ValueError("outputs must be a list of at most one object")
-    return Scenario(name, model, parameters, outputs)
+        raise ConfigError("outputs must be a list of at most one object")
+    return Scenario(name, model, _shaped(parameters, "parameters"), outputs)
 
 
 # the range of each int key, which bounds the work and memory of a run
@@ -77,27 +74,44 @@ def _record(cls, p: dict, **given):
     kw = {f.name: _int(p, f.name) if f.type == "int" else _number(p[f.name], f.name)
           if f.type == "float" else p[f.name]
           for f in fields(cls) if f.name in p and f.name not in given}
-    return cls(**kw, **given)
+    return _built(cls, cls.__name__, **kw, **given)
+
+
+def _built(cls, what: str, **kw):
+    """cls(**kw), or a config error naming a field kw lacks or cls has not."""
+    try:
+        inspect.signature(cls).bind(**kw)
+    except TypeError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    return cls(**kw)
 
 
 # JSON shapes a config key may be required to have, by name
 _SHAPES = {"an object": lambda v: isinstance(v, dict),
            "a list": lambda v: isinstance(v, list),
+           "a string": lambda v: isinstance(v, str),
            "a list of [t, a] pairs": lambda v: isinstance(v, list) and all(
                isinstance(pair, list) and len(pair) == 2 for pair in v)}
 
 
+class _Object(dict):
+    """A config object, whose missing keys are config errors."""
+    def __missing__(self, key):
+        raise ConfigError(f"missing required key: {key!r}")
+
+
 def _shaped(value, key: str, shape: str = "an object"):
-    """value, if it has the shape named (a _SHAPES key); else a config
-    error (exit 2) naming key, met before anything runs."""
+    """value (an object as an _Object), if it has the shape named (a _SHAPES
+    key); else a config error (exit 2) naming key, met before anything runs."""
     if not _SHAPES[shape](value):
-        raise ValueError(f"{key} must be {shape}")
-    return value
+        raise ConfigError(f"{key} must be {shape}")
+    return _Object(value) if shape == "an object" else value
 
 
 def _law(nl, key: str):
     """The force law of the nl object at key, whose params is an object too."""
-    _shaped(_shaped(nl, key).get("params", {}), key + ".params")
+    nl = _shaped(nl, key)
+    _shaped(nl.get("params", {}), key + ".params")
     return nonlinearity_from_config(nl)
 
 
@@ -114,16 +128,16 @@ def out_paths(sc: Scenario, out_dir: str) -> Dict[str, str]:
     _reduced.csv beside the .csv), each in out_dir or a directory there."""
     given, exts = (sc.outputs or [{}])[0], ("csv", "svg", "json")
     _check_read("outputs", given, keys=[f"{ext}_path" for ext in exts])
-    paths = {"." + ext: os.path.join(out_dir, given.get(f"{ext}_path")
-                                     or f"{sc.name}.{ext}") for ext in exts}
+    paths = {"." + ext: os.path.join(out_dir, _shaped(given.get(f"{ext}_path") or (
+        f"{sc.name}.{ext}"), f"outputs {ext}_path", "a string")) for ext in exts}
     paths["_reduced.csv"] = os.path.splitext(paths[".csv"])[0] + "_reduced.csv"
     root = os.path.realpath(out_dir)
     for path in paths.values():
         where = os.path.dirname(os.path.realpath(path))
         if os.path.commonpath([root, where]) != root:
-            raise ValueError(f"output path {path!r} leaves the output directory")
+            raise ConfigError(f"output path {path!r} leaves the output directory")
         if where != root and not os.path.isdir(where):
-            raise ValueError(f"output path {path!r} is in no existing directory")
+            raise ConfigError(f"output path {path!r} is in no existing directory")
     return paths
 
 
@@ -148,7 +162,7 @@ def _ode4_run(p: dict) -> tuple:
     nl = _law(fam["nl"], "family.nl") if "nl" in fam else None
     kw = {k: _number(v, k) for k, v in fam.items() if k not in ("kind", "nl")}
     state0 = [_number(v, "state0") for v in _shaped(p["state0"], "state0", "a list")]
-    return (ode4.OdeFamily(kind=fam["kind"], nl=nl, **kw), state0,
+    return (_built(ode4.OdeFamily, "family", kind=fam["kind"], nl=nl, **kw), state0,
             _record(ode4.IntegratorConfig, p))
 
 
@@ -209,8 +223,8 @@ def _run_modes(sc: Scenario) -> tuple:
         summary = (f"navier S={p['navier_S']}: {len(modes)} modes "
                    + " ".join(f"({m.m_index},{m.n_index})" for m in modes))
     else:
-        geom = plate.PlateGeom(**{k: _number(v, k)
-                                  for k, v in _shaped(p["geom"], "geom").items()})
+        geom = _built(plate.PlateGeom, "geom", **{
+            k: _number(v, k) for k, v in _shaped(p["geom"], "geom").items()})
         modes = plate.analytic_modes(geom, _int(p, "m_max", 4))
         worst = max(plate.verify_mode(geom, md, bc, 32).max_residual
                     for md in modes for bc in ("eigen1", "eigen2"))
@@ -234,19 +248,21 @@ def _run_flutter(sc: Scenario) -> tuple:
 
 def _run_energy(sc: Scenario) -> tuple:
     p = sc.parameters
-    payload = energy.ledger_report(energy.make_ledger(p["total_E"], p["schedule"]))
+    payload = energy.ledger_report(energy.make_ledger(
+        p["total_E"], _shaped(p["schedule"], "schedule", "a list")))
     return (f"switch={payload['switch']} active_modes={payload['active_modes']}",
             [(".json", _text(json.dumps(payload, allow_nan=False)))])
 
 
 def _run_truebeam(sc: Scenario) -> tuple:
     p = sc.parameters
-    geom = plate.PlateGeom(**{k: _number(v, k)
-                              for k, v in _shaped(p["geom"], "geom").items()})
+    geom = _built(plate.PlateGeom, "geom", **{
+        k: _number(v, k) for k, v in _shaped(p["geom"], "geom").items()})
     nl = _law(p["nl"], "nl")
     fc, forcing = p.get("forcing"), None  # absent or null: the zero gust
     if fc is not None:
-        _check_read("forcing", _shaped(fc, "forcing"), [truebeam.GustForcing])
+        fc = _shaped(fc, "forcing")
+        _check_read("forcing", fc, [truebeam.GustForcing])
         forcing = _record(truebeam.GustForcing, fc, breakpoints=tuple(
             (_number(t, "breakpoints"), _number(a, "breakpoints")) for t, a in
             _shaped(fc["breakpoints"], "breakpoints", "a list of [t, a] pairs")))

@@ -8,9 +8,9 @@ from bridgeosc import _rk, systems
 
 @pytest.fixture(autouse=True)
 def empty_rung_store():
-    """Each test starts with no shared exponential-step phis or weights, so
-    what a test counts or compares does not depend on the tests before it."""
-    _rk._shared_rungs.clear()
+    """Each test starts with no shared exponential-step weights, so what a
+    test counts or compares does not depend on the tests before it."""
+    _rk._shared_weights.cache_clear()
 
 
 @pytest.fixture(scope="session")

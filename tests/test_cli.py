@@ -948,7 +948,7 @@ def test_sweep_jobs_are_at_least_one_and_at_most_the_usable_cpus(
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     for jobs in ("5000", "2"):  # 8 points on 3 usable CPUs
@@ -1091,6 +1091,55 @@ def test_a_sweep_grid_above_max_sweep_points_exits_2_before_any_output(
 def test_a_config_without_model_or_with_list_parameters_exits_2(
         tmp_path, capsys, config, message):
     assert _run_config(tmp_path, config) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, TypeError])
+@pytest.mark.parametrize("model, module, solver", [
+    ("ode4", "ode4", "integrate"), ("miosyst", "systems", "integrate_miosyst"),
+    ("truebeam", "truebeam", "integrate_truebeam")])
+def test_a_failure_inside_a_run_exits_1_with_nothing_written(
+        tmp_path, capsys, monkeypatch, model, module, solver, error):
+    # a ValueError, KeyError or TypeError raised inside a solver is a
+    # runtime failure of a valid config, not a config error
+    def fail(*args, **kwargs):
+        raise error("inside the solver")
+
+    monkeypatch.setattr(f"bridgeosc.{module}.{solver}", fail)
+    assert _run_config(tmp_path, {"name": "r", "model": model,
+                                  "parameters": MODEL_RUNS[model][0]}) == 1
+    assert "runtime failure: " in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_import_leaves_multiprocessing_out():
+    # only a sweep's worker pool needs multiprocessing; `bridge run` and a
+    # bench set-up do not load it
+    src = os.path.dirname(os.path.dirname(bridgeosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bridgeosc.cli; "
+         "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("config, code, message", [
+    ({"name": "u", "model": ["ode4"], "parameters": {}}, 2,
+     "config error: unknown model ['ode4']"),
+    ({"name": "u", "model": "coupled", "parameters": {
+        **MODEL_RUNS["coupled"][0], "nl": {"kind": ["cubic"]}}}, 3,
+     "unknown nonlinearity kind ['cubic']"),
+], ids=["model", "nl-kind"])
+def test_an_unhashable_model_or_force_law_kind_is_unknown(
+        tmp_path, capsys, config, code, message):
+    # a list where a name belongs is a bad config, not a runtime failure
+    assert _run_config(tmp_path, config) == code
     assert message in capsys.readouterr().err
     out = tmp_path / "o"
     assert not out.exists() or not any(out.iterdir())

@@ -168,6 +168,17 @@ def test_non_finite_t_end_rejected(t_end, rhs, linear):
         integrate_adaptive(rhs, 0.0, [1.0, 0.0], t_end, linear=linear)
 
 
+@pytest.mark.parametrize("t0, rhs, linear", [
+    (t0, rhs, linear) for rhs, linear in METHODS
+    for t0 in (np.nan, np.inf, -np.inf)],
+    ids=["nan", "inf", "-inf", "exponential-nan", "exponential-inf",
+         "exponential--inf"])
+def test_non_finite_t0_rejected(t0, rhs, linear):
+    # a NaN t0 ended at once as reached_t_end, and -inf as an underflow
+    with pytest.raises(InvalidParameterError, match="t0 must be finite"):
+        integrate_adaptive(rhs, t0, [1.0, 0.0], 1.0, linear=linear)
+
+
 # --- reference step loop --------------------------------------------------
 # The plain loop, keeping each accepted step's stages, then the dense-output
 # block of every step, its three dense stages evaluated after the loop and
@@ -795,11 +806,49 @@ def test_the_rung_store_tells_block_shapes_apart():
     shapes = ([[1.0, 4.0]], [[1.0], [4.0]])
     cold = []
     for k in shapes:
-        _rk._shared_rungs.clear()
+        _rk._shared_weights.cache_clear()
         cold.append(run(k))
     for k, first in zip(shapes[::-1], cold[::-1]):
         _assert_same_run(run(k), first, ("ts", "ys", "_hs", "_stages"))
-    assert len(_rk._shared_rungs) == 2
+    assert _rk._shared_weights.cache_info().currsize == 2
+
+
+def test_a_cold_first_rung_builds_two_octaves_of_weights_in_one_batch(
+        monkeypatch):
+    # on an empty store, the first attempt's rung brings the weights of every
+    # rung of its octave and of the octave below, from one batch of phis at
+    # their sizes and half sizes; the last step, cut short at t_end, builds
+    # its own, which stay out of the shared store
+    def on_the_ladder(h):
+        return math.ldexp(h, 1 - math.frexp(h)[1]) in _rk._LADDER
+
+    batches, built = [], []  # taus of each phi batch; (batches before, h)
+    phi_matrices, ho5_weights = _rk._phi_matrices, _rk._ho5_weights
+
+    def counted_phi(blocks, tau):
+        batches.append(tau.ravel().tolist())
+        return phi_matrices(blocks, tau)
+
+    def counted_weights(half, whole, h):
+        built.append((len(batches), h))
+        return ho5_weights(half, whole, h)
+
+    monkeypatch.setattr(_rk, "_phi_matrices", counted_phi)
+    monkeypatch.setattr(_rk, "_ho5_weights", counted_weights)
+    k, c = np.array([[1.0, 4.0]]), np.full((1, 2), 0.1)
+    raw = integrate_adaptive(
+        lambda t, y: -0.5 * y ** 3, 0.0, [1.0, 0.5, 0.0, -0.5], 5.0,
+        rtol=1e-8, atol=1e-8, linear=_rk.LinearBlocks(k, c))
+    assert raw.termination == REACHED_T_END
+    first = [h for batch, h in built if batch == 1]
+    octave = math.frexp(first[0])[1] - 1
+    assert first == [math.ldexp(x, octave - below) for below in (0, 1)
+                     for x in _rk._LADDER]
+    assert sorted(batches[0]) == sorted({tau for h in first for tau in (h, 0.5 * h)})
+    store = _rk._shared_weights(k.shape, k.tobytes(), c.tobytes())
+    cut = {2.0 * h for h in raw._hs.tolist() if not on_the_ladder(h)}
+    assert cut and cut <= {h for _, h in built}
+    assert set(first) <= set(store) and all(map(on_the_ladder, store))
 
 
 @pytest.mark.parametrize("threshold, termination", [

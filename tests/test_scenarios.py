@@ -7,7 +7,7 @@ import re
 import pytest
 
 from bridgeosc import energy, ode4, plate, scenarios, systems, truebeam
-from bridgeosc.errors import InvalidParameterError
+from bridgeosc.errors import ConfigError, InvalidParameterError
 from bridgeosc.nonlin import make_nonlinearity
 
 CUBIC = {"kind": "cubic", "params": {"epsilon": 0.5}}
@@ -135,7 +135,7 @@ def test_unknown_keys_are_rejected_flat_and_nested(tmp_path):
         scenarios.run_scenario({"name": "c", "model": "coupled",
                                 "parameters": base}, str(out))
     assert not out.exists()
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigError, match="bogus"):
         scenarios.run_scenario({"name": "m", "model": "modes", "parameters": {
             "geom": {"length_L": 1.0, "half_width_l": 0.5, "bogus": 1}}},
             str(tmp_path))

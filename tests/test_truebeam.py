@@ -710,9 +710,9 @@ def test_a_warm_rung_store_gives_the_cold_run_bit_for_bit(monkeypatch):
     runs = [dict(M=8), dict(M=4), dict(M=8, kappa=60.0), dict(M=8, delta=0.3)]
     cold = []
     for kwargs in runs:
-        _rk._shared_rungs.clear()
+        _rk._shared_weights.cache_clear()
         cold.append(fingerprint(_ramp_run(**kwargs)))
-    _rk._shared_rungs.clear()
+    _rk._shared_weights.cache_clear()
     assert [fingerprint(_ramp_run(**kwargs)) for kwargs in runs] == cold
     calls = _phi_callers(monkeypatch)
     assert fingerprint(_ramp_run(8)) == cold[0]
@@ -724,19 +724,28 @@ def test_a_warm_rung_store_gives_the_cold_run_bit_for_bit(monkeypatch):
 
 def test_the_rung_store_holds_rungs_only_of_at_most_eight_block_sets(
         monkeypatch):
+    # each block set's weights by step size, as the runs read them
+    stores, shared = {}, _rk._shared_weights
+
+    def kept(*key):
+        stores[key] = shared(*key)
+        return stores[key]
+
+    monkeypatch.setattr(_rk, "_shared_weights", kept)
     # the last step cut short at t_end, at a different size for each t_end
     hs = set()
     for t_end in (2.3, 2.71, 3.0):
         traj = _ramp_run(1, t_end=t_end)
         hs.update(h for seg in traj._segments for h in seg._hs.tolist())
     assert not all(map(_on_the_ladder, hs))
-    sizes = [h for phis, mats in _rk._shared_rungs.values() for h in [*phis, *mats]]
+    sizes = [h for weights in stores.values() for h in weights]
     assert sizes and all(map(_on_the_ladder, sizes))
     # two block sets (switch +1 and -1) per penalty, 20 in all
     for kappa in np.linspace(50.0, 150.0, 10):
         traj = _ramp_run(1, kappa=kappa, t_end=0.6)
         assert len(traj.events) == 1
-    assert len(_rk._shared_rungs) == _rk._SHARED_SETS
+    assert len(stores) == 22
+    assert shared.cache_info().currsize == _rk._SHARED_SETS
     # the least recently used go first: kappa 200's sets, read again once
     # 250-350 have filled the store, outlast 250's when 400's come in
     for kappa in (200.0, 250.0, 300.0, 350.0, 200.0, 400.0):
