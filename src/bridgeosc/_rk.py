@@ -9,8 +9,10 @@ Dormand-Prince method (Hairer's DOP853) propagates at eighth order, blends
 its embedded 5th- and 3rd-order error estimators and has a degree-7
 continuous extension, whose three stages are left out of the step loop as in
 Hairer's code: a trajectory evaluates them for the steps something reads,
-one rhs call over those steps a stage. It also steps states as the lanes of
-one (L, n) state, each bit for bit its own run. Given the linear part of
+one rhs call over those steps a stage. One state's attempt is straight-line
+float code generated from the tableau, whose every sum is a left fold; the
+lanes of one (L, n) state take the same folds on arrays, each lane bit for
+bit its own run. Given the linear part of
 y' = L y + N(t, y) as damped 2x2 oscillator blocks, the five-stage
 exponential method of Hochbruck and Ostermann (stiff order 4) solves the
 linear flow exactly, so the step size follows N alone and not the stiffness
@@ -21,8 +23,9 @@ component are bisected on each bracketing step's interpolant.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +123,11 @@ _RUNGS = 8
 _LADDER = [2.0 ** (j / _RUNGS) for j in range(_RUNGS)]
 # block sets whose rung weights _shared_weights holds
 _SHARED_SETS = 8
+# the largest state that _dop853 steps by generated float code: its length,
+# its compile time (~1.2 ms a component) and the cost of tracing it grow with
+# n (tracemalloc looks up the line of each new float, in time that grows with
+# the code: ~150 ms an attempt at n = 16)
+_FLOAT_STATES = 10
 
 
 class LinearBlocks(NamedTuple):
@@ -153,10 +161,11 @@ class RawTrajectory:
     a step's coefficients are built the first time it is read, and kept.
     A DOP853 run builds them with its rhs: a pure function of (t, y) that
     also takes y as (n, S) columns, t as (S,), each column as if alone, and
-    returns the n components as a list (floats, or (S,) rows for columns)
-    or as an array, which the stepper writes straight into a stage row.
-    The stepper may call it on the non-finite stage inputs of an attempt
-    that it then rejects, and it must return there without raising.
+    returns the n components as a list ((S,) rows for columns) or as an
+    array. A bare state is an (n,) array, or a list of n floats for a
+    float_rhs, which returns n floats. The stepper may call it on the
+    non-finite stage inputs of an attempt that it then rejects, and it must
+    return there without raising.
     """
 
     columns: tuple = ()
@@ -387,24 +396,25 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 
 class _Stepping:
     """A lane's settings, step state, end (termination or error), start rhs f and
-    steps: state j and the record of step j in row j of Y and R, grown by doubling."""
+    steps: its states in Y and its step records in R, flat array("d") buffers
+    that rows of n doubles are appended to."""
 
     __slots__ = ("index", "lane", "t", "h", "t_new", "t_end", "max_step", "threshold",
-                 "grow", "attempts", "n_rejected", "end", "ts", "hs", "Y", "R", "f")
+                 "grow", "attempts", "n_rejected", "end", "ts", "hs", "n", "Y", "R", "f")
 
     def __init__(self, index, lane, h, f):
         self.index, self.lane, self.t, self.h, self.t_new, self.t_end = (
             index, lane, lane.t0, h, lane.t0, lane.t_end)
         self.max_step, self.threshold = lane.max_step, lane.stop_threshold
         self.grow, self.attempts, self.n_rejected, self.end = _MAX_FACTOR, 0, 0, None
-        self.ts, self.hs, self.f, n = [lane.t0], [], f, lane.y0.size
-        self.Y, self.R = np.empty((256, n)), np.empty((256, 0, n))
-        self.Y[0] = lane.y0
+        self.ts, self.hs, self.f, self.n = [lane.t0], [], f, lane.y0.size
+        self.Y, self.R = array("d", lane.y0.tobytes()), array("d")
 
     def last(self):
         """Last state, rhs there (start f or last record's stage 12), rtol, atol."""
-        j, lane = len(self.ts) - 1, self.lane
-        return self.Y[j], self.R[j - 1, -1] if j else self.f, lane.rtol, lane.atol
+        n, lane = self.n, self.lane
+        return (np.array(self.Y[-n:]), np.array(self.R[-n:]) if self.hs else self.f,
+                lane.rtol, lane.atol)
 
     def sized(self, size):
         """Whether the lane makes another attempt, h and t_new set by the
@@ -424,14 +434,10 @@ class _Stepping:
         return self.end is None
 
     def add(self, t, h, y, rec):
-        j = len(self.ts)
-        if j == 1:  # the first record shapes R's rows
-            self.R = np.empty((len(self.Y), *rec.shape))
-        elif j == len(self.Y):  # copied into buffers of twice the rows
-            grown = [np.empty((2 * j, *b.shape[1:])) for b in (self.Y, self.R)]
-            grown[0][:j], grown[1][:j] = self.Y, self.R
-            self.Y, self.R = grown
-        self.Y[j], self.R[j - 1] = y, rec
+        """Keep an accepted step to t of size h: its state y and record rec,
+        each a list of floats or an array."""
+        for buf, x in ((self.Y, y), (self.R, rec)):
+            buf.fromlist(x) if type(x) is list else buf.frombytes(x.tobytes())
         self.ts.append(t)
         self.hs.append(h)
 
@@ -439,19 +445,19 @@ class _Stepping:
         if isinstance(self.end, InvalidParameterError):
             return self.end
         ts, hs = np.asarray(self.ts), np.asarray(self.hs)
-        ys, recs = self.Y[:len(ts)].copy(), self.R[:len(hs)]
+        ys = np.frombuffer(self.Y).reshape(len(ts), self.n)
+        recs = np.frombuffer(self.R).reshape(len(hs), -1, self.n)
         if blocks is None:
             dense = _dop853_dense(rhs_of([self.index]), ts, ys, hs, recs)
             return RawTrajectory(ts, ys, dense, self.end, self.n_rejected)
-        return ExpTrajectory(ts, ys, hs, recs.copy(), blocks, self.end, self.n_rejected)
+        return ExpTrajectory(ts, ys, hs, recs, blocks, self.end, self.n_rejected)
 
 
 def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
     """Integrate the Lane records lanes as the rows of one (L, n) state: a
     stage is one call of rhs_of(idx), the rhs of lanes idx, on (n, L) columns
-    with t as (L,), or on one lane's bare (n,) state, whose n components (a
-    list of (L,) rows or of floats, or an array) go straight into the stage's
-    row (see RawTrajectory for the rhs contract). Each lane keeps its own
+    with t as (L,), or on one lane's bare state (see RawTrajectory for the
+    rhs contract). Each lane keeps its own
     t, h, control and termination, bit for bit its integrate_adaptive run, and
     leaves the state when it ends; returns its trajectory or InvalidParameterError.
     The step method (_dop853, or _exponential given linear, for one lane
@@ -476,8 +482,8 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
             y, t = np.array(lane.y0, dtype=float), float(lane.t0)
             t_end = float(lane.t_end)
             for ok, message in (  # in this order; NaN fails each
-                    (0.0 < lane.rtol < np.inf and 0.0 < lane.atol < np.inf,
-                     "tolerances must be finite and positive"),
+                    (0.0 < lane.rtol < 1.0 and 0.0 < lane.atol < np.inf,
+                     "tolerances must be finite and positive, rel_tol below 1"),
                     (lane.max_step > 0.0, "max_step must be > 0"),
                     (np.all(np.isfinite(y)), "initial state must be finite"),
                     (math.isfinite(t), "t0 must be finite"),
@@ -505,14 +511,16 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                 size, attempt, exponent, regrowth = (
                     _dop853(rhs_of(idx), y, f, rtol, atol) if linear is None else
                     _exponential(rhs_of(idx), y, f, rtol, atol, linear))
+                if lone and linear is None:  # the one-state attempt reads floats
+                    y = y.tolist()
             for run, err, accepted in zip(live, errs, pieces):  # each lane's control
                 run.attempts += 1
                 if err is not None and err <= 1.0:
                     for t, h, y_new, rec in accepted:
                         run.add(t, h, y_new, rec)
-                        # the stop components as Python floats, from one
-                        # tolist: their max beats numpy's on a few entries
-                        if stop and max(map(abs, map(y_new.tolist().__getitem__, stop))
+                        # the stop components as Python floats, read from the
+                        # state just kept: their max beats numpy's on a few
+                        if stop and max(map(abs, map(run.Y[-run.n:].__getitem__, stop))
                                         ) >= run.threshold:
                             run.end = BLOWUP_DETECTED
                             break
@@ -543,86 +551,152 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
     return runs
 
 
+def _fold(weights, terms):
+    """Python source of the left fold w0 * x0 + w1 * x1 + ... in order,
+    zeros included: a zero weight makes NaN of a non-finite term."""
+    return " + ".join(f"{float(w)!r} * {x}" for w, x in zip(weights, terms))
+
+
+@lru_cache(None)
+def _float_attempt(n):
+    """make(rhs, f, abs_y, rtol, atol): the attempt of _dop853 on one state
+    of n components, as straight-line Python float code generated from the
+    tableau and compiled at the first run on n. Its sums are left folds in
+    tableau order, zeros included, which _dop853_lanes repeats on arrays;
+    rhs takes and returns n floats; f and abs_y are the rhs and |y| at the
+    first state, lists. A stage input lives until the next one is formed,
+    and a stage until the step ends: few floats stay alive at once."""
+    C = range(n)
+    k = [[f"k{i}_{c}" for c in C] for i in range(13)]
+    u, y, absy = ([f"{v}_{c}" for c in C] for v in "uya")
+    src = ["def make(rhs, f, abs_y, rtol, atol):",
+           f"    {', '.join(k[0])}, = f",
+           f"    {', '.join(absy)}, = abs_y",
+           "    def attempt(t, y, h, t_new):",
+           f"        nonlocal {', '.join(k[0] + absy)}",
+           f"        {', '.join(y)}, = y",
+           "        bad = 0.0"]
+    for i in range(1, 13):
+        src += [f"        {u[c]} = {y[c]} + h * ({_fold(_A[i], [k[j][c] for j in range(i)])})"
+                for c in C]
+        src += [f"        {', '.join(k[i])}, = rhs(t + {float(_C[i])!r} * h, [{', '.join(u)}])",
+                # x - x is 0.0, or NaN for inf or NaN x
+                f"        bad = bad + {' + '.join(f'({x} - {x})' for x in u + k[i])}"]
+    src += ["        if bad:",
+            "            return None, None",
+            "        s5 = s3 = -0.0"]
+    for c in C:
+        src += [f"        b_{c} = abs({u[c]})",
+                f"        sc = atol + rtol * (a_{c} if a_{c} > b_{c} else b_{c})",
+                f"        e = ({_fold(_E5, [k[j][c] for j in range(12)])}) / sc",
+                "        s5 = s5 + e * e",
+                f"        e = ({_fold(_E3, [k[j][c] for j in range(12)])}) / sc",
+                "        s3 = s3 + e * e"]
+    src += ["        den = s5 + 0.01 * s3",
+            f"        err = h * s5 / sqrt(den * {n}) if den else 0.0",
+            "        if not err <= 1.0:",
+            "            return err, None",
+            f"        rec = [{', '.join(x for i in _KEPT for x in k[i])}]",
+            f"        {', '.join(k[0])}, = {', '.join(k[12])},  # FSAL",
+            f"        {', '.join(absy)}, = {', '.join(f'b_{c}' for c in C)},",
+            f"        return err, ((t_new, h, [{', '.join(u)}], rec),)",
+            "    return attempt"]
+    space = {"sqrt": math.sqrt}
+    exec(compile("\n".join(src), f"<dop853 attempt, n={n}>", "exec"), space)
+    return space["make"]
+
+
+def float_rhs(rhs):
+    """rhs, marked as one that reads a bare state as a list of floats (and
+    still as an array): _dop853 then calls it on the list."""
+    rhs.takes_floats = True
+    return rhs
+
+
+def _on_array(rhs, n):
+    """rhs of a bare (n,) array as a function of a list of floats: its value
+    is written into one row, broadcast as a stage row takes it, and read
+    back as floats."""
+    row = np.empty(n)
+
+    def floats(t, y):
+        row[...] = rhs(t, np.array(y))
+        return row.tolist()
+    return floats
+
+
+def _dop853_size(t, h, t_end):
+    h = min(h, t_end - t)
+    return h, t + h
+
+
 def _dop853(rhs, y0, f0, rtol, atol):
     """The Dormand-Prince 8(5,3) step method, on one state (n,) or on lanes
     (L, n) with per-lane tolerances. Every attempt evaluates its 12 stages;
     one check after the last then rejects (a lane's) step if any stage
     input or stage is not finite. A record is K[0] and K[5] .. K[12], read
-    by contd8."""
-    lanes, n = y0.ndim == 2, y0.shape[-1]
-    K = np.empty((*y0.shape[:-1], 13, n))
-    K[..., 0, :] = f0
-    K_in = K.transpose(1, 2, 0) if lanes else K  # stage i as rhs returns it
-    K_flat, K_err = K.reshape(*y0.shape[:-1], -1), K[..., :12, :]  # views
-    # row.dot(stages) is the cheapest call; matmul makes it per lane, bitwise
-    mix = (lambda row: partial(np.matmul, row)) if lanes else (lambda row: row.dot)
-    # x * 0.0 is NaN for inf or NaN x, so a dot product with zeros is 0.0 (per
-    # lane) when all is finite, faster than isfinite().all() on a few entries
-    zeros, zeros_K, zeros_U = np.zeros(n), np.zeros(13 * n), np.zeros(12 * n)
-    U_flat = np.empty(12 * n)  # one state's stage inputs 1-12, the last its new state
-    U = U_flat.reshape(12, n)
-    # stage i: (i, c_i, earlier stages, row product, input row); stage 12 is
-    # at the new state
-    step = [(i, float(_C[i]), K[..., :i, :], mix(_A[i]), U[i - 1]) for i in range(1, 13)]
-    e5_of, e3_of = mix(_E5), mix(_E3)
-    rec, abs_y = np.empty((9, n)), np.abs(y0)
-    E = np.empty((2, n))  # one state's 5th- and 3rd-order error estimates
+    by contd8. One state of at most _FLOAT_STATES components is stepped by
+    _float_attempt's code, through _on_array unless rhs is a float_rhs;
+    lanes, and a larger state as one lane, by _dop853_lanes, with the same
+    arithmetic."""
+    n = y0.shape[-1]
+    if y0.ndim == 2:
+        attempt = _dop853_lanes(rhs, y0, f0, rtol, atol)
+    elif 0 < n <= _FLOAT_STATES:
+        attempt = _float_attempt(n)(
+            rhs if getattr(rhs, "takes_floats", False) else _on_array(rhs, n),
+            f0.tolist(), np.abs(y0).tolist(), rtol, atol)
+    else:
+        lane, y_lane = _dop853_lanes(rhs, y0[None], f0[None], rtol, atol), y0[None].copy()
 
-    def size(t, h, t_end):
-        h = min(h, t_end - t)
-        return h, t + h
+        def attempt(t, y, h, t_new):  # the lane keeps y
+            [err], [steps] = lane([t], y_lane, [h], [t_new])
+            return err, steps
+    return _dop853_size, attempt, -0.125, 1.0
 
-    def attempt(t, y, h, t_new):
-        nonlocal abs_y
-        h_arr = np.array(h)  # a 0-d array multiplies faster than a float
-        for i, c, k_prev, stage_sum, u in step:
-            stage_sum(k_prev, u)  # then h * u + y, bitwise y + h * (A_i . K)
-            u *= h_arr
+
+def _dop853_lanes(rhs, y0, f0, rtol, atol):
+    """_float_attempt's arithmetic on the rows of y0 (L, n), each row bit for
+    bit its own run: a stage sum reduces the stage-major K along its first
+    axis, which numpy does as a left fold (from -0.0, which any first term
+    leaves as it is), and the sums over components are folded column by
+    column."""
+    n = y0.shape[1]
+    KU = np.empty((25, *y0.shape))  # stages 0-12, then stage inputs 1-12
+    K, U = KU[:13], KU[13:]  # U[11], the last input, is the new state
+    K[0] = f0
+    K_in = K.transpose(0, 2, 1)  # stage i as rhs returns it, (n, L)
+    weights = [w[:, None, None] for w in _A[1:13]]
+    E = np.array([_E5, _E3])[:, :, None, None]
+    abs_y = np.abs(y0)
+
+    def attempt(t, y, h, t_new):  # t, h, t_new lists; y updated in place
+        h_arr = np.array(h)
+        h_col, ts = h_arr[:, None], np.array(t) + _C[1:13, None] * h_arr
+        for i, w, u, t_i in zip(range(1, 13), weights, U, ts):
+            np.add.reduce(w * K[:i], axis=0, out=u, initial=-0.0)
+            u *= h_col
             u += y
-            K[i] = rhs(t + c * h, u)
-        # every stage is in, so the rule is attempt_lanes': any non-finite
-        # stage input or stage rejects
-        if U_flat.dot(zeros_U) + K_flat.dot(zeros_K) != 0.0:
-            return None, None
+            K_in[i] = rhs(t_i, u.T)
         y_new = U[11]
         abs_new = np.abs(y_new)
-        sc = atol + rtol * np.maximum(abs_y, abs_new)
-        e5_of(K_err, E[0])
-        e3_of(K_err, E[1])
-        np.divide(E, sc, out=E)
-        np.multiply(E, E, out=E)
-        # == np.sum(e ** 2) of each bitwise: a row's pairwise sum, as alone
-        s5, s3 = np.add.reduce(E, axis=1).tolist()
+        e = np.add.reduce(E * K[:12], axis=1, initial=-0.0) / (
+            atol + rtol * np.maximum(abs_y, abs_new))
+        s = e[..., 0] * e[..., 0]
+        for c in range(1, n):
+            s = s + e[..., c] * e[..., c]
+        s5, s3 = s
         den = s5 + 0.01 * s3
-        err_norm = h * s5 / math.sqrt(den * n) if den else 0.0
-        if not err_norm <= 1.0:
-            return err_norm, None
-        rec[0], rec[1:], abs_y = K[0], K[5:], abs_new
-        K[0] = K[12]  # FSAL: stage 12 is the next step's stage 0
-        return err_norm, ((t_new, h, y_new.copy(), rec),)  # U is overwritten
-
-    def attempt_lanes(t, y, h, t_new):  # t, h, t_new lists; y updated in place
-        t_arr, h_arr = np.array(t), np.array(h)
-        h_col, bad = h_arr[:, None], 0.0  # bad: per lane, NaN once not finite
-        for i, c, k_prev, stage_sum, _ in step:
-            y_new = y + h_col * stage_sum(k_prev)
-            bad = bad + y_new.dot(zeros)
-            K_in[i] = rhs(t_arr + c * h_arr, y_new.T)
-        abs_new = np.abs(y_new)
-        sc = atol + rtol * np.maximum(abs_y, abs_new)
-        e5, e3 = e5_of(K_err) / sc, e3_of(K_err) / sc
-        # a lane's sums run along its row, as when alone
-        s5, s3 = np.add.reduce(e5 * e5, axis=1), np.add.reduce(e3 * e3, axis=1)
-        den = s5 + 0.01 * s3
-        err = (np.where(den == 0, 0.0, h_arr * s5 / np.sqrt(den * n))
-               + bad + K_flat.dot(zeros_K))
-        ok, kept = (err <= 1.0)[:, None], K[:, _KEPT]
-        for to, new in ((K[:, 0], K[:, 12]), (abs_y, abs_new), (y, y_new)):
+        # x - x is 0.0, or NaN for inf or NaN x
+        err = (np.where(den == 0.0, 0.0, h_arr * s5 / np.sqrt(den * n))
+               + np.add.reduce(np.add.reduce(KU - KU), axis=1))
+        ok, kept = (err <= 1.0)[:, None], K[_KEPT]
+        for to, new in ((K[0], K[12]), (abs_y, abs_new), (y, y_new)):
             np.copyto(to, new, where=ok)
-        return err.tolist(), [acc and ((t_new[j], h[j], y_new[j], kept[j]),)
+        return err.tolist(), [acc and ((t_new[j], h[j], y_new[j], kept[:, j]),)
                               for j, acc in enumerate(ok[:, 0].tolist())]
 
-    return size, attempt_lanes if lanes else attempt, -0.125, 1.0
+    return attempt
 
 
 # --- exponential Runge-Kutta -----------------------------------------------

@@ -48,9 +48,14 @@ def _run(config: dict, out_dir: str, integrated=None) -> Tuple[int, str]:
 
 
 def _run_batch(configs: List[dict], out_dir: str) -> List[Tuple[int, str]]:
-    """_run of each config, the ode4 ones integrated as lanes of one state."""
-    return [_run(c, out_dir, traj) for c, traj in
-            zip(configs, integrate_ode4(configs))]
+    """_run of each config, the ode4 ones integrated as lanes of one state;
+    if that fails, each config runs on its own, so that a failure stays with
+    the points that meet it."""
+    try:
+        integrated = integrate_ode4(configs)
+    except Exception:
+        integrated = [None] * len(configs)
+    return [_run(c, out_dir, traj) for c, traj in zip(configs, integrated)]
 
 
 def _report(outcome: Tuple[int, str]) -> int:
@@ -140,6 +145,9 @@ def _cmd_sweep(args) -> int:
         name, values = _parse_param_spec(args.param)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"cannot set up sweep: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if not isinstance(config, dict):  # as parse_scenario words it
+        print("config error: scenario config must be an object", file=sys.stderr)
         return EXIT_PARSE
     points = []
     base_name = config.get("name", "sweep")

@@ -55,7 +55,7 @@ class OdeFamily:
     q_exp: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in FAMILY_KINDS:
             raise InvalidParameterError(f"unknown family kind {self.kind!r}")
         read = FAMILY_KINDS[self.kind]
         unread = [f.name for f in fields(self) if f.name not in read + ("kind",)
@@ -70,32 +70,35 @@ class OdeFamily:
     def rhs(self):
         """First-order system derivative for (w, w', w'', w''') as a list of
         its 4 components; run on a record of (L,) arrays, it takes L families'
-        states as (4, L) columns and returns (L,) rows. A bare (4,) state is
-        read as Python floats, with the same arithmetic."""
+        states as (4, L) columns and returns (L,) rows. A bare state is a list
+        of 4 floats (a float_rhs) or a (4,) array, with the same arithmetic."""
         kind = self.kind
         if kind == "canonical":
             k, f = self.k_coef, self.nl.f
             def deriv(t, y):
-                w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
+                w, w1, w2, w3 = y
                 return [w1, w2, w3, -k * w2 - f(w)]
         elif kind == "rocard_wave":
             al, be = self.alpha_r, self.beta_r
             def deriv(t, y):
-                w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
+                w, w1, w2, w3 = y
                 return [w1, w2, w3, (al * w + be) * w2 - w]
         elif kind == "pedestrian_wave":
             g, c, d, f = self.gamma_p, self.c_speed, self.delta_damp, self.nl.f
             def deriv(t, y):
-                w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
+                w, w1, w2, w3 = y
                 return [w1, w2, w3, (-c * c * w2 - d * c * w1 - f(w)) / g]
         else:
             a, k, b, c, q = self.a3, self.k2, self.b1, self.c0, self.q_exp
             def deriv(t, y):
-                w, w1, w2, w3 = y.tolist() if y.ndim == 1 else y
-                # np.power: on one float, ** rounds apart from arrays
+                w, w1, w2, w3 = y
+                # np.power: on one float, ** rounds apart from arrays; on a
+                # float its numpy float goes back to a float, or numpy
+                # scalars would carry the stepper's float arithmetic
+                p = np.power(abs(w), q)
                 return [w1, w2, w3, -a * w3 - k * w2 - b * w1 - c * w
-                        - np.power(abs(w), q) * w]
-        return deriv
+                        - (float(p) if type(w) is float else p) * w]
+        return _rk.float_rhs(deriv)
 
 
 def _merged(records):
@@ -159,8 +162,9 @@ class IntegratorConfig:
         # written so that NaN fails every check
         if not np.isfinite(self.t_end):
             raise InvalidParameterError("t_end must be finite")
-        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
-            raise InvalidParameterError("tolerances must be finite and positive")
+        if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < np.inf):
+            raise InvalidParameterError(
+                "tolerances must be finite and positive, rel_tol below 1")
         if not self.blowup_threshold > 1.0:
             raise InvalidParameterError("blowup_threshold must exceed 1")
         if not self.max_step > 0.0:

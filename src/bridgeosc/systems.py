@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._rk import RawTrajectory, integrate_adaptive
+from ._rk import RawTrajectory, float_rhs, integrate_adaptive
 from .errors import InvalidParameterError
 from .io import write_csv
 from .nonlin import Nonlinearity
@@ -98,7 +98,7 @@ class SysTrajectory(RawTrajectory):
 
 def _integrate_sys(rhs, s0, cfg: IntegratorConfig) -> SysTrajectory:
     t0, y0 = _initial_state(s0, SysState)
-    raw = integrate_adaptive(rhs, t0, y0, cfg.t_end, rtol=cfg.rel_tol,
+    raw = integrate_adaptive(float_rhs(rhs), t0, y0, cfg.t_end, rtol=cfg.rel_tol,
                              atol=cfg.abs_tol, max_step=cfg.max_step,
                              stop_indices=(0, 2),
                              stop_threshold=cfg.blowup_threshold)
@@ -115,8 +115,10 @@ def integrate_coupled(params: McKennaParams, nl: Nonlinearity, s0,
     m, ell, f = params.mass_m, params.half_width_l, nl.f
 
     def rhs(t, s):
-        th, thd, y, yd = s.tolist() if s.ndim == 1 else s
+        th, thd, y, yd = s
         st, ct = np.sin(th), np.cos(th)
+        if type(th) is float:  # numpy floats would carry the stepper's floats
+            st, ct = float(st), float(ct)
         f_minus = f(y - ell * st)
         f_plus = f(y + ell * st)
         return [thd, 3.0 * ct * (f_minus - f_plus) / (m * ell),
@@ -132,7 +134,7 @@ def integrate_truesystem(omega2: float, nl: Nonlinearity, s0,
     f = nl.f
 
     def rhs(t, s):
-        x, xd, y, yd = s.tolist() if s.ndim == 1 else s
+        x, xd, y, yd = s
         f_plus = f(y + x)
         f_minus = f(y - x)
         return [xd, omega2 * (f_minus - f_plus), yd, -(f_plus + f_minus)]
@@ -149,7 +151,7 @@ def integrate_miosyst(params: MiosystParams, nl: Nonlinearity, s0,
     beta, delta, f = params.beta, params.delta, nl.f
 
     def rhs(t, s):
-        x, xd, y, yd = s.tolist() if s.ndim == 1 else s
+        x, xd, y, yd = s
         fw = f(y - x)
         z = y + x
         return [xd, fw - beta * z, yd, fw - delta * z]

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import bridgeosc
-from bridgeosc import _rk, cli
+from bridgeosc import _rk, cli, ode4
 from bridgeosc.cli import main
 from bridgeosc.scenarios import BUILTINS, list_builtins
 
@@ -356,6 +356,21 @@ def test_infinite_tolerance_exits_3_and_names_it(tmp_path, capsys, run, key):
     assert "tolerances must be finite and positive" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
+
+
+@pytest.mark.parametrize("run", ["ode4", "miosyst", "truebeam"])
+@pytest.mark.parametrize("rel_tol", [2.0 ** 70, 10.0, 1.0], ids=["2^70", "10", "1"])
+def test_a_relative_tolerance_of_1_or_more_exits_3(tmp_path, capsys, run, rel_tol):
+    # 2^70 ran and then failed writing its JSON (exit 1); 10 ran to exit 0,
+    # with figure12's R_est at 9.38 for 8.164
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"name": "tol", "model": run, "parameters": {
+        **MODEL_RUNS[run][0], "rel_tol": rel_tol}}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert ("tolerances must be finite and positive, rel_tol below 1"
+            in capsys.readouterr().err)
+    assert not out.exists() or not any(out.iterdir())
 
 @pytest.mark.parametrize("freeze", [0, 2, 1.0, -1.0])
 def test_truebeam_freeze_switch_outside_plus_minus_one_exits_3(tmp_path, freeze):
@@ -1141,5 +1156,59 @@ def test_an_unhashable_model_or_force_law_kind_is_unknown(
     # a list where a name belongs is a bad config, not a runtime failure
     assert _run_config(tmp_path, config) == code
     assert message in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("alone_fails", [False, True], ids=["lanes", "lanes-and-alone"])
+def test_a_failure_in_a_sweep_batch_stays_with_its_points(tmp_path, capsys, monkeypatch,
+                                                          alone_fails):
+    # the lanes call raised out of the whole sweep: now each point runs on
+    # its own and prints its line, and one that fails alone too is exit 1
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(ode4, "integrate_lanes", boom)
+    if alone_fails:
+        monkeypatch.setattr(ode4, "integrate", boom)
+    cfg = tmp_path / "b.json"
+    cfg.write_text(json.dumps(_tiny_ode4_config("b")))
+    out = tmp_path / "o"
+    code = main(["sweep", str(cfg), "--param", "k_coef=2:2.2:0.1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if alone_fails:
+        assert code == 1
+        assert captured.err.splitlines() == ["runtime failure: boom"] * 3
+        assert not out.exists() or not any(out.iterdir())
+    else:
+        assert code == 0
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+            "b_k_coef=2", "b_k_coef=2.1", "b_k_coef=2.2"]
+        assert len(_files(out)) == 9
+
+
+@pytest.mark.parametrize("config", [[1, 2], 3, "ode4", None],
+                         ids=["list", "number", "string", "null"])
+def test_a_sweep_config_that_is_not_an_object_exits_2(tmp_path, capsys, config):
+    # a list used to end the sweep in an AttributeError traceback
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    ran = capsys.readouterr().err
+    assert main(["sweep", str(cfg), "--param", "k_coef=1:2:1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ran == (
+        "config error: scenario config must be an object\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [["canonical"], {"canonical": 1}], ids=["list", "dict"])
+def test_a_family_kind_that_is_not_a_string_exits_3(tmp_path, capsys, kind):
+    # it was exit 1, "runtime failure: unhashable type: 'list'"
+    config = _tiny_ode4_config("fk")
+    config["parameters"]["family"]["kind"] = kind
+    assert _run_config(tmp_path, config) == 3
+    assert f"unknown family kind {kind!r}" in capsys.readouterr().err
     out = tmp_path / "o"
     assert not out.exists() or not any(out.iterdir())

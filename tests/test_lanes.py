@@ -2,6 +2,8 @@
 bit for bit its own run, and the step budget that bounds every run."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bridgeosc as bo
 from bridgeosc import _rk, ode4
@@ -254,3 +256,55 @@ def test_linear_blocks_with_damping_of_another_shape_are_refused(damping):
     with pytest.raises(InvalidParameterError, match="linear blocks take one lane"):
         integrate_adaptive(lambda t, y: np.zeros(4), 0.0, np.zeros(4), 1.0,
                            linear=LinearBlocks(np.ones((1, 2)), damping))
+
+
+def _linear_cubic(M, cubic):
+    """y' = M y - cubic y^3, each component summed left to right in Python:
+    the same arithmetic on a list of floats, a bare array and columns."""
+    def rhs(t, y):
+        out = []
+        for row, c, y_i in zip(M, cubic, y):
+            acc = row[0] * y[0]
+            for m, y_j in zip(row[1:], y[1:]):
+                acc = acc + m * y_j
+            out.append(acc - c * (y_i * y_i * y_i))
+        return out
+    return rhs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_each_lane_is_its_lone_run_bit_for_bit(data):
+    # random sizes, rhs, tolerances and ragged ends; the lone runs take the
+    # float route or the array route; the cubic blows some lanes up. The
+    # entries come from a drawn seed: hypothesis' own floats are often 0 or
+    # 1, whose sums round alike in any order
+    n = data.draw(st.sampled_from(range(1, 11)), label="n")  # uniform: 8-10 often
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    rhs = _linear_cubic((rng.uniform(-1.0, 1.0, (n, n)) / n).tolist(),
+                        rng.uniform(-0.5, 1.0, n).tolist())
+    if data.draw(st.booleans(), label="float_rhs"):
+        rhs = _rk.float_rhs(rhs)
+    tol = st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e)
+    lanes = [Lane(0.0, rng.uniform(-1.0, 1.0, n),
+                  data.draw(st.floats(0.1, 1.5), label="t_end"), data.draw(tol),
+                  data.draw(tol), stop_threshold=1e2)
+             for _ in range(data.draw(st.integers(2, 4), label="lanes"))]
+    runs = integrate_lanes(lambda cols: rhs, lanes, (0,))
+    for run, lane in zip(runs, lanes):
+        alone = integrate_adaptive(rhs, *lane[:6], stop_indices=(0,),
+                                   stop_threshold=lane.stop_threshold)
+        _assert_same_run(run, alone)
+
+
+def test_lanes_keep_the_sign_of_a_zero_stage_sum():
+    # numpy's add.reduce starts from +0.0 unless told otherwise, which makes
+    # a sum of -0.0 terms +0.0; here the sign of the zero first component
+    # steers the second (through arctan2), so a lane must keep that sign as
+    # its lone run's left folds do
+    def rhs(t, y):
+        return [-0.0 * y[1], 1e-3 * np.arctan2(y[0], -1.0) - y[1]]
+
+    lanes = [Lane(0.0, np.array([-0.0, 1.0]), 1.0), Lane(0.0, np.array([-0.0, 2.0]), 1.5)]
+    for run, lane in zip(integrate_lanes(lambda cols: rhs, lanes), lanes):
+        _assert_same_run(run, integrate_adaptive(rhs, *lane[:3]))

@@ -99,6 +99,21 @@ def test_each_package_rhs_returns_its_components_as_a_list(name, law):
     assert all(isinstance(v, np.ndarray) and v.shape == (3,) for v in columns)
 
 
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("name", sorted(_RHS))
+def test_each_package_rhs_takes_and_returns_floats(name, law):
+    # the one-state attempt calls it on a list of floats; a numpy scalar in
+    # its answer would carry numpy arithmetic into every later stage
+    if name == "miosyst" and law not in ("cubic", "mckenna_cubic"):
+        law = "cubic"
+    rhs = _RHS[name](bo.make_nonlinearity(law, **_LAWS[law]))
+    assert rhs.takes_floats
+    state = [0.4, -0.2, 0.7, 1.1]
+    floats = rhs(0.3, state)
+    assert [type(v) for v in floats] == [float] * 4
+    assert np.array(floats).tobytes() == np.array(rhs(0.3, np.array(state))).tobytes()
+
 def _as_array_rhs(rhs):
     return lambda t, y: np.array(rhs(t, y))
 

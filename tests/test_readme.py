@@ -2,9 +2,11 @@
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from bridgeosc import _rk, cli, scenarios, truebeam
+from bridgeosc import _rk, cli, ode4, scenarios, truebeam
+from bridgeosc.errors import InvalidParameterError
 
 # the README's prose as one line: a stated bound may wrap
 README = " ".join((pathlib.Path(__file__).resolve().parents[1]
@@ -36,3 +38,15 @@ def test_a_bound_the_readme_states_is_the_code_s(pattern, bound):
 def test_the_readme_states_each_int_key_range_once_as_the_code_s(key):
     stated = re.findall(rf"`{key}` {FIGURE}–{FIGURE}", README)
     assert [tuple(map(_value, s)) for s in stated] == [scenarios._INT_RANGES[key]]
+
+
+def test_the_rel_tol_bound_the_readme_states_is_the_code_s():
+    [stated] = re.findall(rf"`rel_tol` must be below {FIGURE}", README)
+    bound = float(_value(stated))
+    below = np.nextafter(bound, 0.0)
+    ode4.IntegratorConfig(t_end=1.0, rel_tol=below)
+    _rk.integrate_adaptive(lambda t, y: -y, 0.0, [1.0], 1.0, rtol=below)
+    with pytest.raises(InvalidParameterError, match="rel_tol below"):
+        ode4.IntegratorConfig(t_end=1.0, rel_tol=bound)
+    with pytest.raises(InvalidParameterError, match="rel_tol below"):
+        _rk.integrate_adaptive(lambda t, y: -y, 0.0, [1.0], 1.0, rtol=bound)
