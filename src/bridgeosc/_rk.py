@@ -162,10 +162,10 @@ class RawTrajectory:
     A DOP853 run builds them with its rhs: a pure function of (t, y) that
     also takes y as (n, S) columns, t as (S,), each column as if alone, and
     returns the n components as a list ((S,) rows for columns) or as an
-    array. A bare state is an (n,) array, or a list of n floats for a
-    float_rhs, which returns n floats. The stepper may call it on the
-    non-finite stage inputs of an attempt that it then rejects, and it must
-    return there without raising.
+    array. A bare state is an (n,) array, or a list of n floats once the
+    rhs answered its first with a list; it then returns n floats. The
+    stepper may call it on the non-finite stage inputs of an attempt that
+    it then rejects, and it must return there without raising.
     """
 
     columns: tuple = ()
@@ -395,19 +395,21 @@ def integrate_adaptive(rhs, t0, y0, t_end, rtol=1e-10, atol=1e-10,
 
 
 class _Stepping:
-    """A lane's settings, step state, end (termination or error), start rhs f and
-    steps: its states in Y and its step records in R, flat array("d") buffers
-    that rows of n doubles are appended to."""
+    """A lane's settings, step state, end (termination or error), start rhs f,
+    route (floats if f came as a list; see _dop853) and steps: its states in Y
+    and its step records in R, flat array("d") buffers of rows of n doubles."""
 
     __slots__ = ("index", "lane", "t", "h", "t_new", "t_end", "max_step", "threshold",
-                 "grow", "attempts", "n_rejected", "end", "ts", "hs", "n", "Y", "R", "f")
+                 "grow", "attempts", "n_rejected", "end", "ts", "hs", "n", "Y", "R", "f",
+                 "floats")
 
-    def __init__(self, index, lane, h, f):
+    def __init__(self, index, lane, h, f, floats):
         self.index, self.lane, self.t, self.h, self.t_new, self.t_end = (
             index, lane, lane.t0, h, lane.t0, lane.t_end)
         self.max_step, self.threshold = lane.max_step, lane.stop_threshold
         self.grow, self.attempts, self.n_rejected, self.end = _MAX_FACTOR, 0, 0, None
         self.ts, self.hs, self.f, self.n = [lane.t0], [], f, lane.y0.size
+        self.floats = floats
         self.Y, self.R = array("d", lane.y0.tobytes()), array("d")
 
     def last(self):
@@ -493,11 +495,14 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                     raise InvalidParameterError(message)
             lane = lane._replace(t0=t, y0=y, t_end=t_end)
             rhs = rhs_of([b])
-            f = np.asarray(rhs(t, y), dtype=float)
+            with np.errstate(all="ignore"):  # a non-finite answer is refused below
+                answer = rhs(t, y)
+            f = np.asarray(answer, dtype=float)
             if not np.all(np.isfinite(f)):
                 raise InvalidParameterError("rhs at the initial state must be finite")
             live.append(_Stepping(b, lane, float(_initial_step(
-                rhs, t, y, f, t_end, lane.rtol, lane.atol, lane.max_step)), f))
+                rhs, t, y, f, t_end, lane.rtol, lane.atol, lane.max_step)), f,
+                type(answer) is list))
         except InvalidParameterError as exc:
             runs[b] = exc
     stop, errs, pieces = np.array(stop_indices, dtype=np.intp).tolist(), (), ()
@@ -509,7 +514,7 @@ def integrate_lanes(rhs_of, lanes, stop_indices=(), linear=None):
                     np.array(c).reshape(len(live), -1)
                     for c in zip(*map(_Stepping.last, live)))
                 size, attempt, exponent, regrowth = (
-                    _dop853(rhs_of(idx), y, f, rtol, atol) if linear is None else
+                    _dop853(rhs_of(idx), y, f, rtol, atol, one.floats) if linear is None else
                     _exponential(rhs_of(idx), y, f, rtol, atol, linear))
                 if lone and linear is None:  # the one-state attempt reads floats
                     y = y.tolist()
@@ -606,13 +611,6 @@ def _float_attempt(n):
     return space["make"]
 
 
-def float_rhs(rhs):
-    """rhs, marked as one that reads a bare state as a list of floats (and
-    still as an array): _dop853 then calls it on the list."""
-    rhs.takes_floats = True
-    return rhs
-
-
 def _on_array(rhs, n):
     """rhs of a bare (n,) array as a function of a list of floats: its value
     is written into one row, broadcast as a stage row takes it, and read
@@ -630,21 +628,21 @@ def _dop853_size(t, h, t_end):
     return h, t + h
 
 
-def _dop853(rhs, y0, f0, rtol, atol):
+def _dop853(rhs, y0, f0, rtol, atol, floats):
     """The Dormand-Prince 8(5,3) step method, on one state (n,) or on lanes
     (L, n) with per-lane tolerances. Every attempt evaluates its 12 stages;
     one check after the last then rejects (a lane's) step if any stage
     input or stage is not finite. A record is K[0] and K[5] .. K[12], read
     by contd8. One state of at most _FLOAT_STATES components is stepped by
-    _float_attempt's code, through _on_array unless rhs is a float_rhs;
-    lanes, and a larger state as one lane, by _dop853_lanes, with the same
-    arithmetic."""
+    _float_attempt's code, on lists of floats if floats (its rhs answered
+    its first state with a list), else through _on_array; lanes, and a
+    larger state as one lane, by _dop853_lanes, with the same arithmetic."""
     n = y0.shape[-1]
     if y0.ndim == 2:
         attempt = _dop853_lanes(rhs, y0, f0, rtol, atol)
     elif 0 < n <= _FLOAT_STATES:
         attempt = _float_attempt(n)(
-            rhs if getattr(rhs, "takes_floats", False) else _on_array(rhs, n),
+            rhs if floats else _on_array(rhs, n),
             f0.tolist(), np.abs(y0).tolist(), rtol, atol)
     else:
         lane, y_lane = _dop853_lanes(rhs, y0[None], f0[None], rtol, atol), y0[None].copy()

@@ -155,7 +155,7 @@ def _cmd_sweep(args) -> int:
         pt = copy.deepcopy(config)
         try:
             _set_param(pt, name, v)
-        except (LookupError, TypeError):
+        except (LookupError, TypeError, AttributeError):  # a node that is no object
             print(f"parameter path {name!r} not found in config", file=sys.stderr)
             return EXIT_PARSE
         # %g names, at repr precision where %g would merge distinct points

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and its checks of numbers."""
 import numbers
+import sys
 
 
 class BridgeError(Exception):
@@ -30,6 +31,20 @@ def _number(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise InvalidParameterError(f"{name} is beyond float range") from None
+
+
+def _normal(name: str, quantity) -> float:
+    """quantity() if it is a positive normal float, whose reciprocal is finite
+    too; else an InvalidParameterError naming it, before anything divides by
+    it or steps with it: parameters whose quantity overflows or underflows."""
+    try:
+        value = float(quantity())
+    except OverflowError:  # a Python float ** that overflows raises
+        value = float("inf")
+    if not sys.float_info.min <= value <= sys.float_info.max:  # NaN fails too
+        raise InvalidParameterError(
+            f"{name} is {value:.3g}: it overflows or underflows a float")
+    return value
 
 
 def _count(value, name: str) -> int:

@@ -71,7 +71,7 @@ class OdeFamily:
         """First-order system derivative for (w, w', w'', w''') as a list of
         its 4 components; run on a record of (L,) arrays, it takes L families'
         states as (4, L) columns and returns (L,) rows. A bare state is a list
-        of 4 floats (a float_rhs) or a (4,) array, with the same arithmetic."""
+        of 4 floats or a (4,) array, with the same arithmetic."""
         kind = self.kind
         if kind == "canonical":
             k, f = self.k_coef, self.nl.f
@@ -98,7 +98,7 @@ class OdeFamily:
                 p = np.power(abs(w), q)
                 return [w1, w2, w3, -a * w3 - k * w2 - b * w1 - c * w
                         - (float(p) if type(w) is float else p) * w]
-        return _rk.float_rhs(deriv)
+        return deriv
 
 
 def _merged(records):

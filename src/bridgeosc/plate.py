@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import InvalidParameterError, _count
+from .errors import InvalidParameterError, _count, _normal
 
 NAVIER_L = math.pi            # navier_square modes live on (0, pi) x (-pi/2, pi/2)
 NAVIER_HALF_WIDTH = math.pi / 2.0
@@ -29,7 +29,8 @@ class PlateGeom:
     poisson_sigma: float = 0.2
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.length_L, self.half_width_l)):
+        # the width 2 l too: the plate spans (-l, l)
+        if not all(0.0 < v < math.inf for v in (self.length_L, 2.0 * self.half_width_l)):
             raise InvalidParameterError("plate dimensions must be finite and positive")
         if not 0.0 <= self.poisson_sigma < 0.5:
             raise InvalidParameterError("Poisson ratio must satisfy 0 <= sigma < 1/2")
@@ -129,14 +130,18 @@ class Mode:
         return math.sqrt(self.lam)
 
 
+def _eigenvalue(geom: PlateGeom, m: int) -> float:
+    """(m pi / L)^4, which both families share at m."""
+    return _normal(f"(m pi / L)^4 at m = {m}",
+                   lambda: (m * math.pi / geom.length_L) ** 4)
+
+
 def vertical_mode(geom: PlateGeom, m: int) -> Mode:
-    lam = (m * math.pi / geom.length_L) ** 4
-    return Mode("vertical", m, 0, lam, geom.length_L)
+    return Mode("vertical", m, 0, _eigenvalue(geom, m), geom.length_L)
 
 
 def torsional_mode(geom: PlateGeom, m: int) -> Mode:
-    lam = (m * math.pi / geom.length_L) ** 4
-    return Mode("torsional", m, 0, lam, geom.length_L)
+    return Mode("torsional", m, 0, _eigenvalue(geom, m), geom.length_L)
 
 
 def analytic_modes(geom: PlateGeom, m_max: int) -> List[Mode]:

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._rk import RawTrajectory, float_rhs, integrate_adaptive
+from ._rk import RawTrajectory, integrate_adaptive
 from .errors import InvalidParameterError
 from .io import write_csv
 from .nonlin import Nonlinearity
@@ -98,7 +98,7 @@ class SysTrajectory(RawTrajectory):
 
 def _integrate_sys(rhs, s0, cfg: IntegratorConfig) -> SysTrajectory:
     t0, y0 = _initial_state(s0, SysState)
-    raw = integrate_adaptive(float_rhs(rhs), t0, y0, cfg.t_end, rtol=cfg.rel_tol,
+    raw = integrate_adaptive(rhs, t0, y0, cfg.t_end, rtol=cfg.rel_tol,
                              atol=cfg.abs_tol, max_step=cfg.max_step,
                              stop_indices=(0, 2),
                              stop_threshold=cfg.blowup_threshold)

@@ -23,7 +23,7 @@ from ._rk import (REACHED_T_END, ExpTrajectory, LinearBlocks, RawTrajectory,
                   integrate_adaptive)
 # gust_energy is not called here: the bench tracer patches it under this name
 from .energy import _field_eval, gust_energy, switch_value  # noqa: F401
-from .errors import InvalidParameterError, _count
+from .errors import InvalidParameterError, _count, _normal
 from .io import write_csv
 from .nonlin import Nonlinearity
 from .plate import PlateGeom
@@ -150,6 +150,16 @@ class TrueBeamConfig:
             raise InvalidParameterError("damping_delta must be finite and >= 0")
         if not 0.0 < self.threshold_Ebar < math.inf:
             raise InvalidParameterError("threshold_Ebar must be finite and > 0")
+        # the eigenvalues at both ends and the two families' norms
+        L, ell, M = self.geom.length_L, self.geom.half_width_l, self.modes_M
+        for name, m in (("(M pi / L)^4", M), ("(pi / L)^4", 1)):
+            _normal(name, lambda: (m * math.pi / L) ** 4)
+        _normal("L l", lambda: L * ell)
+        _normal("L l^3 / 3", lambda: L * ell ** 3 / 3.0)
+        if self.forcing is not None:  # its peak energy, max a^2 |profile|^2
+            peak = max(a * a for _, a in self.forcing.breakpoints)
+            if not peak * self.forcing.profile_norm2(self.geom) < math.inf:
+                raise InvalidParameterError("the gust's peak energy overflows a float")
 
     def lambdas(self) -> np.ndarray:
         m = np.arange(1, self.modes_M + 1)
@@ -161,6 +171,11 @@ class TrueBeamConfig:
         <= 3 (see _exact_law), built on first use."""
         return _Projector(self.geom, self.modes_M, 2 * self.modes_M + 1, 3,
                           midpoints=True)
+
+    @functools.cached_property
+    def _gauss(self) -> "_Projector":
+        """The max(16, 4M) x 8 Gauss grid of the other laws, built on first use."""
+        return _Projector(self.geom, self.modes_M, max(16, 4 * self.modes_M), 8)
 
 
 @dataclass(frozen=True)
@@ -263,13 +278,19 @@ class ModalTrajectory(RawTrajectory):
                            for ev in self.events], allow_nan=False)
 
 
+def _spacing(stiffest: float) -> float:
+    """The sample spacing: 1/16 of the period 2 pi / sqrt(stiffest) of the
+    stiffest linear block."""
+    return 0.125 * math.pi / math.sqrt(stiffest)
+
+
 def _sample(segments):
     """Sample times, states and per-segment counts (the final sample is the
-    last segment's): each accepted step split into equal parts at most 1/16
-    of the shortest linear period of its blocks, on its segment's interpolant."""
+    last segment's): each accepted step split into equal parts at most
+    _spacing of its blocks apart, on its segment's interpolant."""
     grids = []
     for seg in segments:
-        spacing = 0.125 * math.pi / math.sqrt(float(np.max(seg.blocks.stiffness)))
+        spacing = _spacing(float(np.max(seg.blocks.stiffness)))
         h = np.diff(seg.ts)
         parts = np.maximum(np.ceil(h / spacing), 1.0).astype(np.intp)
         idx = np.repeat(np.arange(len(h)), parts)
@@ -336,16 +357,16 @@ def _exact_law(nl: Nonlinearity) -> bool:
 
 def _make_projector(cfg: TrueBeamConfig, y0: np.ndarray) -> Tuple[_Projector, float]:
     """Projection grid of f(u) and its convergence error: for an exact law,
-    the config's midpoint grid (error 0.0); else max(16, 4M) x 8 Gauss
-    points, doubled at most twice until the projection at y0 converges to
-    1e-8 (else the error stays above)."""
+    the config's midpoint grid (error 0.0); else its Gauss grid, doubled
+    at most twice until the projection at y0 converges to 1e-8 (else the
+    error stays above)."""
     M, nl = cfg.modes_M, cfg.nl
     if _exact_law(nl):
         return cfg._midpoints, 0.0
-    nq1, ab = max(16, 4 * M), y0.reshape(2, 2, M)[:, 0]
-    proj = _Projector(cfg.geom, M, nq1, 8)
+    base = proj = cfg._gauss
+    ab = y0.reshape(2, 2, M)[:, 0]
     for k in (2, 4):
-        finer = _Projector(cfg.geom, M, k * nq1, k * 8)
+        finer = _Projector(cfg.geom, M, k * len(base.x1), k * len(base.x2))
         err = np.max(np.abs(proj.project(np.asarray(nl.f(proj.surface(ab))))
                             - finer.project(np.asarray(nl.f(finer.surface(ab))))))
         if err <= 1e-8:
@@ -449,11 +470,10 @@ def integrate_truebeam(cfg: TrueBeamConfig, state0: ModalState, t_end: float,
     t0 = state0.t
     if t_end <= t0:
         raise InvalidParameterError("t_end must exceed the initial time")
-    # _sample's rows are at most 1/16 of the stiffest block's period apart
-    # (a non-finite t_end is the stepper's error)
-    rows = (t_end - t0) * math.sqrt(cfg.lambdas()[-1] + cfg.bc_penalty_kappa) / (
-        0.125 * math.pi)
-    if MAX_SAMPLE_VALUES < rows * 4 * M < math.inf:
+    # _sample's rows are at most _spacing apart; their count may overflow to
+    # inf for a finite t_end (a non-finite t_end is the stepper's error)
+    rows = (t_end - t0) / _spacing(cfg.lambdas()[-1] + cfg.bc_penalty_kappa)
+    if math.isfinite(t_end) and not rows * 4 * M <= MAX_SAMPLE_VALUES:
         raise InvalidParameterError(
             f"modes_M = {M} and t_end = {t_end:g} take at least {rows:.3g} sample "
             f"rows of {4 * M} values, above {MAX_SAMPLE_VALUES:.0e}")
@@ -493,8 +513,7 @@ def modal_energy(cfg: TrueBeamConfig, state: ModalState,
     penalty stiffness of the currently constrained family. int F(u) is exact
     on the midpoint grid for an exact law (see _exact_law)."""
     lam = cfg.lambdas()
-    proj = cfg._midpoints if _exact_law(cfg.nl) else _Projector(
-        cfg.geom, cfg.modes_M, max(16, 4 * cfg.modes_M), 8)
+    proj = cfg._midpoints if _exact_law(cfg.nl) else cfg._gauss
     nv, nt = proj.norm_v, proj.norm_t
     quad_F = proj.integral(np.asarray(cfg.nl.F(proj.surface(
         np.array([state.a, state.b])))))

@@ -1,14 +1,21 @@
+import copy
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bridgeosc
-from bridgeosc import _rk, cli, ode4
+from bridgeosc import _rk, cli, ode4, truebeam
 from bridgeosc.cli import main
 from bridgeosc.scenarios import BUILTINS, list_builtins
 
@@ -735,6 +742,74 @@ def test_a_truebeam_sample_grid_above_its_bound_exits_3_before_the_run(
     assert not out.exists() or not any(out.iterdir())
 
 
+_TORSIONAL_GUST = {"breakpoints": [[0.0, 0.0], [2.0, 1.0], [4.0, 0.0]],
+                   "profile": "torsional"}
+
+
+@pytest.mark.parametrize("run, geom, forcing, quantity", [
+    ("modes-geom", {"length_L": 1e-80}, None, "(m pi / L)^4 at m = 1"),
+    ("truebeam", {"length_L": 1e300, "half_width_l": 1e300}, None, "(M pi / L)^4"),
+    ("truebeam", {"length_L": 1.0, "half_width_l": 1e150}, None, "L l^3 / 3"),
+    ("truebeam", {"half_width_l": 1e-120}, _TORSIONAL_GUST, "L l^3 / 3"),
+    ("truebeam", {"length_L": 1e-80}, None, "(M pi / L)^4"),
+    ("truebeam", {"half_width_l": 1e-120}, "absent", "L l^3 / 3"),
+], ids=["modes-L-tiny", "truebeam-L-l-huge", "truebeam-l-cubed-huge",
+        "truebeam-l-tiny-torsional", "truebeam-L-tiny", "truebeam-l-tiny-unforced"])
+def test_a_plate_quantity_beyond_float_range_exits_3_before_the_run(
+        tmp_path, monkeypatch, capsys, run, geom, forcing, quantity):
+    # an eigenvalue or family norm that overflows or underflows a float was
+    # exit 1 (OverflowError, division by zero) or a numpy warning and a
+    # misleading stepper error: each is refused, naming it, before any solver
+    from bridgeosc import plate, truebeam
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the solver ran")
+
+    monkeypatch.setattr(plate, "verify_mode", refuse)
+    monkeypatch.setattr(truebeam, "integrate_truebeam", refuse)
+    _, params = _with(run, geom=geom, **({"forcing": forcing} if forcing else {}))
+    if forcing == "absent":
+        del params["forcing"]
+    assert _run_config(tmp_path, {"name": "big", "model": run.split("-")[0],
+                                  "parameters": params}) == 3
+    err = capsys.readouterr().err
+    assert f"{quantity} is " in err and "overflows or underflows a float" in err
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("run, changes, message", [
+    ("ode4", {"state0": [1.0, 0.0, 1e308, 0.0]}, "rhs at the initial state must be finite"),
+    ("truebeam", {"forcing": {"breakpoints": [[0.0, 0.0], [2.0, 1e308]]}},
+     "the gust's peak energy overflows a float"),
+    ("modes-geom", {"geom": {"half_width_l": 1e308}},
+     "plate dimensions must be finite and positive"),
+    ("truebeam", {"t_end": 1e308}, "t_end = 1e+308 take at least inf sample rows"),
+], ids=["ode4-rhs-overflow", "truebeam-gust-energy", "modes-width", "truebeam-horizon"])
+def test_a_value_near_float_max_exits_3_without_a_warning(tmp_path, capsys, run,
+                                                          changes, message):
+    # each was a numpy overflow warning (exit 1 where warnings are errors): at
+    # the first rhs, in the gust energy and in the plate's x2 grid; a horizon
+    # whose sample count overflows to inf ran a million exponential steps
+    _, params = _with(run, **changes)
+    assert _run_config(tmp_path, {"name": "big", "model": run.split("-")[0],
+                                  "parameters": params}) == 3
+    assert message in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_sweep_whose_parameters_are_not_an_object_exits_2(tmp_path, capsys):
+    # it was an AttributeError traceback from the bare-name lookup
+    config = {**_tiny_ode4_config("s"), "parameters": ""}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["sweep", str(cfg), "--param", "k_coef=2:3:1", "--out", str(out)]) == 2
+    assert "parameter path 'k_coef' not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_without_config_or_builtin_exits_2(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
     assert "config path or --builtin" in capsys.readouterr().err
@@ -1212,3 +1287,88 @@ def test_a_family_kind_that_is_not_a_string_exits_3(tmp_path, capsys, kind):
     assert f"unknown family kind {kind!r}" in capsys.readouterr().err
     out = tmp_path / "o"
     assert not out.exists() or not any(out.iterdir())
+
+
+# --- the exit-code contract under mutated configs ---------------------------
+# Each example takes a builtin, a MODEL_RUNS config or a sweep config with its
+# --param spec, and replaces one or two values anywhere in it (an object or a
+# list included) with one of _ODD_VALUES, or deletes an object key.
+
+_ODD_VALUES = [None, True, False, 0, -1, 1.5, 1e308, "", [], {}, [1], 2 ** 70,
+               math.nan]
+_SWEEPS = [("ode4", "k_coef=2:3:0.5"), ("ode4", "state0.0=0.5:1:0.5"),
+           ("coupled", "t_end=1:2:1"), ("truebeam", "threshold_Ebar=2:3:1"),
+           ("scanlan", "zeta=0:0.1:0.05")]
+_FUZZ_BASES = (
+    [("run", BUILTINS[name], None) for name in sorted(BUILTINS)]
+    + [("run", {"name": "m", "model": run.split("-")[0], "parameters": params}, None)
+       for run, (params, _) in sorted(MODEL_RUNS.items())]
+    + [("sweep", {"name": "s", "model": run, "parameters": MODEL_RUNS[run][0]}, spec)
+       for run, spec in _SWEEPS])
+
+
+def _paths(node, at=()):
+    """The path of each value below node: object keys and list indices."""
+    entries = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in entries:
+        yield at + (key,)
+        yield from _paths(value, at + (key,))
+
+
+@st.composite
+def _mutated(draw):
+    """(command, a mutated copy of a _FUZZ_BASES config, spec)."""
+    command, config, spec = draw(st.sampled_from(_FUZZ_BASES))
+    config = json.loads(json.dumps(config))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(config))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        node = config
+        for name in parents:
+            node = node[name]
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:  # a copy: a later mutation may reach inside it
+            node[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+    return command, config, spec
+
+
+def _wide_plate(run, key):
+    """A run whose plate key is 1e308: exit 1 before the plate's quantities
+    were checked (an eigenvalue that underflows, l^3 or the width 2 l that
+    overflows)."""
+    _, params = _with(run, geom={key: 1e308})
+    return "run", {"name": "m", "model": run.split("-")[0], "parameters": params}, None
+
+
+@settings(max_examples=200, deadline=None)
+@example(_wide_plate("truebeam", "length_L"))
+@example(_wide_plate("truebeam", "half_width_l"))
+@example(_wide_plate("modes-geom", "half_width_l"))
+@given(_mutated())
+def test_a_mutated_config_exits_0_2_or_3_and_a_failure_writes_nothing(mutated):
+    # every outcome of bridge run and bridge sweep on odd values is success,
+    # a config error or a precondition failure (exit 1, a runtime failure, is
+    # a fault), with no traceback; a failed run writes nothing, and a sweep
+    # only the files of its points that succeeded. Step budget and sample
+    # bound are cut so that 2^70 or 1e308 as a horizon ends quickly
+    command, config, spec = mutated
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(_rk, "MAX_STEPS", 5000), \
+            mock.patch.object(truebeam, "MAX_SAMPLE_VALUES", 200_000), \
+            redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        cfg, out_dir = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "o")
+        with open(cfg, "w") as fh:
+            json.dump(config, fh)
+        argv = [command, cfg, "--out", out_dir] + (["--param", spec] if spec else [])
+        code = main(argv)
+        written = set(os.listdir(out_dir)) if os.path.isdir(out_dir) else set()
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or command == "sweep" or not written
+    done = {line.split(": ")[0] for line in out.getvalue().splitlines()}
+    assert written <= {point + suffix for point in done
+                       for suffix in (".csv", "_reduced.csv", ".json", ".svg")}

@@ -258,9 +258,10 @@ def test_linear_blocks_with_damping_of_another_shape_are_refused(damping):
                            linear=LinearBlocks(np.ones((1, 2)), damping))
 
 
-def _linear_cubic(M, cubic):
+def _linear_cubic(M, cubic, answer=list):
     """y' = M y - cubic y^3, each component summed left to right in Python:
-    the same arithmetic on a list of floats, a bare array and columns."""
+    the same arithmetic on a list of floats, a bare array and columns; the
+    rhs answers answer(the list of components)."""
     def rhs(t, y):
         out = []
         for row, c, y_i in zip(M, cubic, y):
@@ -268,7 +269,7 @@ def _linear_cubic(M, cubic):
             for m, y_j in zip(row[1:], y[1:]):
                 acc = acc + m * y_j
             out.append(acc - c * (y_i * y_i * y_i))
-        return out
+        return answer(out)
     return rhs
 
 
@@ -276,15 +277,15 @@ def _linear_cubic(M, cubic):
 @given(st.data())
 def test_each_lane_is_its_lone_run_bit_for_bit(data):
     # random sizes, rhs, tolerances and ragged ends; the lone runs take the
-    # float route or the array route; the cubic blows some lanes up. The
-    # entries come from a drawn seed: hypothesis' own floats are often 0 or
-    # 1, whose sums round alike in any order
+    # float route (a list answer) or the array route (an array answer); the
+    # cubic blows some lanes up. The entries come from a drawn seed:
+    # hypothesis' own floats are often 0 or 1, whose sums round alike in any
+    # order
     n = data.draw(st.sampled_from(range(1, 11)), label="n")  # uniform: 8-10 often
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     rhs = _linear_cubic((rng.uniform(-1.0, 1.0, (n, n)) / n).tolist(),
-                        rng.uniform(-0.5, 1.0, n).tolist())
-    if data.draw(st.booleans(), label="float_rhs"):
-        rhs = _rk.float_rhs(rhs)
+                        rng.uniform(-0.5, 1.0, n).tolist(),
+                        data.draw(st.sampled_from([list, np.array]), label="answer"))
     tol = st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e)
     lanes = [Lane(0.0, rng.uniform(-1.0, 1.0, n),
                   data.draw(st.floats(0.1, 1.5), label="t_end"), data.draw(tol),
@@ -295,6 +296,31 @@ def test_each_lane_is_its_lone_run_bit_for_bit(data):
         alone = integrate_adaptive(rhs, *lane[:6], stop_indices=(0,),
                                    stop_threshold=lane.stop_threshold)
         _assert_same_run(run, alone)
+
+
+def test_a_wrapped_package_rhs_keeps_the_float_route():
+    # the route is read off the rhs's answer at the initial state, not off
+    # the function: a plain wrapper (a tracer, a decorator) answers with the
+    # package rhs's list, so it is stepped on lists of floats, also in a
+    # batch that shrinks to one lane
+    rhs, seen = bo.canonical(3.0, bo.make_nonlinearity("cubic", epsilon=1.0)).rhs(), []
+
+    def wrapped(t, y):
+        seen.append("floats" if type(y) is list and {type(v) for v in y} == {float}
+                    else np.ndim(y))
+        return rhs(t, y)
+
+    alone = integrate_adaptive(wrapped, 0.0, np.array([1.0, 0.0, 0.0, 0.0]), 5.0)
+    assert seen[:2] == [1, 1]  # the start rhs and the initial step size
+    assert len(seen) > 100 and set(seen[2:]) == {"floats"}
+    _assert_same_run(alone, integrate_adaptive(rhs, 0.0, [1.0, 0.0, 0.0, 0.0], 5.0))
+    seen.clear()
+    lanes = [Lane(0.0, np.array([w0, 0.0, 0.0, 0.0]), t_end)
+             for w0, t_end in ((0.5, 2.0), (1.0, 5.0))]
+    integrate_lanes(lambda cols: wrapped, lanes)
+    last_batched = len(seen) - seen[::-1].index(2)
+    assert last_batched > 100 and set(seen[last_batched:]) == {"floats"}
+    assert len(seen) - last_batched > 100
 
 
 def test_lanes_keep_the_sign_of_a_zero_stage_sum():

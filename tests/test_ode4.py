@@ -108,7 +108,6 @@ def test_each_package_rhs_takes_and_returns_floats(name, law):
     if name == "miosyst" and law not in ("cubic", "mckenna_cubic"):
         law = "cubic"
     rhs = _RHS[name](bo.make_nonlinearity(law, **_LAWS[law]))
-    assert rhs.takes_floats
     state = [0.4, -0.2, 0.7, 1.1]
     floats = rhs(0.3, state)
     assert [type(v) for v in floats] == [float] * 4
